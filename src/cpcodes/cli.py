@@ -4,8 +4,9 @@ Every command writes its outputs plus a JSON run manifest (full parameter
 set, seed, versions, output paths, wall time) sufficient to replay the run
 byte-for-byte with ``cpc replay``.
 
-Exit codes: 0 success, 2 bad usage, 3 design infeasible, 4 input dimension
-mismatch, 5 corrupt stream, 6 resource guard exceeded.
+Exit codes: 0 success, 2 bad usage, 3 design infeasible, 4 bad input
+(dimension mismatch or non-finite value), 5 corrupt stream, 6 resource guard
+exceeded.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 from . import __version__, evaluation, wsc
 from .combinatorics import Composition, ResourceLimitError, rate_point_census
 from .codec import (
+    EncodedIndex,
     StreamError,
-    decode,
-    encode_cpc,
+    decode_batch,
+    encode_batch,
     load_code,
     read_stream,
     save_code,
@@ -39,7 +41,7 @@ from .order_stats import folded_order_stats, gaussian_order_stats
 from .streams import GENERATOR_ID
 
 EXIT_DESIGN_INFEASIBLE = 3
-EXIT_DIMENSION_MISMATCH = 4
+EXIT_BAD_INPUT = 4
 EXIT_CORRUPT_STREAM = 5
 EXIT_RESOURCE_GUARD = 6
 
@@ -190,8 +192,9 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
     click.echo(f"wrote {out}")
 
 
-def _read_vectors(path, n):
+def _read_vectors(path, n) -> np.ndarray:
     rows = []
+    line_nos = []
     with open(path) as fp:
         for line_no, line in enumerate(fp, start=1):
             line = line.strip()
@@ -202,13 +205,30 @@ def _read_vectors(path, n):
                 click.echo(
                     f"row {line_no}: expected {n} values, got {len(values)}", err=True
                 )
-                sys.exit(EXIT_DIMENSION_MISMATCH)
+                sys.exit(EXIT_BAD_INPUT)
             try:
-                rows.append([float(v) for v in values])
+                rows.append(list(map(float, values)))
             except ValueError as exc:
                 click.echo(f"row {line_no}: {exc}", err=True)
-                sys.exit(EXIT_DIMENSION_MISMATCH)
-    return rows
+                sys.exit(EXIT_BAD_INPUT)
+            line_nos.append(line_no)
+    X = np.array(rows, dtype=float).reshape(len(rows), n)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        click.echo(f"row {line_nos[int(np.argmin(finite))]}: non-finite value", err=True)
+        sys.exit(EXIT_BAD_INPUT)
+    return X
+
+
+def _csv_lines(W: np.ndarray) -> list[str]:
+    """One line per row of ``W``, each value written as ``repr(float)``.
+
+    Decoded rows hold only the codebook's few (signed) levels, so each
+    distinct bit pattern is formatted once.
+    """
+    patterns, where = np.unique(W.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    return [",".join(row) for row in text[where.reshape(W.shape)].tolist()]
 
 
 @main.command("encode")
@@ -221,8 +241,8 @@ def cmd_encode(codebook, input_path, output, manifest):
     """Encode vectors to the (sphere, rank) stream format."""
     started = time.monotonic()
     code = load_code(codebook)
-    rows = _read_vectors(input_path, code.n)
-    indices = [encode_cpc(np.asarray(row), code)[0] for row in rows]
+    spheres, ranks, _ = encode_batch(_read_vectors(input_path, code.n), code)
+    indices = [EncodedIndex(s, r) for s, r in zip(spheres.tolist(), ranks.tolist())]
     with open(output, "wb") as fp:
         write_stream(fp, code, indices)
     manifest = manifest or f"{output}.manifest.json"
@@ -248,9 +268,9 @@ def cmd_decode(codebook, input_path, output, manifest):
     except StreamError as exc:
         click.echo(f"corrupt stream: {exc}", err=True)
         sys.exit(EXIT_CORRUPT_STREAM)
+    W = decode_batch([i.sphere for i in indices], [i.rank for i in indices], code)
     with open(output, "w", newline="\n") as fp:
-        for idx in indices:
-            fp.write(",".join(repr(float(v)) for v in decode(idx, code)) + "\n")
+        fp.writelines(line + "\n" for line in _csv_lines(W))
     manifest = manifest or f"{output}.manifest.json"
     params = {"codebook": str(codebook), "input": str(input_path), "output": str(output)}
     argv = ["decode", "--codebook", str(codebook), "--input", str(input_path),

@@ -5,6 +5,18 @@ of the input plus O(J n) bookkeeping: the best codeword inside each subcode
 is obtained by writing its level values into the sorted positions, and the
 winner among the J candidates is a global nearest neighbor.
 
+Batch core.  :func:`encode_batch` and :func:`decode_batch` code many rows.
+They walk the rows in fixed blocks of ``streams.SHARD_VECTORS``, so their
+temporaries stay O(block), and each block costs exactly one stable sort of
+the keys (``|x|`` for sign-carrying codebooks), shared by every subcode.  The
+winning subcode is the one with the smallest direct-form distance
+``sum((x - w)**2)``; ties go to the smaller sphere index.  Ranks and unranks
+are vectorised over the block in int64 whenever ``M_j * n`` and every
+subcode size stay below ``2**63``, and use Python integers otherwise.  The
+one-vector functions (:func:`encode_pc`, :func:`encode_cpc`, :func:`decode`,
+:func:`rank_codeword`, :func:`unrank_codeword`) run one row through the same
+routines, so one rule picks the nearest subcode and one routine ranks.
+
 Index layout.  Codewords are ranked lexicographically with level 0 (the
 largest value) as the smallest symbol, so the initial codeword itself always
 has rank 0.  For sign-carrying codebooks the rank is
@@ -18,10 +30,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .combinatorics import Composition, group_starts, multinomial_size, variant2_size
+from .streams import SHARD_VECTORS
 
 VARIANT_I = 1
 VARIANT_II = 2
@@ -31,14 +45,6 @@ _MAGIC = b"CPC1"
 
 class StreamError(ValueError):
     """Encoded stream is corrupt or inconsistent with the codebook."""
-
-
-_sort_calls = 0
-
-
-def sort_calls() -> int:
-    """Number of input sorts performed so far (complexity accounting)."""
-    return _sort_calls
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,20 @@ class InitialCodeword:
 
 
 @dataclass(frozen=True)
+class _Tables:
+    """Per-subcode arrays that the batch routines index by sphere; read-only."""
+
+    dtype: type  # of ranks and of the counts behind them: np.int64, or object past 2**63
+    symbols: np.ndarray  # (J, n) level index at each place of the descending order
+    vectors: np.ndarray  # (J, n) initial codewords
+    levels: np.ndarray  # (J, K) level values, zero padded to the longest composition
+    parts: np.ndarray  # (J, K) level multiplicities, zero padded
+    perms: np.ndarray  # (J,) distinct permutations of each initial codeword
+    sign_bits: np.ndarray  # (J,)
+    sizes: np.ndarray  # (J,) codebook sizes as exact Python integers
+
+
+@dataclass(frozen=True)
 class ConcentricCode:
     """Union of permutation subcodebooks sharing one dimension and variant."""
 
@@ -126,6 +146,34 @@ class ConcentricCode:
     def sizes(self) -> tuple[int, ...]:
         return tuple(cw.size for cw in self.subcodes)
 
+    @cached_property
+    def _tables(self) -> _Tables:
+        comps = [cw.composition for cw in self.subcodes]
+        K = max(c.num_levels for c in comps)
+        perms = [multinomial_size(c) for c in comps]
+        # rank arithmetic multiplies an arrangement count by at most n
+        fits = max(perms) * self.n < 2**63 and max(self.sizes) < 2**63
+        dtype = np.int64 if fits else object
+        levels = np.zeros((self.J, K))
+        parts = np.zeros((self.J, K), dtype=np.int64)
+        for j, cw in enumerate(self.subcodes):
+            levels[j, : len(cw.levels)] = cw.levels
+            parts[j, : len(cw.levels)] = cw.composition.parts
+        tables = _Tables(
+            dtype=dtype,
+            symbols=np.array([np.repeat(np.arange(c.num_levels), c.parts) for c in comps]),
+            vectors=np.array([cw.initial_vector() for cw in self.subcodes]),
+            levels=levels,
+            parts=parts,
+            perms=np.array(perms, dtype=dtype),
+            sign_bits=np.array([cw.sign_bits for cw in self.subcodes]),
+            sizes=np.array(self.sizes, dtype=object),
+        )
+        for value in vars(tables).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return tables
+
 
 @dataclass(frozen=True)
 class EncodedIndex:
@@ -135,49 +183,175 @@ class EncodedIndex:
     rank: int
 
 
-def _order_desc(keys: np.ndarray) -> np.ndarray:
-    """Indices sorting keys descending; ties keep the smaller original index."""
-    global _sort_calls
-    _sort_calls += 1
-    return np.argsort(-keys, kind="stable")
+# ---------------------------------------------------------------------------
+# batch core
 
 
-def _place_levels(cw: InitialCodeword, x: np.ndarray, order: np.ndarray) -> np.ndarray:
-    out = np.empty(cw.n, dtype=float)
-    out[order] = cw.initial_vector()
-    if cw.variant == VARIANT_II:
-        signs = np.where(x < 0, -1.0, 1.0)
-        out = np.where(out != 0.0, signs * out, 0.0)
-    return out
+def encode_batch(X: np.ndarray, code: ConcentricCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest codeword in the union codebook for every row of ``X``, with its index.
 
-
-def encode_pc(x: np.ndarray, cw: InitialCodeword) -> np.ndarray:
-    """Nearest codeword to ``x`` in the single permutation codebook of ``cw``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cw.n,):
-        raise ValueError(f"expected a vector of length {cw.n}, got shape {x.shape}")
-    keys = np.abs(x) if cw.variant == VARIANT_II else x
-    return _place_levels(cw, x, _order_desc(keys))
-
-
-def encode_cpc(x: np.ndarray, code: ConcentricCode) -> tuple[EncodedIndex, np.ndarray]:
-    """Nearest codeword in the union codebook, with its index.
-
-    A single sort of ``x`` serves every subcode; ties between subcodes break
-    toward the smaller sphere index.
+    Returns ``(spheres, ranks, W)``: the chosen subcode of each row, the rank
+    of its codeword there, and the codewords themselves.  Ranks are int64, or
+    Python integers in an object array for codebooks past int64.  Rows must be
+    finite; a row holding NaN or an infinity raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (code.n,):
-        raise ValueError(f"expected a vector of length {code.n}, got shape {x.shape}")
-    keys = np.abs(x) if code.variant == VARIANT_II else x
-    order = _order_desc(keys)
-    best_j, best_w, best_d = -1, None, math.inf
-    for j, cw in enumerate(code.subcodes):
-        w = _place_levels(cw, x, order)
-        d = float(np.sum((x - w) ** 2))
-        if d < best_d:
-            best_j, best_w, best_d = j, w, d
-    return EncodedIndex(best_j, rank_codeword(best_w, code.subcodes[best_j])), best_w
+    X = _finite_rows(X, code.n)
+    tables = code._tables
+    spheres = np.empty(len(X), dtype=np.int64)
+    ranks = np.empty(len(X), dtype=tables.dtype)
+    W = np.empty_like(X)
+    for lo in range(0, len(X), SHARD_VECTORS):
+        block = slice(lo, lo + SHARD_VECTORS)
+        spheres[block], symbols, W[block] = _nearest(X[block], code.variant, tables)
+        signed = np.ascontiguousarray(W[block].T) if code.variant == VARIANT_II else None
+        ranks[block] = _rank(symbols, tables.perms[spheres[block]], signed)
+    return spheres, ranks, W
+
+
+def _finite_rows(X, n: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"expected rows of length {n}, got shape {X.shape}")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))}: non-finite value")
+    return X
+
+
+def _nearest(x: np.ndarray, variant: int, tables: _Tables):
+    """Nearest subcode and codeword for each row of a block, from one sort.
+
+    Returns the spheres, the level index at each position (one row per
+    position) and the codewords.
+    """
+    m, n = x.shape
+    keys = np.abs(x) if variant == VARIANT_II else x
+    # the block's one sort; equal keys keep their index order
+    order = np.argsort(-keys, axis=1, kind="stable")
+    place = np.empty_like(order)  # place[r, p]: rank of coordinate p in the descending order
+    place[np.arange(m)[:, None], order] = np.arange(n)
+    signs = np.where(x < 0, -1.0, 1.0) if variant == VARIANT_II else None
+    spheres = np.zeros(m, dtype=np.int64)
+    for j, vector in enumerate(tables.vectors):
+        w = vector[place]
+        if signs is not None:
+            w = np.where(w != 0.0, signs * w, 0.0)  # a zero level stays +0.0
+        d = ((x - w) ** 2).sum(axis=1)
+        if j == 0:
+            best_w, best_d = w, d
+        else:
+            better = d < best_d  # strict, so a tie keeps the smaller sphere index
+            spheres[better] = j
+            best_d[better] = d[better]
+            best_w[better] = w[better]
+    return spheres, tables.symbols[spheres, place.T], best_w
+
+
+def decode_batch(spheres, ranks, code: ConcentricCode) -> np.ndarray:
+    """Codewords addressed by (sphere, rank) pairs, one row each.
+
+    The inverse of the indices :func:`encode_batch` returns.  Raises
+    ``ValueError`` for a sphere or rank outside the codebook.
+    """
+    spheres = np.asarray(spheres, dtype=np.int64)
+    ranks = np.asarray(ranks, dtype=object)  # exact, whatever integer type arrived
+    if spheres.ndim != 1 or spheres.shape != ranks.shape:
+        raise ValueError("need one sphere and one rank per row")
+    bad = (spheres < 0) | (spheres >= code.J)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i}: sphere {spheres[i]} out of range for J={code.J}")
+    tables = code._tables
+    bad = (ranks < 0) | (ranks >= tables.sizes[spheres])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i}: rank {ranks[i]} out of range [0, {tables.sizes[spheres[i]]})")
+    ranks = ranks.astype(tables.dtype)
+    W = np.empty((len(spheres), code.n))
+    for lo in range(0, len(W), SHARD_VECTORS):
+        block = slice(lo, lo + SHARD_VECTORS)
+        W[block] = _decode_block(spheres[block], ranks[block], code.variant, tables)
+    return W
+
+
+def _decode_block(spheres: np.ndarray, ranks: np.ndarray, variant: int, tables: _Tables):
+    h = tables.sign_bits[spheres]
+    perm_ranks = ranks >> h
+    n = tables.symbols.shape[1]
+    symbols = _unrank(perm_ranks, tables.parts.T[:, spheres], tables.perms[spheres], n)
+    w = tables.levels[spheres, np.array(symbols)]  # one row per position
+    if variant == VARIANT_II:
+        w = _apply_signs(w, ranks - (perm_ranks << h))
+    return np.transpose(w)
+
+
+# The ranking routines below serve one codeword and a block of them alike.
+# Each entry of ``symbols``, ``counts`` and ``values`` (one per position or
+# level) is either a Python number, for one codeword, or an array over the
+# rows of a block, and the same arithmetic runs on either.  Block arithmetic
+# is int64, or Python integers in object arrays past 2**63.
+
+
+def _rank(symbols, perms, values=None):
+    """Index of the codeword whose level index at each position is ``symbols``.
+
+    ``perms`` is the number of distinct arrangements of those symbols.  The
+    permutation rank is lexicographic with level 0 the smallest symbol.  When
+    the codeword's entries ``values`` are given, its sign bits follow: one
+    per nonzero entry, 1 for a negative one, the first one most significant.
+    """
+    n = len(symbols)
+    rank, remaining = 0 * perms, perms  # remaining: arrangements of symbols[p:]
+    for p in range(n - 1):
+        here, smaller, equal = symbols[p], 0, 1
+        for later in symbols[p + 1 :]:
+            smaller = smaller + (later < here)
+            equal = equal + (later == here)
+        # every arrangement with a smaller symbol at p comes first
+        rank = rank + remaining * smaller // (n - p)
+        remaining = remaining * equal // (n - p)
+    if values is not None:
+        for v in values:
+            rank = rank * (1 + (v != 0.0)) + (v < 0.0)
+    return rank
+
+
+def _unrank(rank, counts, perms, n: int) -> list:
+    """Level index at each position of the arrangement with permutation rank
+    ``rank`` of ``n`` symbols, ``counts[k]`` of them level ``k``; ``perms`` is
+    the number of arrangements.  The inverse of :func:`_rank` without signs."""
+    counts = list(counts)
+    remaining = perms
+    symbols = []
+    for p in range(n):
+        # the symbol at p is the (rank * (n - p) // remaining)-th smallest left
+        target = rank * (n - p) // remaining
+        here = below = upto = 0
+        for count in counts:
+            upto = upto + count
+            before = upto <= target  # every copy of this level sorts before the target
+            here = here + before
+            below = below + count * before
+        taken = 0
+        for k, count in enumerate(counts):
+            hit = here == k
+            taken = taken + count * hit
+            counts[k] = count - hit
+        rank = rank - remaining * below // (n - p)
+        remaining = remaining * taken // (n - p)
+        symbols.append(here)
+    return symbols
+
+
+def _apply_signs(values, bits) -> list:
+    """Negate the nonzero entries whose sign bit is set in ``bits``."""
+    out = list(values)
+    for p in reversed(range(len(out))):
+        nonzero = out[p] != 0.0
+        negative = (bits & nonzero) != 0
+        out[p] = out[p] * (1 - 2 * negative)
+        bits = bits >> nonzero
+    return out
 
 
 def sort_by_variant(x: np.ndarray, variant: int) -> np.ndarray:
@@ -205,31 +379,26 @@ def subcode_distances(sorted_samples: np.ndarray, code: ConcentricCode) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# ranking / unranking
+# one-vector wrappers
 
 
-def _symbols_and_signs(w: np.ndarray, cw: InitialCodeword) -> tuple[list[int], int]:
-    levels = cw.levels
-    lookup = {lv: i for i, lv in enumerate(levels)}
-    symbols = []
-    sign_value = 0
-    for v in w:
-        v = float(v)
-        key = abs(v) if cw.variant == VARIANT_II else v
-        i = lookup.get(key)
-        if i is None:
-            raise ValueError(f"component {v!r} matches no level of {levels}")
-        symbols.append(i)
-        if cw.variant == VARIANT_II and levels[i] != 0.0:
-            sign_value = (sign_value << 1) | (1 if v < 0 else 0)
-    counts = [0] * len(levels)
-    for s in symbols:
-        counts[s] += 1
-    if counts != list(cw.composition.parts):
-        raise ValueError(
-            f"level multiplicities {counts} do not match composition {cw.composition}"
-        )
-    return symbols, sign_value
+def encode_pc(x: np.ndarray, cw: InitialCodeword) -> np.ndarray:
+    """Nearest codeword to ``x`` in the single permutation codebook of ``cw``."""
+    return encode_cpc(x, ConcentricCode((cw,)))[1]
+
+
+def encode_cpc(x: np.ndarray, code: ConcentricCode) -> tuple[EncodedIndex, np.ndarray]:
+    """Nearest codeword in the union codebook, with its index: what
+    :func:`encode_batch` returns for ``x`` as its one row, ranked in Python
+    integers."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (code.n,):
+        raise ValueError(f"expected a vector of length {code.n}, got shape {x.shape}")
+    spheres, symbols, w = _nearest(_finite_rows(x[None, :], code.n), code.variant, code._tables)
+    j = int(spheres[0])
+    signed = w[0].tolist() if code.variant == VARIANT_II else None
+    rank = _rank(symbols[:, 0].tolist(), int(code._tables.perms[j]), signed)
+    return EncodedIndex(j, rank), w[0]
 
 
 def rank_codeword(w: np.ndarray, cw: InitialCodeword) -> int:
@@ -237,64 +406,39 @@ def rank_codeword(w: np.ndarray, cw: InitialCodeword) -> int:
     w = np.asarray(w, dtype=float)
     if w.shape != (cw.n,):
         raise ValueError(f"expected a vector of length {cw.n}")
-    symbols, sign_value = _symbols_and_signs(w, cw)
-    counts = list(cw.composition.parts)
-    total = cw.n
-    remaining = multinomial_size(cw.composition)
-    rank = 0
-    for s in symbols:
-        for t in range(s):
-            if counts[t]:
-                rank += remaining * counts[t] // total
-        remaining = remaining * counts[s] // total
-        counts[s] -= 1
-        total -= 1
-    if cw.variant == VARIANT_II:
-        rank = (rank << cw.sign_bits) | sign_value
-    return rank
+    values = w.tolist()
+    lookup = {lv: i for i, lv in enumerate(cw.levels)}
+    symbols = []
+    for v in values:
+        i = lookup.get(abs(v) if cw.variant == VARIANT_II else v)
+        if i is None:
+            raise ValueError(f"component {v!r} matches no level of {cw.levels}")
+        symbols.append(i)
+    counts = [symbols.count(i) for i in range(len(cw.levels))]
+    if counts != list(cw.composition.parts):
+        raise ValueError(
+            f"level multiplicities {counts} do not match composition {cw.composition}"
+        )
+    signed = values if cw.variant == VARIANT_II else None
+    return _rank(symbols, multinomial_size(cw.composition), signed)
 
 
 def unrank_codeword(rank: int, cw: InitialCodeword) -> np.ndarray:
     """Inverse of :func:`rank_codeword`."""
     if not 0 <= rank < cw.size:
         raise ValueError(f"rank {rank} out of range [0, {cw.size})")
+    h = cw.sign_bits
+    perm_rank = rank >> h
+    symbols = _unrank(perm_rank, cw.composition.parts, multinomial_size(cw.composition), cw.n)
+    values = [cw.levels[s] for s in symbols]
     if cw.variant == VARIANT_II:
-        perm_rank, sign_value = divmod(rank, 1 << cw.sign_bits)
-    else:
-        perm_rank, sign_value = rank, 0
-    counts = list(cw.composition.parts)
-    total = cw.n
-    remaining = multinomial_size(cw.composition)
-    symbols = []
-    for _ in range(cw.n):
-        for s in range(len(counts)):
-            if counts[s] == 0:
-                continue
-            branch = remaining * counts[s] // total
-            if perm_rank < branch:
-                symbols.append(s)
-                remaining = branch
-                counts[s] -= 1
-                total -= 1
-                break
-            perm_rank -= branch
-    out = np.asarray(cw.levels, dtype=float)[symbols]
-    if cw.variant == VARIANT_II:
-        h = cw.sign_bits
-        bit = h - 1
-        for p in range(cw.n):
-            if out[p] != 0.0:
-                if (sign_value >> bit) & 1:
-                    out[p] = -out[p]
-                bit -= 1
-    return out
+        values = _apply_signs(values, rank - (perm_rank << h))
+    return np.array(values, dtype=float)
 
 
 def decode(idx: EncodedIndex, code: ConcentricCode) -> np.ndarray:
     """Reconstruct the codeword addressed by an encoded index."""
-    if not 0 <= idx.sphere < code.J:
-        raise ValueError(f"sphere {idx.sphere} out of range for J={code.J}")
-    return unrank_codeword(idx.rank, code.subcodes[idx.sphere])
+    return decode_batch([idx.sphere], [idx.rank], code)[0]
 
 
 # ---------------------------------------------------------------------------

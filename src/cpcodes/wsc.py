@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import evaluation
 from .combinatorics import (
@@ -82,6 +82,16 @@ class RateSplit:
     gain_rate: float
 
 
+def _chi_cdf(r, k: int):
+    """CDF at ``r >= 0`` of the chi distribution with ``k`` degrees of freedom."""
+    return special.gammainc(0.5 * k, 0.5 * r**2)
+
+
+def _chi_ppf(q, k: int):
+    """Inverse of :func:`_chi_cdf` for ``q`` in [0, 1]."""
+    return np.sqrt(2 * special.gammaincinv(0.5 * k, q))
+
+
 def _chi_mean(n: int) -> float:
     return math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0))
 
@@ -104,17 +114,17 @@ def gain_codebook(
         return GainCodebook((mean * sigma,), (1.0,))
 
     def cond_means(bounds):
-        hi = stats.chi.cdf(bounds[1:], n)
-        lo = stats.chi.cdf(bounds[:-1], n)
-        hi1 = stats.chi.cdf(bounds[1:], n + 1)
-        lo1 = stats.chi.cdf(bounds[:-1], n + 1)
+        hi = _chi_cdf(bounds[1:], n)
+        lo = _chi_cdf(bounds[:-1], n)
+        hi1 = _chi_cdf(bounds[1:], n + 1)
+        lo1 = _chi_cdf(bounds[:-1], n + 1)
         mass = hi - lo
         if np.any(mass <= 0):
             raise RuntimeError("empty gain cell; J too large for this dimension")
         # r * f_n(r) integrates to the chi mean times the (n+1)-dof CDF increment
         return mean * (hi1 - lo1) / mass, mass
 
-    bounds = stats.chi.ppf(np.linspace(0.0, 1.0, J + 1), n)
+    bounds = _chi_ppf(np.linspace(0.0, 1.0, J + 1), n)
     for _ in range(max_iters):
         gains, probs = cond_means(bounds)
         new_inner = (gains[:-1] + gains[1:]) / 2.0
@@ -219,9 +229,9 @@ def gain_distortion(gc: GainCodebook, n: int, sigma: float = 1.0) -> float:
     """
     gains = np.asarray(gc.gains) / sigma
     bounds = np.concatenate(([0.0], (gains[:-1] + gains[1:]) / 2.0, [np.inf]))
-    f0 = np.diff(stats.chi.cdf(bounds, n))
-    f1 = np.diff(stats.chi.cdf(bounds, n + 1))
-    f2 = np.diff(stats.chi.cdf(bounds, n + 2))
+    f0 = np.diff(_chi_cdf(bounds, n))
+    f1 = np.diff(_chi_cdf(bounds, n + 1))
+    f2 = np.diff(_chi_cdf(bounds, n + 2))
     mean = _chi_mean(n)
     per_cell = n * f2 - 2.0 * gains * mean * f1 + gains * gains * f0
     return float(per_cell.sum()) * sigma * sigma / n

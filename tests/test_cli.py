@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cpcodes
 from cpcodes.cli import main
 from cpcodes.codec import encode_cpc, load_code
 from cpcodes.combinatorics import rate_point_census
@@ -144,6 +148,15 @@ class TestCodingRoundtrip:
         assert res.exit_code == 4
         assert "row 2" in res.output
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_exit4(self, runner, tmp_path, codebook, bad):
+        vecs = tmp_path / "bad.csv"
+        vecs.write_text(f"1,2,3,4,5,6\n\n1,2,{bad},4,5,6\n")
+        res = runner.invoke(main, ["encode", "--codebook", codebook, "--input", str(vecs),
+                                   "--output", str(tmp_path / "o.cpc")])
+        assert res.exit_code == 4
+        assert "row 3: non-finite value" in res.output
+
     def test_corrupt_stream_exit5(self, runner, tmp_path, codebook):
         bad = str(tmp_path / "bad.cpc")
         with open(bad, "wb") as fp:
@@ -151,6 +164,32 @@ class TestCodingRoundtrip:
         res = runner.invoke(main, ["decode", "--codebook", codebook, "--input", bad,
                                    "--output", str(tmp_path / "r.csv")])
         assert res.exit_code == 5
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("book", ["golden_v1", "golden_v2"])
+def test_golden_streams(runner, tmp_path, book):
+    """Streams and reconstructions of a pinned corpus with exact and one-ulp
+    ties and signed zeros stay byte for byte what the per-vector encoder wrote."""
+    codebook = str(DATA / f"{book}.json")
+    stream, recon = tmp_path / "x.cpc", tmp_path / "x.csv"
+    res = runner.invoke(main, ["encode", "--codebook", codebook,
+                               "--input", str(DATA / "golden_vectors.csv"), "--output", str(stream)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["decode", "--codebook", codebook, "--input", str(stream),
+                               "--output", str(recon)])
+    assert res.exit_code == 0, res.output
+    assert stream.read_bytes() == (DATA / f"{book}.cpc").read_bytes()
+    assert recon.read_bytes() == (DATA / f"{book}_decoded.csv").read_bytes()
+
+
+def test_import_skips_scipy_stats():
+    src = str(Path(cpcodes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, cpcodes.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
 
 
 class TestEval:

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpcodes import codec
 from cpcodes.codec import (
@@ -15,6 +16,8 @@ from cpcodes.codec import (
     code_from_dict,
     code_to_dict,
     decode,
+    decode_batch,
+    encode_batch,
     encode_cpc,
     encode_pc,
     rank_codeword,
@@ -24,7 +27,7 @@ from cpcodes.codec import (
     unrank_codeword,
     write_stream,
 )
-from cpcodes.combinatorics import Composition, enumerate_compositions
+from cpcodes.combinatorics import Composition, enumerate_compositions, multinomial_size
 
 from helpers import brute_force_min_distance, enumerate_codebook, random_decreasing_levels
 
@@ -146,12 +149,25 @@ class TestEncodeCPC:
             assert d == brute_force_min_distance(x, union)
             assert decode(idx, code) == pytest.approx(w, abs=0)
 
-    def test_one_sort_per_encode(self):
+    def test_one_sort_per_encode(self, monkeypatch):
         rng = np.random.default_rng(3)
-        code = self._code(rng, VARIANT_I, [(2, 2), (1, 3), (4,)])
-        before = codec.sort_calls()
-        encode_cpc(rng.standard_normal(4), code)
-        assert codec.sort_calls() - before == 1
+        calls = []
+        real_argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            calls.append(1)
+            return real_argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        for variant in (VARIANT_I, VARIANT_II):
+            code = self._code(rng, variant, [(2, 2), (1, 3), (4,)])
+            calls.clear()
+            encode_cpc(rng.standard_normal(4), code)
+            assert len(calls) == 1
+            for rows in (0, 1, 7, codec.SHARD_VECTORS, codec.SHARD_VECTORS + 1):
+                calls.clear()
+                encode_batch(rng.standard_normal((rows, 4)), code)
+                assert len(calls) == -(-rows // codec.SHARD_VECTORS)
 
     def test_batch_distances_match_encoder(self):
         rng = np.random.default_rng(4)
@@ -163,6 +179,87 @@ class TestEncodeCPC:
                 idx, w = encode_cpc(xi, code)
                 assert d[row].min() == pytest.approx(float(np.sum((xi - w) ** 2)), rel=1e-12)
                 assert int(np.argmin(d[row])) == idx.sphere
+
+
+@st.composite
+def codes_with_tied_rows(draw):
+    """A random code (n <= 6, J <= 3) and rows on the same 0.5 grid as its
+    levels, so that exact ties between codewords and between spheres occur."""
+    n = draw(st.integers(1, 6))
+    variant = draw(st.sampled_from([VARIANT_I, VARIANT_II]))
+    subs = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        bounds = [0, *cuts, n]
+        parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        steps = st.integers(0, 8) if variant == VARIANT_II else st.integers(-6, 6)
+        levels = sorted(
+            draw(st.lists(steps, min_size=len(parts), max_size=len(parts), unique=True)),
+            reverse=True,
+        )
+        if variant == VARIANT_II and draw(st.booleans()):
+            levels[-1] = 0
+        subs.append(InitialCodeword(Composition(parts), tuple(0.5 * v for v in levels), variant))
+    grid = st.sampled_from([-0.0] + [0.5 * k for k in range(-8, 9)])
+    rows = draw(st.lists(st.lists(grid, min_size=n, max_size=n), min_size=1, max_size=8))
+    return ConcentricCode(tuple(subs)), np.array(rows, dtype=float)
+
+
+class TestBatchCore:
+    @settings(deadline=None, max_examples=100)
+    @given(codes_with_tied_rows())
+    def test_matches_brute_force_with_ties(self, case):
+        code, X = case
+        books = [enumerate_codebook(cw) for cw in code.subcodes]
+        union = np.concatenate(books)
+        spheres, ranks, W = encode_batch(X, code)
+        for x, j, r, w in zip(X, spheres, ranks.tolist(), W):
+            d = float(np.sum((x - w) ** 2))
+            assert d == brute_force_min_distance(x, union)
+            # ties between spheres go to the smaller index
+            assert j == min(k for k, book in enumerate(books) if brute_force_min_distance(x, book) == d)
+            assert rank_codeword(w, code.subcodes[j]) == r
+            idx, w_one = encode_cpc(x, code)
+            assert (idx.sphere, idx.rank) == (j, r)
+            assert w_one.tobytes() == w.tobytes()
+        assert decode_batch(spheres, ranks, code).tobytes() == W.tobytes()
+        if code.variant == VARIANT_II:
+            assert not np.signbit(W[W == 0.0]).any()
+
+    def test_roundtrip_past_int64(self):
+        rng = np.random.default_rng(9)
+        for variant, n in ((VARIANT_I, 24), (VARIANT_II, 20)):
+            cw = InitialCodeword(Composition((1,) * n), tuple(float(n - i) for i in range(n)), variant)
+            code = ConcentricCode((cw,))
+            assert cw.size >= 2**63
+            X = np.vstack([rng.standard_normal((40, n)), np.arange(n, dtype=float)])
+            spheres, ranks, W = encode_batch(X, code)
+            assert max(ranks.tolist()) >= 2**63
+            assert decode_batch(spheres, ranks, code).tobytes() == W.tobytes()
+            for w, r in zip(W, ranks.tolist()):
+                assert rank_codeword(w, cw) == r
+                assert unrank_codeword(r, cw).tobytes() == w.tobytes()
+            # the ascending row is the last arrangement, with every sign bit clear
+            assert ranks.tolist()[-1] == (multinomial_size(cw.composition) - 1) << cw.sign_bits
+
+    def test_rejects_non_finite_rows(self):
+        code = ConcentricCode((InitialCodeword(Composition((2, 1)), (1.0, -1.0)),))
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.zeros((3, 3))
+            X[1, 2] = bad
+            with pytest.raises(ValueError, match="row 1: non-finite value"):
+                encode_batch(X, code)
+            with pytest.raises(ValueError, match="non-finite"):
+                encode_cpc(X[1], code)
+
+    def test_decode_rejects_foreign_indices(self):
+        code = ConcentricCode((InitialCodeword(Composition((2, 1)), (1.0, -1.0)),))
+        with pytest.raises(ValueError, match="sphere"):
+            decode_batch([0, 1], [0, 0], code)
+        with pytest.raises(ValueError, match="rank"):
+            decode_batch([0, 0], [2, 3], code)
+        with pytest.raises(ValueError, match="rank"):
+            decode_batch([0], [-1], code)
 
 
 class TestRanking:
