@@ -1,16 +1,18 @@
 """Batch command-line front end.
 
-Every command writes its outputs plus a JSON run manifest (full parameter
-set, seed, versions, output paths, wall time) sufficient to replay the run
-byte-for-byte with ``cpc replay``.
+Every command writes its outputs plus a JSON run manifest sufficient to
+replay the run byte-for-byte with ``cpc replay``: the replay ``argv``, the
+``parameters`` (click's parsed values keyed by parameter name), seed,
+versions, output paths and wall time.
 
 Exit codes: 0 success, 2 bad usage, 3 design infeasible, 4 bad input
-(dimension mismatch or non-finite value), 5 corrupt stream, 6 resource guard
-exceeded.
+(dimension mismatch, non-finite value or unreadable codebook), 5 corrupt
+stream, 6 resource guard exceeded.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import sys
@@ -37,13 +39,22 @@ from .design import (
     design_common_composition,
     lloyd_general,
 )
-from .order_stats import folded_order_stats, gaussian_order_stats
+from .order_stats import gaussian_order_stats
 from .streams import GENERATOR_ID
 
-EXIT_DESIGN_INFEASIBLE = 3
-EXIT_BAD_INPUT = 4
-EXIT_CORRUPT_STREAM = 5
-EXIT_RESOURCE_GUARD = 6
+
+class BadInputError(Exception):
+    """A vector file or codebook that the program cannot use."""
+
+
+# (exception types, exit code, stderr prefix). The first match wins, so
+# ResourceLimitError, a RuntimeError, comes before any wider net.
+EXITS = (
+    (ResourceLimitError, 6, "resource guard: "),
+    (StreamError, 5, "corrupt stream: "),
+    (DesignInfeasibleError, 3, "design infeasible: "),
+    (BadInputError, 4, ""),
+)
 
 
 def _versions() -> dict:
@@ -57,20 +68,70 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(path, command, argv, params, seed, outputs, started):
+def _replay_argv(command: click.Command, params: dict) -> list[str]:
+    """The argv that reruns ``command`` with ``params``: flags when true,
+    multiple options repeated, None skipped."""
+    argv = [command.name]
+    for param in command.params:
+        value = params[param.name]
+        if param.is_flag:
+            argv += [param.opts[0]] if value else []
+        elif value is not None:
+            for v in value if param.multiple else [value]:
+                argv += [param.opts[0], str(v)]
+    return argv
+
+
+def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: float):
     doc = {
-        "command": command,
-        "argv": argv,
+        "command": command.name,
+        "argv": _replay_argv(command, params),
         "parameters": params,
-        "seed": seed,
+        "seed": params.get("seed"),
         "generator": GENERATOR_ID,
         "versions": _versions(),
         "outputs": [str(p) for p in outputs],
-        "wall_time_s": time.monotonic() - started,
+        "wall_time_s": wall_time_s,
     }
-    with open(path, "w", newline="\n") as fp:
+    with open(params["manifest"], "w", newline="\n") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
+
+
+def _recorded(*exits):
+    """Wrap a command body that returns its output paths.
+
+    Adds the ``--manifest`` option, times the run, maps the body's expected
+    exceptions to exit codes through ``EXITS`` and then ``exits``, and writes
+    the manifest, by default to ``<first output>.manifest.json``.
+    """
+    def decorate(body):
+        @functools.wraps(body)
+        def command(manifest, **kwargs):
+            started = time.monotonic()
+            try:
+                outputs = body(**kwargs)
+            except Exception as exc:
+                for types, code, prefix in EXITS + exits:
+                    if isinstance(exc, types):
+                        click.echo(f"{prefix}{exc}", err=True)
+                        sys.exit(code)
+                raise
+            ctx = click.get_current_context()
+            params = {**ctx.params, "manifest": manifest or f"{outputs[0]}.manifest.json"}
+            _write_manifest(ctx.command, params, outputs, time.monotonic() - started)
+
+        return click.option("--manifest", type=click.Path(), default=None,
+                            help="Manifest path (default FIRST_OUTPUT.manifest.json).")(command)
+
+    return decorate
+
+
+def _load_code(path):
+    try:
+        return load_code(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadInputError(f"bad codebook {path}: {exc}")
 
 
 def _parse_composition(text: str) -> Composition:
@@ -111,11 +172,10 @@ def main():
 @click.option("--g-lambda", default="scalar", show_default=True, help="Lattice second moment: scalar, lambda24, or a float.")
 @click.option("--no-conjecture-filter", is_flag=True, help="Search all compositions, not just the monotone-pattern subset.")
 @click.option("--out", type=click.Path(), default="codebook.json", show_default=True)
-@click.option("--manifest", type=click.Path(), default=None, help="Manifest path (default OUT.manifest.json).")
+@_recorded(((RuntimeError, ValueError), 3, "design infeasible: "))
 def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, sigma,
-               g_lambda, no_conjecture_filter, out, manifest):
+               g_lambda, no_conjecture_filter, out):
     """Design a codebook and write it with a run manifest."""
-    started = time.monotonic()
     variant = int(variant)
     if mode in ("wsc-var", "wsc-fixed") and rate is None:
         raise click.UsageError(f"--rate is required for mode {mode}")
@@ -123,73 +183,42 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         raise click.UsageError("mode common needs exactly one --composition")
     if mode == "general" and not compositions:
         raise click.UsageError("mode general needs --composition (one per sphere, or one shared)")
-    try:
-        g_lambda_value = wsc.LATTICE_SECOND_MOMENTS.get(g_lambda)
-        if g_lambda_value is None:
-            try:
-                g_lambda_value = float(g_lambda)
-            except ValueError:
-                raise click.UsageError(f"unknown --g-lambda {g_lambda!r}")
-        cfg = DesignConfig(J=j_spheres, variant=variant, sample_count=samples, rng_seed=seed)
-        filt = "none" if no_conjecture_filter else None
-        table = (folded_order_stats if variant == 2 else gaussian_order_stats)(n, sigma)
-        design_block: dict = {"mode": mode, "config": {
-            "J": j_spheres, "variant": variant, "samples": samples, "seed": seed, "sigma": sigma,
-        }}
+    g_lambda_value = wsc.LATTICE_SECOND_MOMENTS.get(g_lambda)
+    if g_lambda_value is None:
+        try:
+            g_lambda_value = float(g_lambda)
+        except ValueError:
+            raise click.UsageError(f"unknown --g-lambda {g_lambda!r}")
+    cfg = DesignConfig(J=j_spheres, variant=variant, sample_count=samples, rng_seed=seed)
+    design_block: dict = {"mode": mode, "config": {
+        "J": j_spheres, "variant": variant, "samples": samples, "seed": seed, "sigma": sigma,
+    }}
+    if mode in ("common", "general"):
+        table = gaussian_order_stats(n, sigma)
+        comps = [_parse_composition(c) for c in compositions]
         if mode == "common":
-            comp = _parse_composition(compositions[0])
-            result = design_common_composition(comp, cfg, table)
-            code = result.code
-            design_block.update(iterations=result.iterations, empirical_D=result.distortion,
-                                converged=result.converged)
-        elif mode == "general":
-            comps = [_parse_composition(c) for c in compositions]
+            result = design_common_composition(comps[0], cfg, table)
+        else:
             if len(comps) == 1:
                 comps = comps * j_spheres
             if len(comps) != j_spheres:
                 raise click.UsageError(f"{len(comps)} compositions for J={j_spheres}")
             result = lloyd_general(comps, cfg, table)
-            code = result.code
-            design_block.update(iterations=result.iterations, empirical_D=result.distortion,
-                                converged=result.converged)
-        else:
-            designer = wsc.design_variable_rate if mode == "wsc-var" else wsc.design_fixed_rate
-            kwargs = {"sigma": sigma, "filt": filt}
-            if mode == "wsc-var":
-                kwargs["g_lambda"] = g_lambda_value
-            result = designer(n, j_spheres, rate, cfg, **kwargs)
-            code = result.code
-            design_block.update(iterations=result.lloyd.iterations, empirical_D=result.distortion,
-                                report=result.report)
-        if code.n != n:
-            raise DesignInfeasibleError(f"compositions have dimension {code.n}, expected {n}")
-    except ResourceLimitError as exc:
-        click.echo(f"resource guard: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE_GUARD)
-    except (DesignInfeasibleError, RuntimeError, ValueError) as exc:
-        click.echo(f"design infeasible: {exc}", err=True)
-        sys.exit(EXIT_DESIGN_INFEASIBLE)
-
-    save_code(out, code, extra={"design": design_block})
-    manifest = manifest or f"{out}.manifest.json"
-    params = {
-        "n": n, "J": j_spheres, "variant": variant, "mode": mode, "rate": rate,
-        "composition": list(compositions), "samples": samples, "seed": seed,
-        "sigma": sigma, "g_lambda": g_lambda, "no_conjecture_filter": no_conjecture_filter,
-        "out": str(out),
-    }
-    argv = ["design", "--n", str(n), "--j", str(j_spheres), "--variant", str(variant),
-            "--mode", mode, "--samples", str(samples), "--seed", str(seed),
-            "--sigma", repr(sigma), "--g-lambda", str(g_lambda),
-            "--out", str(out), "--manifest", str(manifest)]
-    if rate is not None:
-        argv += ["--rate", repr(rate)]
-    for comp in compositions:
-        argv += ["--composition", comp]
-    if no_conjecture_filter:
-        argv += ["--no-conjecture-filter"]
-    _write_manifest(manifest, "design", argv, params, seed, [out], started)
+        design_block.update(iterations=result.iterations, empirical_D=result.distortion,
+                            converged=result.converged)
+    else:
+        designer = wsc.design_variable_rate if mode == "wsc-var" else wsc.design_fixed_rate
+        kwargs = {"sigma": sigma, "filt": "none" if no_conjecture_filter else None}
+        if mode == "wsc-var":
+            kwargs["g_lambda"] = g_lambda_value
+        result = designer(n, j_spheres, rate, cfg, **kwargs)
+        design_block.update(iterations=result.lloyd.iterations, empirical_D=result.distortion,
+                            report=result.report)
+    if result.code.n != n:
+        raise DesignInfeasibleError(f"compositions have dimension {result.code.n}, expected {n}")
+    save_code(out, result.code, extra={"design": design_block})
     click.echo(f"wrote {out}")
+    return [out]
 
 
 def _read_vectors(path, n) -> np.ndarray:
@@ -202,21 +231,16 @@ def _read_vectors(path, n) -> np.ndarray:
                 continue
             values = line.split(",")
             if len(values) != n:
-                click.echo(
-                    f"row {line_no}: expected {n} values, got {len(values)}", err=True
-                )
-                sys.exit(EXIT_BAD_INPUT)
+                raise BadInputError(f"row {line_no}: expected {n} values, got {len(values)}")
             try:
                 rows.append(list(map(float, values)))
             except ValueError as exc:
-                click.echo(f"row {line_no}: {exc}", err=True)
-                sys.exit(EXIT_BAD_INPUT)
+                raise BadInputError(f"row {line_no}: {exc}")
             line_nos.append(line_no)
     X = np.array(rows, dtype=float).reshape(len(rows), n)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
-        click.echo(f"row {line_nos[int(np.argmin(finite))]}: non-finite value", err=True)
-        sys.exit(EXIT_BAD_INPUT)
+        raise BadInputError(f"row {line_nos[int(np.argmin(finite))]}: non-finite value")
     return X
 
 
@@ -236,47 +260,33 @@ def _csv_lines(W: np.ndarray) -> list[str]:
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True,
               help="CSV, one vector per row.")
 @click.option("--output", type=click.Path(), required=True, help="Encoded stream path.")
-@click.option("--manifest", type=click.Path(), default=None)
-def cmd_encode(codebook, input_path, output, manifest):
+@_recorded()
+def cmd_encode(codebook, input_path, output):
     """Encode vectors to the (sphere, rank) stream format."""
-    started = time.monotonic()
-    code = load_code(codebook)
+    code = _load_code(codebook)
     spheres, ranks, _ = encode_batch(_read_vectors(input_path, code.n), code)
     indices = [EncodedIndex(s, r) for s, r in zip(spheres.tolist(), ranks.tolist())]
     with open(output, "wb") as fp:
         write_stream(fp, code, indices)
-    manifest = manifest or f"{output}.manifest.json"
-    params = {"codebook": str(codebook), "input": str(input_path), "output": str(output)}
-    argv = ["encode", "--codebook", str(codebook), "--input", str(input_path),
-            "--output", str(output), "--manifest", str(manifest)]
-    _write_manifest(manifest, "encode", argv, params, None, [output], started)
     click.echo(f"encoded {len(indices)} vectors")
+    return [output]
 
 
 @main.command("decode")
 @click.option("--codebook", type=click.Path(exists=True), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--output", type=click.Path(), required=True, help="CSV of reconstructions.")
-@click.option("--manifest", type=click.Path(), default=None)
-def cmd_decode(codebook, input_path, output, manifest):
+@_recorded()
+def cmd_decode(codebook, input_path, output):
     """Reconstruct codewords from an encoded stream."""
-    started = time.monotonic()
-    code = load_code(codebook)
-    try:
-        with open(input_path, "rb") as fp:
-            indices = read_stream(fp, code)
-    except StreamError as exc:
-        click.echo(f"corrupt stream: {exc}", err=True)
-        sys.exit(EXIT_CORRUPT_STREAM)
+    code = _load_code(codebook)
+    with open(input_path, "rb") as fp:
+        indices = read_stream(fp, code)
     W = decode_batch([i.sphere for i in indices], [i.rank for i in indices], code)
     with open(output, "w", newline="\n") as fp:
         fp.writelines(line + "\n" for line in _csv_lines(W))
-    manifest = manifest or f"{output}.manifest.json"
-    params = {"codebook": str(codebook), "input": str(input_path), "output": str(output)}
-    argv = ["decode", "--codebook", str(codebook), "--input", str(input_path),
-            "--output", str(output), "--manifest", str(manifest)]
-    _write_manifest(manifest, "decode", argv, params, None, [output], started)
     click.echo(f"decoded {len(indices)} vectors")
+    return [output]
 
 
 @main.command("eval")
@@ -288,10 +298,9 @@ def cmd_decode(codebook, input_path, output, manifest):
 @click.option("--fixed-rate", is_flag=True, help="Report the no-entropy-coding rate.")
 @click.option("--threads", type=int, default=None, help="Worker threads (default CPC_THREADS or 1).")
 @click.option("--output", type=click.Path(), default="rd.csv", show_default=True)
-@click.option("--manifest", type=click.Path(), default=None)
-def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, output, manifest):
+@_recorded()
+def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, output):
     """Measure rate-distortion points and write them as CSV."""
-    started = time.monotonic()
     wanted = [b.strip() for b in baselines.split(",") if b.strip()]
     unknown = set(wanted) - {"ecsq", "ecusq", "bound"}
     if unknown:
@@ -300,7 +309,7 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
         raise click.UsageError("nothing to evaluate: give --codebook and/or --baselines")
     points = []
     for path in codebooks:
-        code = load_code(path)
+        code = _load_code(path)
         measured = evaluation.empirical_distortion(
             code, samples, seed, sigma=sigma, threads=threads
         )
@@ -334,24 +343,8 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
         points.extend(evaluation.shannon_bound(evaluation.DEFAULT_BOUND_RATES, sigma))
     with open(output, "w", newline="\n") as fp:
         fp.write(evaluation.rd_points_to_csv(points))
-    manifest = manifest or f"{output}.manifest.json"
-    params = {
-        "codebooks": [str(c) for c in codebooks], "samples": samples, "seed": seed,
-        "sigma": sigma, "baselines": wanted, "fixed_rate": fixed_rate,
-        "threads": threads, "output": str(output),
-    }
-    argv = ["eval", "--samples", str(samples), "--seed", str(seed), "--sigma", repr(sigma),
-            "--output", str(output), "--manifest", str(manifest)]
-    for path in codebooks:
-        argv += ["--codebook", str(path)]
-    if baselines:
-        argv += ["--baselines", baselines]
-    if fixed_rate:
-        argv += ["--fixed-rate"]
-    if threads is not None:
-        argv += ["--threads", str(threads)]
-    _write_manifest(manifest, "eval", argv, params, seed, [output], started)
     click.echo(f"wrote {output} ({len(points)} points)")
+    return [output]
 
 
 @main.command("ratepoints")
@@ -359,26 +352,17 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
 @click.option("--j-range", default="1:4", show_default=True, help="LO:HI inclusive.")
 @click.option("--limit", type=int, default=50_000_000, show_default=True)
 @click.option("--output", type=click.Path(), default="ratepoints.csv", show_default=True)
-@click.option("--manifest", type=click.Path(), default=None)
-def cmd_ratepoints(n_range, j_range, limit, output, manifest):
+@_recorded()
+def cmd_ratepoints(n_range, j_range, limit, output):
     """Count distinct fixed-rate points per (n, J)."""
-    started = time.monotonic()
     rows = ["n,J,count"]
-    try:
-        for n in _parse_range(n_range):
-            for j in _parse_range(j_range):
-                rows.append(f"{n},{j},{rate_point_census(n, j, limit=limit).count}")
-    except ResourceLimitError as exc:
-        click.echo(f"resource guard: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE_GUARD)
+    for n in _parse_range(n_range):
+        for j in _parse_range(j_range):
+            rows.append(f"{n},{j},{rate_point_census(n, j, limit=limit).count}")
     with open(output, "w", newline="\n") as fp:
         fp.write("\n".join(rows) + "\n")
-    manifest = manifest or f"{output}.manifest.json"
-    params = {"n_range": n_range, "j_range": j_range, "limit": limit, "output": str(output)}
-    argv = ["ratepoints", "--n-range", n_range, "--j-range", j_range,
-            "--limit", str(limit), "--output", str(output), "--manifest", str(manifest)]
-    _write_manifest(manifest, "ratepoints", argv, params, None, [output], started)
     click.echo(f"wrote {output}")
+    return [output]
 
 
 @main.command("replay")

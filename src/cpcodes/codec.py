@@ -56,7 +56,8 @@ class InitialCodeword:
     variant: int = VARIANT_I
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+        # "+ 0.0" stores a -0.0 level as +0.0, the zero that the encoder writes
+        object.__setattr__(self, "levels", tuple(float(v) + 0.0 for v in self.levels))
         if self.variant not in (VARIANT_I, VARIANT_II):
             raise ValueError(f"variant must be {VARIANT_I} or {VARIANT_II}")
         if len(self.levels) != self.composition.num_levels:

@@ -34,7 +34,8 @@ class DesignInfeasibleError(RuntimeError):
     """The requested design cannot be produced from the given parameters."""
 
 
-EMPTY_CELL_POLICIES = ("reseed", "drop")
+LLOYD_REL_TOL = 1e-6  # stop once a round lowers distortion by less than this fraction
+LLOYD_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,6 @@ class DesignConfig:
     variant: int = VARIANT_I
     sample_count: int = 500_000
     rng_seed: int = 0
-    lloyd_rel_tol: float = 1e-6
-    lloyd_max_iters: int = 200
-    empty_cell_policy: str = "reseed"
 
     def __post_init__(self):
         if self.J < 1:
@@ -54,12 +52,6 @@ class DesignConfig:
             raise ValueError("variant must be 1 or 2")
         if self.sample_count < 10_000:
             raise ValueError("sample_count must be >= 10000")
-        if self.lloyd_rel_tol <= 0:
-            raise ValueError("lloyd_rel_tol must be positive")
-        if self.lloyd_max_iters < 1:
-            raise ValueError("lloyd_max_iters must be >= 1")
-        if self.empty_cell_policy not in EMPTY_CELL_POLICIES:
-            raise ValueError(f"empty_cell_policy must be one of {EMPTY_CELL_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,6 @@ class LloydResult:
     converged: bool
     probs: tuple[float, ...]
     empty_cell_events: int = 0
-    dead_subcodes: tuple[int, ...] = ()
     merged_levels: bool = False
     reduced: ReducedVQ | None = None
     seed: int = 0
@@ -137,6 +128,13 @@ def _draw_training(cfg: DesignConfig, n: int, sigma: float):
     x = rng.standard_normal((cfg.sample_count, n)) * sigma
     init_rows = rng.choice(cfg.sample_count, size=cfg.J, replace=False)
     return x, init_rows
+
+
+def _settled(history: list[float]) -> bool:
+    """Whether the last Lloyd round lowered distortion by less than LLOYD_REL_TOL."""
+    return len(history) > 1 and history[-2] - history[-1] < LLOYD_REL_TOL * max(
+        history[-1], 1e-300
+    )
 
 
 def _merge_nonincreasing(parts: Sequence[int], levels: Sequence[float]):
@@ -220,7 +218,7 @@ def design_common_composition(
     history: list[float] = []
     events = 0
     converged = False
-    for _ in range(cfg.lloyd_max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         d2 = p2[:, None] - 2.0 * proj @ centroids.T + np.einsum(
             "ij,ij->i", centroids, centroids
         )[None, :]
@@ -235,9 +233,7 @@ def design_common_composition(
             else:
                 events += 1
                 centroids[j] = proj[int(next(worst))]
-        if len(history) > 1 and history[-2] - history[-1] < cfg.lloyd_rel_tol * max(
-            history[-1], 1e-300
-        ):
+        if _settled(history):
             converged = True
             break
 
@@ -280,9 +276,8 @@ def lloyd_general(
     """Full-dimension alternation for possibly different per-sphere compositions.
 
     Each round classifies every sorted training vector to its nearest subcode
-    and resets each level to the conditional mean of its group sum.  Empty
-    regions follow ``cfg.empty_cell_policy``: reseed at the worst-quantized
-    training vector, or drop the subcode.
+    and resets each level to the conditional mean of its group sum.  An empty
+    region is reseeded at the worst-quantized training vector.
     """
     compositions = [
         c if isinstance(c, Composition) else Composition(tuple(c)) for c in compositions
@@ -304,44 +299,31 @@ def lloyd_general(
     parts_arr = [np.asarray(c.parts, dtype=float) for c in compositions]
     mus = [group_sums[j][init_rows[j]] / parts_arr[j] for j in range(cfg.J)]
 
-    live = list(range(cfg.J))
     history: list[float] = []
     events = 0
-    dead: list[int] = []
     converged = False
-    for _ in range(cfg.lloyd_max_iters):
-        dists = np.empty((len(s), len(live)), dtype=float)
-        for col, j in enumerate(live):
-            mu = mus[j]
-            dists[:, col] = x2 - 2.0 * (group_sums[j] @ mu) + float(parts_arr[j] @ (mu * mu))
+    dists = np.empty((len(s), cfg.J), dtype=float)
+    for _ in range(LLOYD_MAX_ITERS):
+        for j, mu in enumerate(mus):
+            dists[:, j] = x2 - 2.0 * (group_sums[j] @ mu) + float(parts_arr[j] @ (mu * mu))
         assign = np.argmin(dists, axis=1)
         mind = np.maximum(dists[np.arange(len(s)), assign], 0.0)
         history.append(float(mind.mean()) / n)
-        drop_cols = []
         worst = iter(np.argsort(-mind))  # successive reseeds must stay distinct
-        for col, j in enumerate(live):
-            mask = assign == col
+        for j in range(cfg.J):
+            mask = assign == j
             if mask.any():
                 mus[j] = group_sums[j][mask].mean(axis=0) / parts_arr[j]
-            elif cfg.empty_cell_policy == "reseed":
+            else:
                 events += 1
                 mus[j] = group_sums[j][int(next(worst))] / parts_arr[j]
-            else:
-                drop_cols.append(col)
-        for col in reversed(drop_cols):
-            dead.append(live[col])
-            del live[col]
-        if not live:
-            raise DesignInfeasibleError("every subcode region became empty")
-        if len(history) > 1 and not drop_cols and history[-2] - history[-1] < (
-            cfg.lloyd_rel_tol * max(history[-1], 1e-300)
-        ):
+        if _settled(history):
             converged = True
             break
 
     merged_any = False
     subcodes = []
-    for j in live:
+    for j in range(cfg.J):
         cw, merged = _codeword_from_levels(
             compositions[j].parts, tuple(mus[j]), cfg.variant
         )
@@ -350,7 +332,7 @@ def lloyd_general(
     code = ConcentricCode(tuple(subcodes))
     final = subcode_distances(s, code)
     assign = np.argmin(final, axis=1)
-    probs = tuple(np.bincount(assign, minlength=len(live)) / len(s))
+    probs = tuple(np.bincount(assign, minlength=cfg.J) / len(s))
     code = ConcentricCode(tuple(subcodes), probs=probs)
     distortion = float(final.min(axis=1).mean()) / n
     return LloydResult(
@@ -361,7 +343,6 @@ def lloyd_general(
         converged=converged,
         probs=probs,
         empty_cell_events=events,
-        dead_subcodes=tuple(sorted(dead)),
         merged_levels=merged_any,
         seed=cfg.rng_seed,
         sample_count=cfg.sample_count,

@@ -184,7 +184,8 @@ def gaussian_order_stats(n: int, sigma: float = 1.0, tol: float = DEFAULT_TOL) -
 
 
 def folded_order_stats(n: int, sigma: float = 1.0, tol: float = DEFAULT_TOL) -> OrderStatTable:
-    """Same table, entry point for consumers of the magnitude (eta) moments."""
+    """The same table as :func:`gaussian_order_stats`, which holds the magnitude
+    (eta) moments too; kept as a name for callers that read those."""
     return _build_table(n, sigma, tol)
 
 

@@ -29,7 +29,7 @@ from .combinatorics import (
 )
 from .codec import VARIANT_I, VARIANT_II, ConcentricCode
 from .design import DesignConfig, DesignInfeasibleError, LloydResult, lloyd_general
-from .order_stats import OrderStatTable, folded_order_stats, gaussian_order_stats
+from .order_stats import gaussian_order_stats
 
 LATTICE_SECOND_MOMENTS = {
     "scalar": 1.0 / 12.0,
@@ -317,12 +317,6 @@ class WscDesignResult:
     rate_deviation_flag: bool = False
 
 
-def _table_for(cfg: DesignConfig, n: int, sigma: float) -> OrderStatTable:
-    if cfg.variant == VARIANT_II:
-        return folded_order_stats(n, sigma)
-    return gaussian_order_stats(n, sigma)
-
-
 def _finish_design(n, J, R, cfg, gc, targets, comps, table, fixed_rate, extra_report):
     lloyd = lloyd_general(comps, cfg, table)
     measured = evaluation.empirical_distortion(
@@ -370,12 +364,12 @@ def design_variable_rate(
 ) -> WscDesignResult:
     """Variable-rate design: rate split, size targets, compositions, Lloyd."""
     cfg = replace(cfg, J=J)
+    table = gaussian_order_stats(n, sigma)
     consts = wsc_constants(n, g_lambda, sigma)
     gc = gain_codebook(J, n, sigma)
     split = optimal_rate_split(R, consts)
     targets = sizes_variable_rate(split, gc, n)
     comps = allocate_compositions(n, targets, cfg.variant, filt)
-    table = _table_for(cfg, n, sigma)
     extra = {"shape_rate": split.shape_rate, "gain_rate": split.gain_rate, "g_lambda": g_lambda}
     return _finish_design(n, J, R, cfg, gc, targets, comps, table, False, extra)
 
@@ -390,8 +384,8 @@ def design_fixed_rate(
 ) -> WscDesignResult:
     """Fixed-rate design: size targets straight from the gain codebook."""
     cfg = replace(cfg, J=J)
+    table = gaussian_order_stats(n, sigma)
     gc = gain_codebook(J, n, sigma)
     targets = sizes_fixed_rate(R, gc, n)
     comps = allocate_compositions(n, targets, cfg.variant, filt)
-    table = _table_for(cfg, n, sigma)
     return _finish_design(n, J, R, cfg, gc, targets, comps, table, True, {})

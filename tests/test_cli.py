@@ -157,6 +157,22 @@ class TestCodingRoundtrip:
         assert res.exit_code == 4
         assert "row 3: non-finite value" in res.output
 
+    @pytest.mark.parametrize("command", ["encode", "decode", "eval"])
+    def test_bad_codebook_exit4(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"variant": 1, "n": 2, "subcodes": [{"parts": [1, 1], "levels": [0.1, 0.5]}]}
+        ))
+        data = tmp_path / "in"
+        data.write_text("")
+        paths = ["--input", str(data), "--output", str(tmp_path / "out")]
+        argv = {"encode": paths, "decode": paths, "eval": ["--output", str(tmp_path / "out")]}[command]
+        res = runner.invoke(main, [command, "--codebook", str(bad), *argv])
+        assert res.exit_code == 4
+        assert res.output == (
+            f"bad codebook {bad}: levels must be strictly decreasing, got (0.1, 0.5)\n"
+        )
+
     def test_corrupt_stream_exit5(self, runner, tmp_path, codebook):
         bad = str(tmp_path / "bad.cpc")
         with open(bad, "wb") as fp:
@@ -315,3 +331,41 @@ class TestReplay:
         res = runner.invoke(main, ["replay", out + ".manifest.json"])
         assert res.exit_code == 0, res.output
         assert open(out, "rb").read() == first
+
+    @pytest.fixture
+    def coded(self, runner, tmp_path):
+        codebook = str(tmp_path / "cb.json")
+        assert runner.invoke(main, design_args(codebook, **{"--variant": "2"})).exit_code == 0
+        vecs = str(tmp_path / "x.csv")
+        write_vectors(vecs, np.random.default_rng(1).standard_normal((50, 6)))
+        stream = str(tmp_path / "x.cpc")
+        res = runner.invoke(main, ["encode", "--codebook", codebook, "--input", vecs,
+                                   "--output", stream])
+        assert res.exit_code == 0, res.output
+        return codebook, vecs, stream
+
+    @pytest.mark.parametrize("command", ["design", "encode", "decode", "eval", "ratepoints"])
+    def test_every_command_replays(self, runner, tmp_path, coded, command):
+        codebook, vecs, stream = coded
+        out = str(tmp_path / f"{command}.out")
+        argv = {
+            "design": design_args(out, **{"--mode": "general", "--variant": "2"})
+            + ["--composition", "1,2,3", "--no-conjecture-filter"],
+            "encode": ["encode", "--codebook", codebook, "--input", vecs, "--output", out],
+            "decode": ["decode", "--codebook", codebook, "--input", stream, "--output", out],
+            "eval": ["eval", "--codebook", codebook, "--codebook", codebook, "--samples", "20000",
+                     "--fixed-rate", "--threads", "2", "--baselines", "ecusq", "--output", out],
+            "ratepoints": ["ratepoints", "--n-range", "2:5", "--j-range", "1:3",
+                           "--limit", "100000", "--output", out],
+        }[command]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0, res.output
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["argv"][0] == command
+        assert manifest["outputs"] == [out]
+        first = Path(out).read_bytes()
+        os.remove(out)
+        res = runner.invoke(main, ["replay", out + ".manifest.json"])
+        assert res.exit_code == 0, res.output
+        assert Path(out).read_bytes() == first

@@ -54,6 +54,13 @@ class TestInitialCodeword:
         cw = InitialCodeword(Composition((2, 1)), (2.0, -1.0), VARIANT_I)
         assert np.array_equal(cw.initial_vector(), [2.0, 2.0, -1.0])
 
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_negative_zero_level_is_positive_zero(self, variant):
+        code = ConcentricCode((InitialCodeword(Composition((1, 1)), (1.0, -0.0), variant),))
+        index, w = encode_cpc(np.array([-0.3, 2.0]), code)
+        assert decode(index, code).tobytes() == w.tobytes()
+        assert json.dumps(code_to_dict(code)["subcodes"][0]["levels"]) == "[1.0, 0.0]"
+
 
 class TestEncodePC:
     def test_worked_example(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cpcodes import design
 from cpcodes.codec import VARIANT_I, VARIANT_II, ConcentricCode, InitialCodeword
 from cpcodes.combinatorics import Composition
 from cpcodes.design import (
@@ -123,6 +124,29 @@ class TestCommonCompositionDesign:
         )
         for cw in res.code.subcodes:
             assert cw.levels[-1] >= 0.0
+
+
+class TestEmptyCellReseed:
+    @pytest.mark.parametrize("designer", ["common", "general"])
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_shared_start_is_reseeded(self, monkeypatch, designer, variant):
+        # every sphere starts at one training row, so all but one cell empty at once
+        draw = design._draw_training
+
+        def shared_start(cfg, n, sigma):
+            x, rows = draw(cfg, n, sigma)
+            return x, np.full_like(rows, rows[0])
+
+        monkeypatch.setattr(design, "_draw_training", shared_start)
+        c = Composition((2, 2, 2))
+        cfg = small_cfg(3, variant, seed=9)
+        t = gaussian_order_stats(6)
+        if designer == "common":
+            res = design_common_composition(c, cfg, t)
+        else:
+            res = lloyd_general([c, c, c], cfg, t)
+        assert res.empty_cell_events >= 1
+        assert len(set(res.code.subcodes)) == 3
 
 
 class TestLloydGeneral:
@@ -252,10 +276,6 @@ class TestDesignConfig:
     def test_rejects_small_samples(self):
         with pytest.raises(ValueError):
             DesignConfig(J=1, sample_count=100)
-
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            DesignConfig(J=1, empty_cell_policy="explode")
 
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
