@@ -214,8 +214,6 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         result = designer(n, j_spheres, rate, cfg, **kwargs)
         design_block.update(iterations=result.lloyd.iterations, empirical_D=result.distortion,
                             report=result.report)
-    if result.code.n != n:
-        raise DesignInfeasibleError(f"compositions have dimension {result.code.n}, expected {n}")
     save_code(out, result.code, extra={"design": design_block})
     click.echo(f"wrote {out}")
     return [out]

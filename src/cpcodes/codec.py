@@ -27,6 +27,7 @@ negative entry.  Zero-level positions carry no sign bit and decode to +0.0.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -487,13 +488,13 @@ def load_code(path) -> ConcentricCode:
         return code_from_dict(json.load(fp))
 
 
-def _write_varint(fp, value: int) -> None:
+def _write_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise ValueError("varints are unsigned")
     while True:
         byte = value & 0x7F
         value >>= 7
-        fp.write(bytes([byte | (0x80 if value else 0)]))
+        out.append(byte | (0x80 if value else 0))
         if not value:
             return
 
@@ -518,22 +519,24 @@ def _read_varint(fp) -> int | None:
 
 def write_stream(fp, code: ConcentricCode, indices) -> int:
     """Write encoded indices; record format is (sphere varint, rank length, rank bytes)."""
-    fp.write(_MAGIC)
-    _write_varint(fp, code.n)
-    _write_varint(fp, code.variant)
-    _write_varint(fp, code.J)
+    out = bytearray(_MAGIC)
+    _write_varint(out, code.n)
+    _write_varint(out, code.variant)
+    _write_varint(out, code.J)
     count = 0
     for idx in indices:
-        _write_varint(fp, idx.sphere)
+        _write_varint(out, idx.sphere)
         payload = idx.rank.to_bytes(max(1, (idx.rank.bit_length() + 7) // 8), "big")
-        _write_varint(fp, len(payload))
-        fp.write(payload)
+        _write_varint(out, len(payload))
+        out += payload
         count += 1
+    fp.write(out)
     return count
 
 
 def read_stream(fp, code: ConcentricCode) -> list[EncodedIndex]:
     """Read and validate an encoded stream against its codebook."""
+    fp = io.BytesIO(fp.read())  # one read of the source; the byte-wise parse stays in memory
     if fp.read(len(_MAGIC)) != _MAGIC:
         raise StreamError("bad magic; not an encoded-index stream")
     n, variant, j_count = (_read_varint(fp) for _ in range(3))

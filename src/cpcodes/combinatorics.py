@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterator
+
+import numpy as np
 
 COMPOSITION_FILTERS = ("none", "variant2_monotone", "variant1_unimodal")
 
@@ -210,8 +212,30 @@ def rate_point_census(n: int, J: int, limit: int = 50_000_000) -> RatePointCensu
         raise ResourceLimitError(
             f"census for n={n}, J={J} needs {bound} multisets, more than limit={limit}"
         )
-    sums = {sum(chosen) for chosen in combinations_with_replacement(sizes, J)}
-    return RatePointCensus(n=n, J=J, distinct_sums=tuple(sorted(sums)))
+    sums = _multiset_sums(sizes, J)
+    sums.sort()
+    keep = np.ones(len(sums), dtype=bool)
+    keep[1:] = sums[1:] != sums[:-1]
+    return RatePointCensus(n=n, J=J, distinct_sums=tuple(sums[keep].tolist()))
+
+
+def _multiset_sums(sizes: tuple[int, ...], J: int) -> np.ndarray:
+    """``sum(chosen)`` for every multiset of ``J`` entries of the sorted ``sizes``.
+
+    The J-tuples of nondecreasing indices are built one length at a time and
+    kept grouped by their first index, so those that start at index ``i`` or
+    later are a suffix ``flat[offs[i]:]``.  The array has exactly
+    ``comb(len(sizes) + J - 1, J)`` entries.  It is int64 while every sum fits
+    and holds Python ints otherwise, through the same arithmetic.
+    """
+    dtype = np.int64 if J * sizes[-1] < 2**63 else object
+    first = np.array(sizes, dtype=dtype)
+    flat, offs = first, range(len(sizes))
+    for _ in range(J - 1):
+        groups = [first[i] + flat[offs[i]:] for i in range(len(sizes))]
+        offs = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        flat = np.concatenate(groups)
+    return flat
 
 
 def max_rate_gap(n: int) -> float:

@@ -137,6 +137,34 @@ def _settled(history: list[float]) -> bool:
     )
 
 
+def _cell_means(cells: Sequence[np.ndarray], assign: np.ndarray, mind: np.ndarray):
+    """One Lloyd centroid update: the mean of the rows of ``cells[j]`` that
+    ``assign`` puts in cell j, for each j.
+
+    An empty cell is reseeded at the worst-quantized row by ``mind``, the next
+    worst for each further empty cell, so reseeds stay distinct; that order is
+    sorted only when a cell is empty.  Returns the means and the number of
+    empty cells.
+
+    ``take`` gathers the rows a boolean mask would, in the same order, so each
+    mean rounds as ``points[assign == j].mean(axis=0)`` does.  A weighted
+    bincount per column would not: numpy sums a one-column cell pairwise.
+    """
+    means = []
+    empty = 0
+    worst = None
+    for j, points in enumerate(cells):
+        rows = np.flatnonzero(assign == j)
+        if len(rows):
+            means.append(points.take(rows, axis=0).mean(axis=0))
+            continue
+        if worst is None:
+            worst = iter(np.argsort(-mind))
+        empty += 1
+        means.append(points[int(next(worst))])
+    return means, empty
+
+
 def _merge_nonincreasing(parts: Sequence[int], levels: Sequence[float]):
     """Pool adjacent groups until levels are strictly decreasing (left to right)."""
     parts = list(parts)
@@ -172,12 +200,18 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
     ``(direct, decomposed)`` per-sample distortions; the two agree up to
     floating-point roundoff.
     """
+    s = sort_by_variant(np.asarray(x, dtype=float), code.variant)
+    return _decomposition(code, s, subcode_distances(s, code))
+
+
+def _decomposition(code: ConcentricCode, s: np.ndarray, dists: np.ndarray):
+    """:func:`distortion_decomposition` of the sorted samples ``s``, whose
+    subcode distances ``dists`` are already known."""
     c = code.subcodes[0].composition
     if any(cw.composition != c for cw in code.subcodes):
         raise ValueError("decomposition requires a common composition")
     n = code.n
-    s = sort_by_variant(np.asarray(x, dtype=float), code.variant)
-    direct = float(subcode_distances(s, code).min(axis=1).mean()) / n
+    direct = float(dists.min(axis=1).mean()) / n
 
     proj = grouped_projection(s, c)
     points = np.stack(
@@ -214,7 +248,7 @@ def design_common_composition(
     p2 = np.einsum("ij,ij->i", proj, proj)
     p2_mean = float(p2.mean())
 
-    centroids = proj[init_rows].copy()
+    centroids = proj[init_rows]
     history: list[float] = []
     events = 0
     converged = False
@@ -225,14 +259,9 @@ def design_common_composition(
         assign = np.argmin(d2, axis=1)
         mind = np.maximum(d2[np.arange(len(proj)), assign], 0.0)
         history.append((float(mind.mean()) + x2_mean - p2_mean) / n)
-        worst = iter(np.argsort(-mind))  # successive reseeds must stay distinct
-        for j in range(cfg.J):
-            mask = assign == j
-            if mask.any():
-                centroids[j] = proj[mask].mean(axis=0)
-            else:
-                events += 1
-                centroids[j] = proj[int(next(worst))]
+        means, empty = _cell_means([proj] * cfg.J, assign, mind)
+        centroids = np.stack(means)
+        events += empty
         if _settled(history):
             converged = True
             break
@@ -250,7 +279,7 @@ def design_common_composition(
 
     distortion = float(final.min(axis=1).mean()) / n
     if not merged_any:
-        direct, decomposed = distortion_decomposition(code, x)
+        direct, decomposed = _decomposition(code, s, final)
         if abs(direct - decomposed) > 1e-9 * max(abs(direct), 1e-300):
             raise AssertionError(
                 f"distortion decomposition mismatch: {direct} vs {decomposed}"
@@ -264,7 +293,7 @@ def design_common_composition(
         probs=probs,
         empty_cell_events=events,
         merged_levels=merged_any,
-        reduced=ReducedVQ(centroids.copy()),
+        reduced=ReducedVQ(centroids),
         seed=cfg.rng_seed,
         sample_count=cfg.sample_count,
     )
@@ -309,14 +338,9 @@ def lloyd_general(
         assign = np.argmin(dists, axis=1)
         mind = np.maximum(dists[np.arange(len(s)), assign], 0.0)
         history.append(float(mind.mean()) / n)
-        worst = iter(np.argsort(-mind))  # successive reseeds must stay distinct
-        for j in range(cfg.J):
-            mask = assign == j
-            if mask.any():
-                mus[j] = group_sums[j][mask].mean(axis=0) / parts_arr[j]
-            else:
-                events += 1
-                mus[j] = group_sums[j][int(next(worst))] / parts_arr[j]
+        means, empty = _cell_means(group_sums, assign, mind)
+        mus = [mean / parts for mean, parts in zip(means, parts_arr)]
+        events += empty
         if _settled(history):
             converged = True
             break

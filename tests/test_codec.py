@@ -394,3 +394,24 @@ class TestSerialization:
         buf.seek(0)
         with pytest.raises(StreamError):
             read_stream(buf, other)
+
+    def test_stream_one_write_one_read(self):
+        class Counting(io.BytesIO):
+            calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                return super().write(data)
+
+            def read(self, *size):
+                self.calls += 1
+                return super().read(*size)
+
+        code = self._sample_code()
+        indices = [EncodedIndex(j % code.J, 3 * j % code.sizes[j % code.J]) for j in range(50)]
+        out = Counting()
+        assert write_stream(out, code, iter(indices)) == 50
+        assert out.calls == 1
+        back = Counting(out.getvalue())
+        assert read_stream(back, code) == indices
+        assert back.calls == 1

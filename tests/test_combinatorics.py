@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +157,12 @@ class TestDistinctMultinomials:
         assert len(distinct_multinomials(n)) == RATE_POINT_TABLE[n][0]
 
 
+def enumerated_census(n, J):
+    """Distinct multiset sums by enumerating every multiset, one at a time."""
+    sizes = distinct_multinomials(n)
+    return tuple(sorted({sum(chosen) for chosen in combinations_with_replacement(sizes, J)}))
+
+
 class TestRatePointCensus:
     @pytest.mark.parametrize("n", sorted(RATE_POINT_TABLE))
     @pytest.mark.parametrize("J", [1, 2, 3, 4])
@@ -170,6 +177,19 @@ class TestRatePointCensus:
     def test_elements_at_least_J(self):
         census = rate_point_census(5, 3)
         assert all(s >= 3 for s in census.distinct_sums)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    def test_matches_enumeration(self, n, J):
+        assert rate_point_census(n, J).distinct_sums == enumerated_census(n, J)
+
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_sums_past_int64(self, J):
+        # 21! > 2**63, so the sums are held as Python ints
+        assert max(distinct_multinomials(21)) >= 2**63
+        census = rate_point_census(21, J)
+        assert census.distinct_sums == enumerated_census(21, J)
+        assert all(type(s) is int for s in census.distinct_sums)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
