@@ -72,6 +72,7 @@ from .evaluation import (
     ecsq_curve,
     ecusq_curve,
     empirical_distortion,
+    empirical_distortions,
     pareto_filter,
     rate_fixed,
     rate_variable,

@@ -2,6 +2,7 @@
 
 Every command writes its outputs plus a JSON run manifest sufficient to
 replay the run byte-for-byte with ``cpc replay``: the replay ``argv``, the
+working directory ``cwd`` that its relative paths resolve against, the
 ``parameters`` (click's parsed values keyed by parameter name), seed,
 versions, output paths and wall time.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import platform
 import sys
 import time
@@ -86,6 +88,7 @@ def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: 
     doc = {
         "command": command.name,
         "argv": _replay_argv(command, params),
+        "cwd": os.getcwd(),
         "parameters": params,
         "seed": params.get("seed"),
         "generator": GENERATOR_ID,
@@ -305,30 +308,28 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
         raise click.UsageError(f"unknown baselines: {sorted(unknown)}")
     if not codebooks and not wanted:
         raise click.UsageError("nothing to evaluate: give --codebook and/or --baselines")
+    codes = [_load_code(path) for path in codebooks]
+    measured = evaluation.empirical_distortions(codes, samples, seed, sigma=sigma, threads=threads)
     points = []
-    for path in codebooks:
-        code = _load_code(path)
-        measured = evaluation.empirical_distortion(
-            code, samples, seed, sigma=sigma, threads=threads
-        )
-        if measured.low_count_spheres:
+    for path, code, m in zip(codebooks, codes, measured):
+        if m.low_count_spheres:
             click.echo(
-                f"warning: {path}: sphere(s) {list(measured.low_count_spheres)} "
+                f"warning: {path}: sphere(s) {list(m.low_count_spheres)} "
                 "hit fewer than 10 times; entropy estimate is unreliable",
                 err=True,
             )
         if fixed_rate:
             rate = evaluation.rate_fixed(code)
         else:
-            rate = evaluation.rate_variable(code, measured.probs)
+            rate = evaluation.rate_variable(code, m.probs)
         points.append(
             evaluation.RDPoint(
                 method="cpc" if code.J > 1 else "pc",
                 n=code.n,
                 J=code.J,
                 rate=rate,
-                distortion=measured.distortion,
-                stderr=measured.stderr,
+                distortion=m.distortion,
+                stderr=m.stderr,
                 seed=seed,
                 samples=samples,
             )
@@ -366,13 +367,21 @@ def cmd_ratepoints(n_range, j_range, limit, output):
 @main.command("replay")
 @click.argument("manifest_path", type=click.Path(exists=True))
 def cmd_replay(manifest_path):
-    """Re-run the command recorded in a manifest."""
+    """Re-run the command recorded in a manifest, from the directory it ran in."""
     with open(manifest_path) as fp:
         doc = json.load(fp)
     argv = doc.get("argv")
     if not argv:
         raise click.UsageError("manifest does not carry a replayable argv")
-    main.main(args=argv, standalone_mode=True)
+    here = os.getcwd()
+    cwd = doc.get("cwd", here)
+    if not os.path.isdir(cwd):
+        raise click.UsageError(f"recorded working directory {cwd} does not exist")
+    os.chdir(cwd)  # relative paths in argv resolve as they did in the recorded run
+    try:
+        main.main(args=argv, standalone_mode=True)
+    finally:
+        os.chdir(here)
 
 
 if __name__ == "__main__":

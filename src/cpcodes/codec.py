@@ -357,9 +357,35 @@ def _apply_signs(values, bits) -> list:
 
 
 def sort_by_variant(x: np.ndarray, variant: int) -> np.ndarray:
-    """Descending sort along the last axis, of magnitudes for variant II."""
-    keys = np.abs(x) if variant == VARIANT_II else x
-    return -np.sort(-keys, axis=-1)
+    """Descending sort along the last axis, of magnitudes for variant II.
+
+    Bit for bit ``-np.sort(-keys)``, with one temporary: the negated keys are
+    sorted and negated back in place.  ``x`` is left unchanged.
+    """
+    if variant == VARIANT_II:
+        keys = np.abs(x)
+        np.negative(keys, out=keys)
+    else:
+        keys = np.negative(x)
+    keys.sort(axis=-1)
+    np.negative(keys, out=keys)
+    return keys
+
+
+def nearest_subcode(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column of the smallest entry in each row of ``d`` and that entry.
+
+    Scans the columns with a strict ``<``, so a tie goes to the smaller
+    column index, as ``np.argmin`` and the encoder's sphere choice do.
+    """
+    assign = np.zeros(d.shape[0], dtype=np.intp)
+    mind = d[:, 0].copy()
+    for j in range(1, d.shape[1]):
+        col = d[:, j]
+        better = col < mind
+        np.copyto(assign, j, where=better)
+        np.copyto(mind, col, where=better)
+    return assign, mind
 
 
 def subcode_distances(sorted_samples: np.ndarray, code: ConcentricCode) -> np.ndarray:
@@ -367,16 +393,21 @@ def subcode_distances(sorted_samples: np.ndarray, code: ConcentricCode) -> np.nd
 
     ``sorted_samples`` must come from :func:`sort_by_variant`; for
     sign-carrying codebooks the sign-matched distance equals the distance in
-    magnitude coordinates, so signs drop out here.
+    magnitude coordinates, so signs drop out here.  The group sums of each
+    distinct composition are formed once and serve every subcode that has it.
     """
     s = np.asarray(sorted_samples, dtype=float)
     x2 = np.einsum("ij,ij->i", s, s)
     cols = np.empty((s.shape[0], code.J), dtype=float)
+    sharing: dict[Composition, list[int]] = {}
     for j, cw in enumerate(code.subcodes):
-        gs = np.add.reduceat(s, group_starts(cw.composition), axis=1)
-        mu = np.asarray(cw.levels)
-        const = float(np.dot(np.asarray(cw.composition.parts, dtype=float), mu * mu))
-        cols[:, j] = const - 2.0 * (gs @ mu)
+        sharing.setdefault(cw.composition, []).append(j)
+    for c, members in sharing.items():
+        gs = np.add.reduceat(s, group_starts(c), axis=1)
+        for j in members:
+            mu = np.asarray(code.subcodes[j].levels)
+            const = float(np.dot(np.asarray(c.parts, dtype=float), mu * mu))
+            cols[:, j] = const - 2.0 * (gs @ mu)
     return cols + x2[:, None]
 
 

@@ -23,6 +23,7 @@ from .codec import (
     VARIANT_II,
     ConcentricCode,
     InitialCodeword,
+    nearest_subcode,
     sort_by_variant,
     subcode_distances,
 )
@@ -256,8 +257,8 @@ def design_common_composition(
         d2 = p2[:, None] - 2.0 * proj @ centroids.T + np.einsum(
             "ij,ij->i", centroids, centroids
         )[None, :]
-        assign = np.argmin(d2, axis=1)
-        mind = np.maximum(d2[np.arange(len(proj)), assign], 0.0)
+        assign, mind = nearest_subcode(d2)
+        np.maximum(mind, 0.0, out=mind)
         history.append((float(mind.mean()) + x2_mean - p2_mean) / n)
         means, empty = _cell_means([proj] * cfg.J, assign, mind)
         centroids = np.stack(means)
@@ -274,10 +275,11 @@ def design_common_composition(
         merged_any |= merged
         subcodes.append(cw)
     final = subcode_distances(s, ConcentricCode(tuple(subcodes)))
-    probs = tuple(np.bincount(np.argmin(final, axis=1), minlength=cfg.J) / len(proj))
+    assign, mind = nearest_subcode(final)
+    probs = tuple(np.bincount(assign, minlength=cfg.J) / len(proj))
     code = ConcentricCode(tuple(subcodes), probs=probs)
 
-    distortion = float(final.min(axis=1).mean()) / n
+    distortion = float(mind.mean()) / n
     if not merged_any:
         direct, decomposed = _decomposition(code, s, final)
         if abs(direct - decomposed) > 1e-9 * max(abs(direct), 1e-300):
@@ -323,8 +325,8 @@ def lloyd_general(
     s = sort_by_variant(x, cfg.variant)
     x2 = np.einsum("ij,ij->i", s, s)
 
-    starts = [group_starts(c) for c in compositions]
-    group_sums = [np.add.reduceat(s, st, axis=1) for st in starts]
+    by_composition = {c: np.add.reduceat(s, group_starts(c), axis=1) for c in compositions}
+    group_sums = [by_composition[c] for c in compositions]
     parts_arr = [np.asarray(c.parts, dtype=float) for c in compositions]
     mus = [group_sums[j][init_rows[j]] / parts_arr[j] for j in range(cfg.J)]
 
@@ -335,8 +337,8 @@ def lloyd_general(
     for _ in range(LLOYD_MAX_ITERS):
         for j, mu in enumerate(mus):
             dists[:, j] = x2 - 2.0 * (group_sums[j] @ mu) + float(parts_arr[j] @ (mu * mu))
-        assign = np.argmin(dists, axis=1)
-        mind = np.maximum(dists[np.arange(len(s)), assign], 0.0)
+        assign, mind = nearest_subcode(dists)
+        np.maximum(mind, 0.0, out=mind)
         history.append(float(mind.mean()) / n)
         means, empty = _cell_means(group_sums, assign, mind)
         mus = [mean / parts for mean, parts in zip(means, parts_arr)]
@@ -354,11 +356,10 @@ def lloyd_general(
         merged_any |= merged
         subcodes.append(cw)
     code = ConcentricCode(tuple(subcodes))
-    final = subcode_distances(s, code)
-    assign = np.argmin(final, axis=1)
+    assign, mind = nearest_subcode(subcode_distances(s, code))
     probs = tuple(np.bincount(assign, minlength=cfg.J) / len(s))
     code = ConcentricCode(tuple(subcodes), probs=probs)
-    distortion = float(final.min(axis=1).mean()) / n
+    distortion = float(mind.mean()) / n
     return LloydResult(
         code=code,
         distortion=distortion,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .codec import ConcentricCode, sort_by_variant, subcode_distances
+from .codec import ConcentricCode, nearest_subcode, sort_by_variant, subcode_distances
 from .streams import SHARD_VECTORS, substream
 
 
@@ -72,10 +72,33 @@ def empirical_distortion(
     threads: int | None = None,
 ) -> EmpiricalDistortion:
     """Monte Carlo per-sample distortion with its standard error and the
-    observed subcodebook hit frequencies."""
+    observed subcodebook hit frequencies; :func:`empirical_distortions` of
+    one code."""
+    return empirical_distortions([code], samples, seed, sigma, threads)[0]
+
+
+def empirical_distortions(
+    codes,
+    samples: int,
+    seed: int,
+    sigma: float = 1.0,
+    threads: int | None = None,
+) -> list[EmpiricalDistortion]:
+    """:func:`empirical_distortion` of every code, in order, from one pass
+    over the shards.
+
+    Each shard is drawn once per distinct dimension and sorted once per
+    variant, and every code of that dimension and variant reads the same
+    sorted block, so each result equals the one-code call.
+    """
+    codes = list(codes)
+    if not codes:
+        return []
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    n = code.n
+    groups: dict[int, dict[int, list[int]]] = {}  # n -> variant -> indices into codes
+    for i, code in enumerate(codes):
+        groups.setdefault(code.n, {}).setdefault(code.variant, []).append(i)
     shard_sizes = []
     left = samples
     while left > 0:
@@ -84,13 +107,19 @@ def empirical_distortion(
 
     def run_shard(args):
         shard, size = args
-        rng = substream(seed, "eval", shard)
-        x = rng.standard_normal((size, n)) * sigma
-        s = sort_by_variant(x, code.variant)
-        d = subcode_distances(s, code)
-        mind = np.maximum(d.min(axis=1), 0.0) / n
-        hits = np.bincount(np.argmin(d, axis=1), minlength=code.J)
-        return float(mind.sum()), float((mind * mind).sum()), hits
+        parts = [None] * len(codes)
+        for n, by_variant in groups.items():
+            x = substream(seed, "eval", shard).standard_normal((size, n))
+            x *= sigma
+            for variant, members in by_variant.items():
+                s = sort_by_variant(x, variant)
+                for i in members:
+                    assign, mind = nearest_subcode(subcode_distances(s, codes[i]))
+                    np.maximum(mind, 0.0, out=mind)
+                    mind /= n
+                    hits = np.bincount(assign, minlength=codes[i].J)
+                    parts[i] = (float(mind.sum()), float((mind * mind).sum()), hits)
+        return parts
 
     jobs = list(enumerate(shard_sizes))
     workers = threads_from_env(threads)
@@ -100,26 +129,29 @@ def empirical_distortion(
     else:
         results = [run_shard(job) for job in jobs]
 
-    total = 0.0
-    total_sq = 0.0
-    hits = np.zeros(code.J, dtype=np.int64)
-    for part_sum, part_sq, part_hits in results:  # fixed shard order
-        total += part_sum
-        total_sq += part_sq
-        hits += part_hits
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
-    stderr = math.sqrt(var / samples)
-    probs = tuple(hits / samples)
-    low = tuple(int(j) for j, h in enumerate(hits) if h < 10)
-    return EmpiricalDistortion(
-        distortion=mean,
-        stderr=stderr,
-        probs=probs,
-        samples=samples,
-        seed=seed,
-        low_count_spheres=low,
-    )
+    out = []
+    for i, code in enumerate(codes):
+        total = 0.0
+        total_sq = 0.0
+        hits = np.zeros(code.J, dtype=np.int64)
+        for parts in results:  # fixed shard order
+            part_sum, part_sq, part_hits = parts[i]
+            total += part_sum
+            total_sq += part_sq
+            hits += part_hits
+        mean = total / samples
+        var = max(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
+        out.append(
+            EmpiricalDistortion(
+                distortion=mean,
+                stderr=math.sqrt(var / samples),
+                probs=tuple(hits / samples),
+                samples=samples,
+                seed=seed,
+                low_count_spheres=tuple(int(j) for j, h in enumerate(hits) if h < 10),
+            )
+        )
+    return out
 
 
 def entropy_bits(probs) -> float:

@@ -173,6 +173,24 @@ class TestCodingRoundtrip:
             f"bad codebook {bad}: levels must be strictly decreasing, got (0.1, 0.5)\n"
         )
 
+    @pytest.mark.parametrize("bad_at", [0, 1])
+    def test_bad_codebook_in_list_exits_before_sampling(self, runner, tmp_path, codebook,
+                                                        monkeypatch, bad_at):
+        from cpcodes import evaluation
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"variant": 1, "n": 2, "subcodes": [{"parts": [3]}]}))
+        books = [codebook, codebook]
+        books.insert(bad_at, str(bad))
+        drawn = []
+        monkeypatch.setattr(evaluation, "substream", lambda *args: drawn.append(args))
+        out = tmp_path / "rd.csv"
+        res = runner.invoke(main, ["eval", *(a for b in books for a in ("--codebook", b)),
+                                   "--samples", "20000", "--output", str(out)])
+        assert res.exit_code == 4
+        assert res.output.startswith(f"bad codebook {bad}: ")
+        assert drawn == [] and not out.exists()
+
     def test_corrupt_stream_exit5(self, runner, tmp_path, codebook):
         bad = str(tmp_path / "bad.cpc")
         with open(bad, "wb") as fp:
@@ -199,6 +217,19 @@ def test_golden_streams(runner, tmp_path, book):
     assert res.exit_code == 0, res.output
     assert stream.read_bytes() == (DATA / f"{book}.cpc").read_bytes()
     assert recon.read_bytes() == (DATA / f"{book}_decoded.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_golden_eval(runner, tmp_path, threads):
+    """Three codebooks (two variants, two n; three shards) evaluate to the
+    bytes that the one-codebook-at-a-time evaluator wrote."""
+    out = tmp_path / "rd.csv"
+    books = [str(DATA / f"{b}.json") for b in ("golden_v1", "golden_n9", "golden_v2")]
+    res = runner.invoke(main, ["eval", *(a for b in books for a in ("--codebook", b)),
+                               "--samples", "150000", "--seed", "11", "--baselines", "bound",
+                               "--threads", threads, "--output", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (DATA / "golden_rd.csv").read_bytes()
 
 
 def test_import_skips_scipy_stats():
@@ -331,6 +362,26 @@ class TestReplay:
         res = runner.invoke(main, ["replay", out + ".manifest.json"])
         assert res.exit_code == 0, res.output
         assert open(out, "rb").read() == first
+
+    def test_replay_from_another_directory(self, runner, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        res = runner.invoke(main, design_args("cb.json"))
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["eval", "--codebook", "cb.json", "--samples", "20000",
+                                   "--output", "rd.csv"])
+        assert res.exit_code == 0, res.output
+        first = {p: (run / p).read_bytes() for p in ("cb.json", "rd.csv")}
+        for p in first:
+            (run / p).unlink()
+        monkeypatch.chdir(tmp_path)
+        for manifest in ("run/cb.json.manifest.json", "run/rd.csv.manifest.json"):
+            res = runner.invoke(main, ["replay", manifest])
+            assert res.exit_code == 0, res.output
+        assert {p: (run / p).read_bytes() for p in first} == first
+        assert Path.cwd() == tmp_path
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
     @pytest.fixture
     def coded(self, runner, tmp_path):

@@ -20,6 +20,7 @@ from cpcodes.codec import (
     encode_batch,
     encode_cpc,
     encode_pc,
+    nearest_subcode,
     rank_codeword,
     read_stream,
     sort_by_variant,
@@ -186,6 +187,47 @@ class TestEncodeCPC:
                 idx, w = encode_cpc(xi, code)
                 assert d[row].min() == pytest.approx(float(np.sum((xi - w) ** 2)), rel=1e-12)
                 assert int(np.argmin(d[row])) == idx.sphere
+
+
+class TestSortedSampleRules:
+    """The sort, distance and nearest-subcode steps that eval and design share."""
+
+    def test_sort_matches_negated_sort(self):
+        rng = np.random.default_rng(5)
+        x = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0], size=(200, 7))
+        x[:5] = rng.standard_normal((5, 7))
+        before = x.copy()
+        for variant in (VARIANT_I, VARIANT_II):
+            keys = np.abs(x) if variant == VARIANT_II else x
+            want = -np.sort(-keys, axis=-1)
+            got = sort_by_variant(x, variant)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(x.view(np.int64), before.view(np.int64))
+
+    def test_nearest_subcode_ties_match_argmin(self):
+        rng = np.random.default_rng(6)
+        d = rng.integers(0, 3, size=(500, 4)).astype(float)
+        d[::7, 1] = -0.0
+        d[::7, 2] = 0.0
+        assign, mind = nearest_subcode(d)
+        want = np.argmin(d, axis=1)
+        assert np.array_equal(assign, want)
+        assert np.array_equal(mind.view(np.int64), d[np.arange(len(d)), want].view(np.int64))
+        assert np.array_equal(nearest_subcode(d[:, :1])[0], np.zeros(len(d)))
+
+    def test_shared_composition_columns_unchanged(self):
+        rng = np.random.default_rng(7)
+        for variant in (VARIANT_I, VARIANT_II):
+            comps = [(2, 3, 1), (3, 3), (2, 3, 1), (2, 3, 1)]
+            subs = tuple(
+                InitialCodeword(Composition(c), random_decreasing_levels(rng, len(c), variant), variant)
+                for c in comps
+            )
+            s = sort_by_variant(rng.standard_normal((300, 6)), variant)
+            d = subcode_distances(s, ConcentricCode(subs))
+            for j, cw in enumerate(subs):
+                alone = subcode_distances(s, ConcentricCode((cw,)))[:, 0]
+                assert np.array_equal(d[:, j].view(np.int64), alone.view(np.int64))
 
 
 @st.composite

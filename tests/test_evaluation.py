@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcodes.codec import VARIANT_I, ConcentricCode, InitialCodeword
+from cpcodes import evaluation
+from cpcodes.codec import VARIANT_I, VARIANT_II, ConcentricCode, InitialCodeword
 from cpcodes.combinatorics import Composition
 from cpcodes.design import optimal_levels_single, pc_distortion_exact
 from cpcodes.evaluation import (
@@ -12,6 +13,7 @@ from cpcodes.evaluation import (
     ecsq_curve,
     ecusq_curve,
     empirical_distortion,
+    empirical_distortions,
     entropy_bits,
     pareto_filter,
     rate_fixed,
@@ -20,6 +22,7 @@ from cpcodes.evaluation import (
     shannon_bound,
 )
 from cpcodes.order_stats import gaussian_order_stats
+from cpcodes.streams import SHARD_VECTORS
 
 from helpers import random_decreasing_levels
 
@@ -61,6 +64,51 @@ class TestEmpiricalDistortion:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             empirical_distortion(origin_code(4), 100, seed=0)
+
+
+def mixed_codes():
+    """Two dimensions, both variants, and two codes that share one sort."""
+    rng = np.random.default_rng(8)
+
+    def code(variant, *comps):
+        return ConcentricCode(tuple(
+            InitialCodeword(Composition(c), random_decreasing_levels(rng, len(c), variant), variant)
+            for c in comps
+        ))
+
+    return [
+        code(VARIANT_I, (2, 3), (1, 4)),
+        code(VARIANT_II, (2, 3), (5,), (1, 1, 3)),
+        code(VARIANT_I, (3, 2, 2)),
+        code(VARIANT_I, (1, 2, 2), (2, 3), (2, 3)),
+    ]
+
+
+class TestEmpiricalDistortions:
+    SAMPLES = 2 * SHARD_VECTORS + 8_928  # two full shards and a partial one
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    @pytest.mark.parametrize("which", [slice(None), slice(1, 2)], ids=["all", "one"])
+    def test_equals_one_code_calls(self, threads, sigma, which):
+        codes = mixed_codes()[which]
+        got = empirical_distortions(codes, self.SAMPLES, seed=9, sigma=sigma, threads=threads)
+        want = [empirical_distortion(c, self.SAMPLES, seed=9, sigma=sigma, threads=1) for c in codes]
+        assert got == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_draw_per_shard_and_dimension(self, monkeypatch, threads):
+        calls = []
+        substream = evaluation.substream
+
+        def counting(*args):
+            calls.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(evaluation, "substream", counting)
+        empirical_distortions(mixed_codes(), self.SAMPLES, seed=3, threads=threads)
+        # three shards, each drawn once for n=5 and once for n=7
+        assert sorted(calls) == sorted([(3, "eval", shard) for shard in range(3)] * 2)
 
 
 class TestRates:
