@@ -32,12 +32,9 @@ from .codec import (
     VARIANT_I,
     VARIANT_II,
     ConcentricCode,
-    EncodedIndex,
     InitialCodeword,
     StreamError,
-    decode,
     encode_cpc,
-    encode_pc,
     rank_codeword,
     unrank_codeword,
 )

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, evaluation, wsc
 from .combinatorics import Composition, ResourceLimitError, rate_point_census
 from .codec import (
-    EncodedIndex,
     StreamError,
     decode_batch,
     encode_batch,
@@ -266,10 +265,9 @@ def cmd_encode(codebook, input_path, output):
     """Encode vectors to the (sphere, rank) stream format."""
     code = _load_code(codebook)
     spheres, ranks, _ = encode_batch(_read_vectors(input_path, code.n), code)
-    indices = [EncodedIndex(s, r) for s, r in zip(spheres.tolist(), ranks.tolist())]
     with open(output, "wb") as fp:
-        write_stream(fp, code, indices)
-    click.echo(f"encoded {len(indices)} vectors")
+        count = write_stream(fp, code, spheres, ranks)
+    click.echo(f"encoded {count} vectors")
     return [output]
 
 
@@ -282,11 +280,11 @@ def cmd_decode(codebook, input_path, output):
     """Reconstruct codewords from an encoded stream."""
     code = _load_code(codebook)
     with open(input_path, "rb") as fp:
-        indices = read_stream(fp, code)
-    W = decode_batch([i.sphere for i in indices], [i.rank for i in indices], code)
+        spheres, ranks = read_stream(fp, code)
+    W = decode_batch(spheres, ranks, code)
     with open(output, "w", newline="\n") as fp:
         fp.writelines(line + "\n" for line in _csv_lines(W))
-    click.echo(f"decoded {len(indices)} vectors")
+    click.echo(f"decoded {len(W)} vectors")
     return [output]
 
 
@@ -308,6 +306,8 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
         raise click.UsageError(f"unknown baselines: {sorted(unknown)}")
     if not codebooks and not wanted:
         raise click.UsageError("nothing to evaluate: give --codebook and/or --baselines")
+    if codebooks and samples < evaluation.MIN_SAMPLES:
+        raise click.UsageError(f"--samples must be at least {evaluation.MIN_SAMPLES} for a codebook")
     codes = [_load_code(path) for path in codebooks]
     measured = evaluation.empirical_distortions(codes, samples, seed, sigma=sigma, threads=threads)
     points = []

@@ -5,17 +5,22 @@ of the input plus O(J n) bookkeeping: the best codeword inside each subcode
 is obtained by writing its level values into the sorted positions, and the
 winner among the J candidates is a global nearest neighbor.
 
-Batch core.  :func:`encode_batch` and :func:`decode_batch` code many rows.
-They walk the rows in fixed blocks of ``streams.SHARD_VECTORS``, so their
-temporaries stay O(block), and each block costs exactly one stable sort of
-the keys (``|x|`` for sign-carrying codebooks), shared by every subcode.  The
-winning subcode is the one with the smallest direct-form distance
-``sum((x - w)**2)``; ties go to the smaller sphere index.  Ranks and unranks
-are vectorised over the block in int64 whenever ``M_j * n`` and every
-subcode size stay below ``2**63``, and use Python integers otherwise.  The
-one-vector functions (:func:`encode_pc`, :func:`encode_cpc`, :func:`decode`,
-:func:`rank_codeword`, :func:`unrank_codeword`) run one row through the same
-routines, so one rule picks the nearest subcode and one routine ranks.
+A coded index is two arrays, ``spheres`` and ``ranks``, from the encoder to
+the stream and back.  :func:`encode_batch` returns them (with the codewords),
+:func:`write_stream` writes them, :func:`read_stream` returns them and
+:func:`decode_batch` maps them back to codewords.  Ranks are int64, or Python
+integers in an object array for codebooks whose rank arithmetic reaches
+``2**63``.  The batch routines walk the rows in fixed blocks of
+``streams.SHARD_VECTORS``, so their temporaries stay O(block), and each block
+costs exactly one stable sort of the keys (``|x|`` for sign-carrying
+codebooks), shared by every subcode.
+
+One rule picks the sphere: :func:`nearest_subcode` over a matrix of
+distances, ties going to the smaller sphere index.  The encoder feeds it the
+direct-form distances ``sum((x - w)**2)``; the evaluator and the designers
+feed it :func:`subcode_distances` of the sorted samples.  The one-vector
+callers (:func:`encode_cpc`, :func:`rank_codeword`, :func:`unrank_codeword`)
+run one row through the same routines, so one routine ranks.
 
 Index layout.  Codewords are ranked lexicographically with level 0 (the
 largest value) as the smallest symbol, so the initial codeword itself always
@@ -177,14 +182,6 @@ class ConcentricCode:
         return tables
 
 
-@dataclass(frozen=True)
-class EncodedIndex:
-    """Chosen subcode (0-based) and the codeword rank inside it."""
-
-    sphere: int
-    rank: int
-
-
 # ---------------------------------------------------------------------------
 # batch core
 
@@ -232,21 +229,15 @@ def _nearest(x: np.ndarray, variant: int, tables: _Tables):
     order = np.argsort(-keys, axis=1, kind="stable")
     place = np.empty_like(order)  # place[r, p]: rank of coordinate p in the descending order
     place[np.arange(m)[:, None], order] = np.arange(n)
-    signs = np.where(x < 0, -1.0, 1.0) if variant == VARIANT_II else None
-    spheres = np.zeros(m, dtype=np.int64)
+    # (x - sign*w)**2 == (|x| - w)**2 bit for bit, so the keys stand in for x
+    d = np.empty((m, len(tables.vectors)))
     for j, vector in enumerate(tables.vectors):
-        w = vector[place]
-        if signs is not None:
-            w = np.where(w != 0.0, signs * w, 0.0)  # a zero level stays +0.0
-        d = ((x - w) ** 2).sum(axis=1)
-        if j == 0:
-            best_w, best_d = w, d
-        else:
-            better = d < best_d  # strict, so a tie keeps the smaller sphere index
-            spheres[better] = j
-            best_d[better] = d[better]
-            best_w[better] = w[better]
-    return spheres, tables.symbols[spheres, place.T], best_w
+        d[:, j] = ((keys - vector[place]) ** 2).sum(axis=1)
+    spheres = nearest_subcode(d)[0]
+    w = tables.vectors[spheres[:, None], place]
+    if variant == VARIANT_II:
+        w = np.where(w != 0.0, np.where(x < 0, -w, w), 0.0)  # a zero level stays +0.0
+    return spheres, tables.symbols[spheres, place.T], w
 
 
 def decode_batch(spheres, ranks, code: ConcentricCode) -> np.ndarray:
@@ -376,7 +367,8 @@ def nearest_subcode(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column of the smallest entry in each row of ``d`` and that entry.
 
     Scans the columns with a strict ``<``, so a tie goes to the smaller
-    column index, as ``np.argmin`` and the encoder's sphere choice do.
+    column index, as with ``np.argmin``.  The encoder, the evaluator and both
+    designers pick their spheres here.
     """
     assign = np.zeros(d.shape[0], dtype=np.intp)
     mind = d[:, 0].copy()
@@ -412,18 +404,13 @@ def subcode_distances(sorted_samples: np.ndarray, code: ConcentricCode) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# one-vector wrappers
+# one-vector callers
 
 
-def encode_pc(x: np.ndarray, cw: InitialCodeword) -> np.ndarray:
-    """Nearest codeword to ``x`` in the single permutation codebook of ``cw``."""
-    return encode_cpc(x, ConcentricCode((cw,)))[1]
-
-
-def encode_cpc(x: np.ndarray, code: ConcentricCode) -> tuple[EncodedIndex, np.ndarray]:
+def encode_cpc(x: np.ndarray, code: ConcentricCode) -> tuple[tuple[int, int], np.ndarray]:
     """Nearest codeword in the union codebook, with its index: what
-    :func:`encode_batch` returns for ``x`` as its one row, ranked in Python
-    integers."""
+    :func:`encode_batch` returns for ``x`` as its one row, as
+    ``((sphere, rank), w)`` with the rank a Python integer."""
     x = np.asarray(x, dtype=float)
     if x.shape != (code.n,):
         raise ValueError(f"expected a vector of length {code.n}, got shape {x.shape}")
@@ -431,7 +418,7 @@ def encode_cpc(x: np.ndarray, code: ConcentricCode) -> tuple[EncodedIndex, np.nd
     j = int(spheres[0])
     signed = w[0].tolist() if code.variant == VARIANT_II else None
     rank = _rank(symbols[:, 0].tolist(), int(code._tables.perms[j]), signed)
-    return EncodedIndex(j, rank), w[0]
+    return (j, rank), w[0]
 
 
 def rank_codeword(w: np.ndarray, cw: InitialCodeword) -> int:
@@ -467,11 +454,6 @@ def unrank_codeword(rank: int, cw: InitialCodeword) -> np.ndarray:
     if cw.variant == VARIANT_II:
         values = _apply_signs(values, rank - (perm_rank << h))
     return np.array(values, dtype=float)
-
-
-def decode(idx: EncodedIndex, code: ConcentricCode) -> np.ndarray:
-    """Reconstruct the codeword addressed by an encoded index."""
-    return decode_batch([idx.sphere], [idx.rank], code)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,25 +530,33 @@ def _read_varint(fp) -> int | None:
         shift += 7
 
 
-def write_stream(fp, code: ConcentricCode, indices) -> int:
-    """Write encoded indices; record format is (sphere varint, rank length, rank bytes)."""
+def write_stream(fp, code: ConcentricCode, spheres, ranks) -> int:
+    """Write one record per (sphere, rank) pair and return the record count.
+
+    Record format is (sphere varint, rank length varint, big-endian rank bytes).
+    """
+    spheres, ranks = np.asarray(spheres).tolist(), np.asarray(ranks).tolist()
+    if len(spheres) != len(ranks):
+        raise ValueError("need one sphere and one rank per record")
     out = bytearray(_MAGIC)
     _write_varint(out, code.n)
     _write_varint(out, code.variant)
     _write_varint(out, code.J)
-    count = 0
-    for idx in indices:
-        _write_varint(out, idx.sphere)
-        payload = idx.rank.to_bytes(max(1, (idx.rank.bit_length() + 7) // 8), "big")
+    for sphere, rank in zip(spheres, ranks):
+        _write_varint(out, sphere)
+        payload = rank.to_bytes(max(1, (rank.bit_length() + 7) // 8), "big")
         _write_varint(out, len(payload))
         out += payload
-        count += 1
     fp.write(out)
-    return count
+    return len(spheres)
 
 
-def read_stream(fp, code: ConcentricCode) -> list[EncodedIndex]:
-    """Read and validate an encoded stream against its codebook."""
+def read_stream(fp, code: ConcentricCode) -> tuple[np.ndarray, np.ndarray]:
+    """Read and validate an encoded stream against its codebook.
+
+    Returns ``(spheres, ranks)`` as :func:`encode_batch` does: int64 spheres,
+    and ranks in the codebook's rank dtype, exact past ``2**63``.
+    """
     fp = io.BytesIO(fp.read())  # one read of the source; the byte-wise parse stays in memory
     if fp.read(len(_MAGIC)) != _MAGIC:
         raise StreamError("bad magic; not an encoded-index stream")
@@ -576,20 +566,21 @@ def read_stream(fp, code: ConcentricCode) -> list[EncodedIndex]:
             f"stream header (n={n}, variant={variant}, J={j_count}) does not match codebook"
         )
     sizes = code.sizes
-    out = []
+    spheres, ranks = [], []
     while True:
         sphere = _read_varint(fp)
         if sphere is None:
-            return out
+            return np.array(spheres, dtype=np.int64), np.array(ranks, dtype=code._tables.dtype)
         if sphere >= code.J:
-            raise StreamError(f"record {len(out)}: sphere {sphere} out of range")
+            raise StreamError(f"record {len(spheres)}: sphere {sphere} out of range")
         length = _read_varint(fp)
         if length is None:
-            raise StreamError(f"record {len(out)}: missing rank")
+            raise StreamError(f"record {len(spheres)}: missing rank")
         payload = fp.read(length)
         if len(payload) != length:
-            raise StreamError(f"record {len(out)}: truncated rank payload")
+            raise StreamError(f"record {len(spheres)}: truncated rank payload")
         rank = int.from_bytes(payload, "big")
         if rank >= sizes[sphere]:
-            raise StreamError(f"record {len(out)}: rank {rank} out of range")
-        out.append(EncodedIndex(sphere, rank))
+            raise StreamError(f"record {len(spheres)}: rank {rank} out of range")
+        spheres.append(sphere)
+        ranks.append(rank)

@@ -21,6 +21,9 @@ from scipy import special
 from .codec import ConcentricCode, nearest_subcode, sort_by_variant, subcode_distances
 from .streams import SHARD_VECTORS, substream
 
+MIN_SAMPLES = 1000  # fewest Monte Carlo samples a codebook is measured from
+PARETO_RATE_BIN = 1e-3  # bits/sample; pareto_filter keeps one point per bin
+
 
 @dataclass(frozen=True)
 class RDPoint:
@@ -94,8 +97,8 @@ def empirical_distortions(
     codes = list(codes)
     if not codes:
         return []
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     groups: dict[int, dict[int, list[int]]] = {}  # n -> variant -> indices into codes
     for i, code in enumerate(codes):
         groups.setdefault(code.n, {}).setdefault(code.variant, []).append(i)
@@ -257,8 +260,9 @@ def shannon_bound(rates, sigma: float = 1.0) -> list[RDPoint]:
     return out
 
 
-def pareto_filter(points, rate_bin: float = 1e-3) -> list[RDPoint]:
-    """Keep the best point per rate bin, then drop dominated points.
+def pareto_filter(points) -> list[RDPoint]:
+    """Keep the best point per rate bin of ``PARETO_RATE_BIN``, then drop
+    dominated points.
 
     The output is sorted by rate with strictly decreasing distortion and does
     not depend on the input order.
@@ -266,7 +270,7 @@ def pareto_filter(points, rate_bin: float = 1e-3) -> list[RDPoint]:
     ordered = sorted(points, key=lambda p: (p.rate, p.distortion, p.method))
     best_in_bin: dict[int, RDPoint] = {}
     for p in ordered:
-        key = round(p.rate / rate_bin)
+        key = round(p.rate / PARETO_RATE_BIN)
         if key not in best_in_bin or p.distortion < best_in_bin[key].distortion:
             best_in_bin[key] = p
     survivors = []

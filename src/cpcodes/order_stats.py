@@ -7,14 +7,12 @@ index reversal.
 
 Moments are computed by composite Gauss-Legendre quadrature of the
 order-statistic density, evaluated in the log domain so the binomial front
-factors never overflow.  Tables are cached per (n, tol) at unit variance and
+factors never overflow.  Tables are cached per n at unit variance and
 rescaled, since the Gaussian family is closed under scaling.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +22,7 @@ from scipy import special
 
 from .combinatorics import Composition, group_starts
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10  # quadrature stops once two panel counts agree this closely
 
 _TAIL_SIGMAS = 8.5  # integration window half-width; tail mass is < 1e-16 per variate
 _BASE_PANELS = 64
@@ -33,7 +31,7 @@ _MAX_REFINEMENTS = 3
 
 
 class IntegrationError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the tolerance ``TOL``."""
 
     def __init__(self, residual: float, message: str):
         super().__init__(f"{message} (worst residual {residual:.3e})")
@@ -50,33 +48,6 @@ class OrderStatTable:
     second_xi: np.ndarray
     mean_eta: np.ndarray
     second_eta: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fp:
-            fp.write(self.to_csv_text())
-
-    def to_csv_text(self) -> str:
-        out = io.StringIO()
-        out.write("l,E_xi,E_xi2,E_eta,E_eta2\n")
-        for i in range(self.n):
-            out.write(
-                f"{i + 1},{float(self.mean_xi[i])!r},{float(self.second_xi[i])!r},"
-                f"{float(self.mean_eta[i])!r},{float(self.second_eta[i])!r}\n"
-            )
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, path) -> "OrderStatTable":
-        with open(path, newline="") as fp:
-            rows = list(csv.DictReader(fp))
-        mean_xi = np.array([float(r["E_xi"]) for r in rows])
-        second_xi = np.array([float(r["E_xi2"]) for r in rows])
-        mean_eta = np.array([float(r["E_eta"]) for r in rows])
-        second_eta = np.array([float(r["E_eta2"]) for r in rows])
-        n = len(rows)
-        # the per-coordinate energy identity pins sigma, so it need not be stored
-        sigma = math.sqrt(float(second_xi.sum()) / n)
-        return cls(n, sigma, *(np.asarray(a) for a in (mean_xi, second_xi, mean_eta, second_eta)))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -117,7 +88,7 @@ def _descending_moments(n, x, w, log_cdf, log_sf, log_pdf):
     return mean, second, mass
 
 
-def _integrate(n, lo, hi, log_parts_fn, tol):
+def _integrate(n, lo, hi, log_parts_fn):
     panels = _BASE_PANELS
     worst = math.inf
     for _ in range(_MAX_REFINEMENTS + 1):
@@ -131,10 +102,10 @@ def _integrate(n, lo, hi, log_parts_fn, tol):
             float(np.max(np.abs(s1 - s2))),
             float(np.max(np.abs(mass2 - 1.0))),
         )
-        if worst <= tol:
+        if worst <= TOL:
             return m2, s2
         panels *= 2
-    raise IntegrationError(worst, f"order-statistic quadrature did not reach tol={tol}")
+    raise IntegrationError(worst, f"order-statistic quadrature did not reach tol={TOL}")
 
 
 def _gaussian_log_parts(x):
@@ -154,20 +125,18 @@ def _folded_log_parts(x):
 
 
 @lru_cache(maxsize=None)
-def _unit_table(n: int, tol: float):
-    mean_xi, second_xi = _integrate(n, -_TAIL_SIGMAS, _TAIL_SIGMAS, _gaussian_log_parts, tol)
-    mean_eta, second_eta = _integrate(n, 0.0, _TAIL_SIGMAS, _folded_log_parts, tol)
+def _unit_table(n: int):
+    mean_xi, second_xi = _integrate(n, -_TAIL_SIGMAS, _TAIL_SIGMAS, _gaussian_log_parts)
+    mean_eta, second_eta = _integrate(n, 0.0, _TAIL_SIGMAS, _folded_log_parts)
     return tuple(_freeze(a) for a in (mean_xi, second_xi, mean_eta, second_eta))
 
 
-def _build_table(n: int, sigma: float, tol: float) -> OrderStatTable:
+def _build_table(n: int, sigma: float) -> OrderStatTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mean_xi, second_xi, mean_eta, second_eta = _unit_table(n, float(tol))
+    mean_xi, second_xi, mean_eta, second_eta = _unit_table(n)
     return OrderStatTable(
         n=n,
         sigma=float(sigma),
@@ -178,15 +147,15 @@ def _build_table(n: int, sigma: float, tol: float) -> OrderStatTable:
     )
 
 
-def gaussian_order_stats(n: int, sigma: float = 1.0, tol: float = DEFAULT_TOL) -> OrderStatTable:
+def gaussian_order_stats(n: int, sigma: float = 1.0) -> OrderStatTable:
     """Order-statistic moment table for n i.i.d. N(0, sigma^2) variates."""
-    return _build_table(n, sigma, tol)
+    return _build_table(n, sigma)
 
 
-def folded_order_stats(n: int, sigma: float = 1.0, tol: float = DEFAULT_TOL) -> OrderStatTable:
+def folded_order_stats(n: int, sigma: float = 1.0) -> OrderStatTable:
     """The same table as :func:`gaussian_order_stats`, which holds the magnitude
     (eta) moments too; kept as a name for callers that read those."""
-    return _build_table(n, sigma, tol)
+    return _build_table(n, sigma)
 
 
 def grouped_projection(x_sorted: np.ndarray, c: Composition) -> np.ndarray:

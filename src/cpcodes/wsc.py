@@ -36,6 +36,10 @@ LATTICE_SECOND_MOMENTS = {
     "lambda24": 0.065771,
 }
 
+# the gain quantizer's Lloyd-Max loop stops once no cell boundary moves by more than this
+_GAIN_TOL = 1e-10
+_GAIN_MAX_ITERS = 10_000
+
 
 class RateTooLowError(DesignInfeasibleError):
     """Requested total rate leaves no budget for one of the two stages."""
@@ -96,9 +100,7 @@ def _chi_mean(n: int) -> float:
     return math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0))
 
 
-def gain_codebook(
-    J: int, n: int, sigma: float = 1.0, tol: float = 1e-10, max_iters: int = 10_000
-) -> GainCodebook:
+def gain_codebook(J: int, n: int, sigma: float = 1.0) -> GainCodebook:
     """Lloyd-Max quantizer for the norm of n i.i.d. N(0, sigma^2) variates.
 
     Cell masses and conditional means use the chi CDF identities (the first
@@ -125,15 +127,15 @@ def gain_codebook(
         return mean * (hi1 - lo1) / mass, mass
 
     bounds = _chi_ppf(np.linspace(0.0, 1.0, J + 1), n)
-    for _ in range(max_iters):
+    for _ in range(_GAIN_MAX_ITERS):
         gains, probs = cond_means(bounds)
         new_inner = (gains[:-1] + gains[1:]) / 2.0
         delta = float(np.max(np.abs(new_inner - bounds[1:-1])))
         bounds[1:-1] = new_inner
-        if delta <= tol:
+        if delta <= _GAIN_TOL:
             gains, probs = cond_means(bounds)
             return GainCodebook(tuple(gains * sigma), tuple(probs))
-    raise RuntimeError(f"gain quantizer did not converge within {max_iters} iterations")
+    raise RuntimeError(f"gain quantizer did not converge within {_GAIN_MAX_ITERS} iterations")
 
 
 def wsc_constants(n: int, g_lambda: float, sigma: float = 1.0) -> WscConstants:

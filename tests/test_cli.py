@@ -304,6 +304,22 @@ class TestEval:
         res = runner.invoke(main, ["eval", "--output", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
 
+    def test_too_few_samples_usage_error(self, runner, tmp_path, monkeypatch):
+        from cpcodes import evaluation
+
+        drawn = []
+        monkeypatch.setattr(evaluation, "substream", lambda *args: drawn.append(args))
+        out = tmp_path / "rd.csv"
+        res = runner.invoke(main, ["eval", "--codebook", str(DATA / "golden_v1.json"),
+                                   "--samples", "10", "--output", str(out)])
+        assert res.exit_code == 2
+        assert "--samples must be at least 1000" in res.output
+        assert drawn == [] and not out.exists()
+        # baselines alone need no samples
+        res = runner.invoke(main, ["eval", "--baselines", "bound", "--samples", "10",
+                                   "--output", str(out)])
+        assert res.exit_code == 0, res.output
+
 
 class TestRatepoints:
     def test_matches_library(self, runner, tmp_path):

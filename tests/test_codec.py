@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +11,14 @@ from cpcodes.codec import (
     VARIANT_I,
     VARIANT_II,
     ConcentricCode,
-    EncodedIndex,
     InitialCodeword,
     StreamError,
     code_from_dict,
     code_to_dict,
-    decode,
     decode_batch,
     encode_batch,
     encode_cpc,
-    encode_pc,
+    load_code,
     nearest_subcode,
     rank_codeword,
     read_stream,
@@ -31,6 +30,13 @@ from cpcodes.codec import (
 from cpcodes.combinatorics import Composition, enumerate_compositions, multinomial_size
 
 from helpers import brute_force_min_distance, enumerate_codebook, random_decreasing_levels
+
+DATA = Path(__file__).parent / "data"
+
+
+def nearest_pc(x, cw):
+    """Nearest codeword to ``x`` in the single permutation codebook of ``cw``."""
+    return encode_cpc(x, ConcentricCode((cw,)))[1]
 
 
 class TestInitialCodeword:
@@ -58,30 +64,30 @@ class TestInitialCodeword:
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_negative_zero_level_is_positive_zero(self, variant):
         code = ConcentricCode((InitialCodeword(Composition((1, 1)), (1.0, -0.0), variant),))
-        index, w = encode_cpc(np.array([-0.3, 2.0]), code)
-        assert decode(index, code).tobytes() == w.tobytes()
+        (sphere, rank), w = encode_cpc(np.array([-0.3, 2.0]), code)
+        assert decode_batch([sphere], [rank], code)[0].tobytes() == w.tobytes()
         assert json.dumps(code_to_dict(code)["subcodes"][0]["levels"]) == "[1.0, 0.0]"
 
 
 class TestEncodePC:
     def test_worked_example(self):
         cw = InitialCodeword(Composition((1, 2)), (1.0, -0.5), VARIANT_I)
-        out = encode_pc(np.array([0.3, -1.2, 0.9]), cw)
+        out = nearest_pc(np.array([0.3, -1.2, 0.9]), cw)
         assert np.array_equal(out, [-0.5, -0.5, 1.0])
 
     def test_single_level_is_constant(self):
         cw = InitialCodeword(Composition((4,)), (0.25,), VARIANT_I)
-        out = encode_pc(np.array([5.0, -2.0, 0.0, 1.0]), cw)
+        out = nearest_pc(np.array([5.0, -2.0, 0.0, 1.0]), cw)
         assert np.array_equal(out, np.full(4, 0.25))
 
     def test_variant2_signs(self):
         cw = InitialCodeword(Composition((1, 2)), (2.0, 1.0), VARIANT_II)
-        out = encode_pc(np.array([0.5, -3.0, 1.0]), cw)
+        out = nearest_pc(np.array([0.5, -3.0, 1.0]), cw)
         assert np.array_equal(out, [1.0, -2.0, 1.0])
 
     def test_variant2_zero_level_emits_positive_zero(self):
         cw = InitialCodeword(Composition((1, 2)), (1.0, 0.0), VARIANT_II)
-        out = encode_pc(np.array([-0.4, -3.0, 0.2]), cw)
+        out = nearest_pc(np.array([-0.4, -3.0, 0.2]), cw)
         assert np.array_equal(out, [0.0, -1.0, 0.0])
         # bit-exact +0.0, not -0.0, so decoded copies match byte for byte
         assert not np.signbit(out[0])
@@ -95,8 +101,8 @@ class TestEncodePC:
         for _ in range(20):
             x = rng.standard_normal(6)
             perm = rng.permutation(6)
-            direct = encode_pc(x[perm], cw)
-            assert np.array_equal(direct, encode_pc(x, cw)[perm])
+            direct = nearest_pc(x[perm], cw)
+            assert np.array_equal(direct, nearest_pc(x, cw)[perm])
 
     def test_brute_force_optimality(self):
         rng = np.random.default_rng(7)
@@ -111,7 +117,7 @@ class TestEncodePC:
                 assert len(codebook) == cw.size
                 for _ in range(200):
                     x = rng.standard_normal(4)
-                    w = encode_pc(x, cw)
+                    w = nearest_pc(x, cw)
                     d = float(np.sum((x - w) ** 2))
                     assert d == brute_force_min_distance(x, codebook)
 
@@ -129,9 +135,10 @@ class TestEncodeCPC:
         code = self._code(rng, VARIANT_I, [(2, 3)])
         for _ in range(50):
             x = rng.standard_normal(5)
-            idx, w = encode_cpc(x, code)
-            assert idx.sphere == 0
-            assert np.array_equal(w, encode_pc(x, code.subcodes[0]))
+            (sphere, rank), w = encode_cpc(x, code)
+            assert sphere == 0
+            assert np.array_equal(w, nearest_pc(x, code.subcodes[0]))
+            assert rank == rank_codeword(w, code.subcodes[0])
 
     def test_scale_invariant_pattern(self):
         # positive scaling cannot change the ordering, hence not the chosen
@@ -140,8 +147,8 @@ class TestEncodeCPC:
         code = self._code(rng, VARIANT_I, [(2, 2), (2, 2), (2, 2)])
         for _ in range(20):
             x = rng.standard_normal(4)
-            patterns = [np.argsort(encode_pc(x, cw)) for cw in code.subcodes]
-            scaled = [np.argsort(encode_pc(2.5 * x, cw)) for cw in code.subcodes]
+            patterns = [np.argsort(nearest_pc(x, cw)) for cw in code.subcodes]
+            scaled = [np.argsort(nearest_pc(2.5 * x, cw)) for cw in code.subcodes]
             for a, b in zip(patterns, scaled):
                 assert np.array_equal(a, b)
 
@@ -152,10 +159,10 @@ class TestEncodeCPC:
         union = np.concatenate([enumerate_codebook(cw) for cw in code.subcodes])
         for _ in range(300):
             x = rng.standard_normal(5)
-            idx, w = encode_cpc(x, code)
+            (sphere, rank), w = encode_cpc(x, code)
             d = float(np.sum((x - w) ** 2))
             assert d == brute_force_min_distance(x, union)
-            assert decode(idx, code) == pytest.approx(w, abs=0)
+            assert decode_batch([sphere], [rank], code)[0] == pytest.approx(w, abs=0)
 
     def test_one_sort_per_encode(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -184,9 +191,17 @@ class TestEncodeCPC:
             x = rng.standard_normal((64, 4))
             d = subcode_distances(sort_by_variant(x, variant), code)
             for row, xi in enumerate(x):
-                idx, w = encode_cpc(xi, code)
+                (sphere, _), w = encode_cpc(xi, code)
                 assert d[row].min() == pytest.approx(float(np.sum((xi - w) ** 2)), rel=1e-12)
-                assert int(np.argmin(d[row])) == idx.sphere
+                assert int(np.argmin(d[row])) == sphere
+        # the encoder's direct-form distances and the evaluator's sorted-sample
+        # distances pick the same sphere on a large Gaussian block of each book
+        for book in ("golden_v1", "golden_v2", "golden_n9"):
+            code = load_code(DATA / f"{book}.json")
+            x = rng.standard_normal((20_000, code.n))
+            spheres = encode_batch(x, code)[0]
+            d = subcode_distances(sort_by_variant(x, code.variant), code)
+            assert np.array_equal(spheres, nearest_subcode(d)[0])
 
 
 class TestSortedSampleRules:
@@ -268,8 +283,8 @@ class TestBatchCore:
             # ties between spheres go to the smaller index
             assert j == min(k for k, book in enumerate(books) if brute_force_min_distance(x, book) == d)
             assert rank_codeword(w, code.subcodes[j]) == r
-            idx, w_one = encode_cpc(x, code)
-            assert (idx.sphere, idx.rank) == (j, r)
+            index, w_one = encode_cpc(x, code)
+            assert index == (j, r)
             assert w_one.tobytes() == w.tobytes()
         assert decode_batch(spheres, ranks, code).tobytes() == W.tobytes()
         if code.variant == VARIANT_II:
@@ -285,6 +300,11 @@ class TestBatchCore:
             spheres, ranks, W = encode_batch(X, code)
             assert max(ranks.tolist()) >= 2**63
             assert decode_batch(spheres, ranks, code).tobytes() == W.tobytes()
+            buf = io.BytesIO()
+            write_stream(buf, code, spheres, ranks)
+            back_spheres, back_ranks = read_stream(io.BytesIO(buf.getvalue()), code)
+            assert np.array_equal(back_spheres, spheres)
+            assert back_ranks.dtype == object and back_ranks.tolist() == ranks.tolist()
             for w, r in zip(W, ranks.tolist()):
                 assert rank_codeword(w, cw) == r
                 assert unrank_codeword(r, cw).tobytes() == w.tobytes()
@@ -392,18 +412,23 @@ class TestSerialization:
     def test_stream_roundtrip(self):
         rng = np.random.default_rng(12)
         code = self._sample_code()
-        indices = [encode_cpc(rng.standard_normal(3), code)[0] for _ in range(100)]
+        spheres, ranks, _ = encode_batch(rng.standard_normal((100, 3)), code)
         buf = io.BytesIO()
-        write_stream(buf, code, indices)
+        assert write_stream(buf, code, spheres, ranks) == 100
         buf.seek(0)
-        assert read_stream(buf, code) == indices
+        back_spheres, back_ranks = read_stream(buf, code)
+        assert np.array_equal(back_spheres, spheres) and back_spheres.dtype == np.int64
+        assert np.array_equal(back_ranks, ranks) and back_ranks.dtype == ranks.dtype
+        with pytest.raises(ValueError, match="one sphere and one rank"):
+            write_stream(io.BytesIO(), code, spheres, ranks[:-1])
 
     def test_stream_empty(self):
         code = self._sample_code()
         buf = io.BytesIO()
-        write_stream(buf, code, [])
+        write_stream(buf, code, [], [])
         buf.seek(0)
-        assert read_stream(buf, code) == []
+        spheres, ranks = read_stream(buf, code)
+        assert spheres.shape == ranks.shape == (0,)
 
     def test_stream_bad_magic(self):
         code = self._sample_code()
@@ -413,7 +438,7 @@ class TestSerialization:
     def test_stream_truncated(self):
         code = self._sample_code()
         buf = io.BytesIO()
-        write_stream(buf, code, [EncodedIndex(0, 5)])
+        write_stream(buf, code, [0], [5])
         data = buf.getvalue()[:-1]
         with pytest.raises(StreamError):
             read_stream(io.BytesIO(data), code)
@@ -421,7 +446,7 @@ class TestSerialization:
     def test_stream_rank_out_of_range(self):
         code = self._sample_code()
         buf = io.BytesIO()
-        write_stream(buf, code, [EncodedIndex(0, code.sizes[0])])
+        write_stream(buf, code, [0], [code.sizes[0]])
         buf.seek(0)
         with pytest.raises(StreamError):
             read_stream(buf, code)
@@ -432,7 +457,7 @@ class TestSerialization:
             (InitialCodeword(Composition((3,)), (1.0,), VARIANT_II),)
         )
         buf = io.BytesIO()
-        write_stream(buf, code, [])
+        write_stream(buf, code, [], [])
         buf.seek(0)
         with pytest.raises(StreamError):
             read_stream(buf, other)
@@ -450,10 +475,29 @@ class TestSerialization:
                 return super().read(*size)
 
         code = self._sample_code()
-        indices = [EncodedIndex(j % code.J, 3 * j % code.sizes[j % code.J]) for j in range(50)]
+        spheres = [j % code.J for j in range(50)]
+        ranks = [3 * j % code.sizes[s] for j, s in enumerate(spheres)]
         out = Counting()
-        assert write_stream(out, code, iter(indices)) == 50
+        assert write_stream(out, code, spheres, ranks) == 50
         assert out.calls == 1
         back = Counting(out.getvalue())
-        assert read_stream(back, code) == indices
+        back_spheres, back_ranks = read_stream(back, code)
+        assert back_spheres.tolist() == spheres and back_ranks.tolist() == ranks
         assert back.calls == 1
+
+    @pytest.mark.parametrize("book", ["golden_v1", "golden_v2"])
+    def test_golden_streams_in_process(self, book):
+        """The array API writes the pinned CPC1 bytes and reads back the
+        pinned reconstructions, without the command line in between."""
+        code = load_code(DATA / f"{book}.json")
+        lines = (DATA / "golden_vectors.csv").read_text().splitlines()
+        X = np.array([[float(v) for v in line.split(",")] for line in lines if line.strip()])
+        spheres, ranks, W = encode_batch(X, code)
+        buf = io.BytesIO()
+        write_stream(buf, code, spheres, ranks)
+        assert buf.getvalue() == (DATA / f"{book}.cpc").read_bytes()
+        with open(DATA / f"{book}.cpc", "rb") as fp:
+            decoded = decode_batch(*read_stream(fp, code), code)
+        assert decoded.tobytes() == W.tobytes()
+        text = "".join(",".join(repr(v) for v in row) + "\n" for row in decoded.tolist())
+        assert text == (DATA / f"{book}_decoded.csv").read_text()

@@ -5,7 +5,6 @@ import pytest
 
 from cpcodes.combinatorics import Composition
 from cpcodes.order_stats import (
-    OrderStatTable,
     folded_order_stats,
     gaussian_order_stats,
     grouped_projection,
@@ -140,14 +139,3 @@ class TestGroupedProjection:
         with pytest.raises(ValueError):
             grouped_projection(np.array([2.0, 1.0]), Composition((1, 2)))
 
-
-class TestCsvRoundtrip:
-    def test_dump_and_load(self, tmp_path):
-        t = gaussian_order_stats(6, sigma=1.5)
-        path = tmp_path / "table.csv"
-        t.to_csv(path)
-        back = OrderStatTable.from_csv(path)
-        assert back.n == 6
-        assert back.sigma == pytest.approx(1.5, rel=1e-9)
-        for name in ("mean_xi", "second_xi", "mean_eta", "second_eta"):
-            assert np.array_equal(getattr(back, name), getattr(t, name))
