@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -143,12 +144,14 @@ def _parse_composition(text: str) -> Composition:
         raise click.UsageError(f"bad composition {text!r}: {exc}")
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(option: str, text: str, least: int) -> range:
     try:
         lo, hi = (int(v) for v in text.split(":"))
-        return range(lo, hi + 1)
     except ValueError:
-        raise click.UsageError(f"bad range {text!r}; expected LO:HI")
+        raise click.UsageError(f"bad {option} {text!r}; expected LO:HI")
+    if not least <= lo <= hi:
+        raise click.UsageError(f"bad {option} {text!r}; need {least} <= LO <= HI")
+    return range(lo, hi + 1)
 
 
 @click.group()
@@ -306,6 +309,8 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
         raise click.UsageError(f"unknown baselines: {sorted(unknown)}")
     if not codebooks and not wanted:
         raise click.UsageError("nothing to evaluate: give --codebook and/or --baselines")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise click.UsageError(f"--sigma must be positive and finite, got {sigma}")
     if codebooks and samples < evaluation.MIN_SAMPLES:
         raise click.UsageError(f"--samples must be at least {evaluation.MIN_SAMPLES} for a codebook")
     codes = [_load_code(path) for path in codebooks]
@@ -354,9 +359,11 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
 @_recorded()
 def cmd_ratepoints(n_range, j_range, limit, output):
     """Count distinct fixed-rate points per (n, J)."""
+    ns = _parse_range("--n-range", n_range, 2)
+    js = _parse_range("--j-range", j_range, 1)
     rows = ["n,J,count"]
-    for n in _parse_range(n_range):
-        for j in _parse_range(j_range):
+    for n in ns:
+        for j in js:
             rows.append(f"{n},{j},{rate_point_census(n, j, limit=limit).count}")
     with open(output, "w", newline="\n") as fp:
         fp.write("\n".join(rows) + "\n")

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .codec import ConcentricCode, nearest_subcode, sort_by_variant, subcode_distances
 from .streams import SHARD_VECTORS, substream
@@ -191,6 +190,8 @@ def _phi(z):
 
 
 def _uniform_quantizer_point(step: float, sigma: float, optimal_codewords: bool, method: str) -> RDPoint:
+    from scipy import special
+
     # cells are [(k-1/2)step, (k+1/2)step); the center cell straddles 0 so the
     # step -> inf limit is a single cell with rate 0 and distortion sigma^2
     k_max = max(1, int(math.ceil(10.0 * sigma / step + 0.5)))

@@ -8,17 +8,18 @@ index reversal.
 Moments are computed by composite Gauss-Legendre quadrature of the
 order-statistic density, evaluated in the log domain so the binomial front
 factors never overflow.  Tables are cached per n at unit variance and
-rescaled, since the Gaussian family is closed under scaling.
+rescaled, since the Gaussian family is closed under scaling.  A table
+computes its moments on first read, so a caller that needs only ``n`` and
+``sigma`` never loads ``scipy.special``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import special
 
 from .combinatorics import Composition, group_starts
 
@@ -40,14 +41,30 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OrderStatTable:
-    """First and second moments of the sorted source and its magnitudes."""
+    """First and second moments of the sorted source and its magnitudes.
+
+    Each moment array is the unit-variance table of ``n`` scaled by ``sigma``,
+    computed the first time it is read and read-only.
+    """
 
     n: int
     sigma: float
-    mean_xi: np.ndarray
-    second_xi: np.ndarray
-    mean_eta: np.ndarray
-    second_eta: np.ndarray
+
+    @cached_property
+    def mean_xi(self) -> np.ndarray:
+        return _freeze(_unit_table(self.n)[0] * self.sigma)
+
+    @cached_property
+    def second_xi(self) -> np.ndarray:
+        return _freeze(_unit_table(self.n)[1] * self.sigma * self.sigma)
+
+    @cached_property
+    def mean_eta(self) -> np.ndarray:
+        return _freeze(_unit_table(self.n)[2] * self.sigma)
+
+    @cached_property
+    def second_eta(self) -> np.ndarray:
+        return _freeze(_unit_table(self.n)[3] * self.sigma * self.sigma)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -69,6 +86,8 @@ def _gl_rule(panels: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]
 
 def _descending_moments(n, x, w, log_cdf, log_sf, log_pdf):
     """Mean and second moment of the l-th largest of n, for all l at once."""
+    from scipy import special
+
     ranks = np.arange(1, n + 1)  # 1 = largest
     log_front = (
         special.gammaln(n + 1)
@@ -109,6 +128,8 @@ def _integrate(n, lo, hi, log_parts_fn):
 
 
 def _gaussian_log_parts(x):
+    from scipy import special
+
     log_pdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
     return special.log_ndtr(x), special.log_ndtr(-x), log_pdf
 
@@ -116,6 +137,8 @@ def _gaussian_log_parts(x):
 def _folded_log_parts(x):
     # parent is |Z| for standard normal Z: F(x) = erf(x/sqrt(2)), f(x) = 2*phi(x);
     # the survival side goes through erfc to keep precision deep in the tail
+    from scipy import special
+
     z = x / math.sqrt(2.0)
     with np.errstate(divide="ignore"):
         log_cdf = np.log(special.erf(z))
@@ -136,15 +159,7 @@ def _build_table(n: int, sigma: float) -> OrderStatTable:
         raise ValueError("n must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    mean_xi, second_xi, mean_eta, second_eta = _unit_table(n)
-    return OrderStatTable(
-        n=n,
-        sigma=float(sigma),
-        mean_xi=_freeze(mean_xi * sigma),
-        second_xi=_freeze(second_xi * sigma * sigma),
-        mean_eta=_freeze(mean_eta * sigma),
-        second_eta=_freeze(second_eta * sigma * sigma),
-    )
+    return OrderStatTable(n=n, sigma=float(sigma))
 
 
 def gaussian_order_stats(n: int, sigma: float = 1.0) -> OrderStatTable:

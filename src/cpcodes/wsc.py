@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from . import evaluation
 from .combinatorics import (
@@ -88,15 +87,21 @@ class RateSplit:
 
 def _chi_cdf(r, k: int):
     """CDF at ``r >= 0`` of the chi distribution with ``k`` degrees of freedom."""
+    from scipy import special
+
     return special.gammainc(0.5 * k, 0.5 * r**2)
 
 
 def _chi_ppf(q, k: int):
     """Inverse of :func:`_chi_cdf` for ``q`` in [0, 1]."""
+    from scipy import special
+
     return np.sqrt(2 * special.gammaincinv(0.5 * k, q))
 
 
 def _chi_mean(n: int) -> float:
+    from scipy import special
+
     return math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0))
 
 
@@ -144,6 +149,8 @@ def wsc_constants(n: int, g_lambda: float, sigma: float = 1.0) -> WscConstants:
         raise ValueError("n must be >= 2")
     if g_lambda <= 0 or sigma <= 0:
         raise ValueError("g_lambda and sigma must be positive")
+    from scipy import special
+
     log_sphere_area = math.log(2.0) + (n / 2.0) * math.log(math.pi) - special.gammaln(n / 2.0)
     log_c = math.log((n - 1.0) / n) + math.log(g_lambda) + (2.0 / (n - 1.0)) * log_sphere_area
     c = math.exp(log_c)
@@ -219,6 +226,8 @@ def snr_improvement_db(n: int) -> float:
     """SNR gained by letting the shape codebook size depend on the gain (dB)."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    from scipy import special
+
     return -10.0 * (1.0 - 1.0 / n) * math.log10(2.0 * math.exp(special.digamma(n / 2.0)) / n)
 
 

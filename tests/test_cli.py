@@ -94,6 +94,11 @@ class TestDesign:
         )
         assert res.exit_code == 3
 
+    def test_zero_sigma_exits_3(self, runner, tmp_path):
+        res = runner.invoke(main, design_args(str(tmp_path / "x.json"), **{"--sigma": "0"}))
+        assert res.exit_code == 3
+        assert "sigma must be positive" in res.output
+
     def test_common_needs_one_composition(self, runner, tmp_path):
         res = runner.invoke(
             main, ["design", "--n", "6", "--mode", "common", "--out", str(tmp_path / "x.json")]
@@ -232,11 +237,40 @@ def test_golden_eval(runner, tmp_path, threads):
     assert out.read_bytes() == (DATA / "golden_rd.csv").read_bytes()
 
 
-def test_import_skips_scipy_stats():
+def _loaded_after(probe: str, prefixes: tuple[str, ...], *args: str) -> list[str]:
+    """Names of the modules starting with one of ``prefixes`` that are loaded
+    after ``probe`` runs, with ``args`` as its argv, in a fresh interpreter."""
     src = str(Path(cpcodes.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, cpcodes.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
+    report = f"\nimport sys\nprint('loaded:', *sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    run = subprocess.run([sys.executable, "-c", probe + report, *args], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1].split()[1:]
+
+
+def test_import_skips_scipy_stats():
+    """Importing the command line loads no scipy module at all, nor the numpy.f2py
+    that scipy's array-API shims pull in."""
+    assert _loaded_after("import cpcodes.cli", ("scipy", "numpy.f2py")) == []
+
+
+def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
+    """encode, decode, ratepoints and a common-composition design never
+    evaluate a special function, so they leave scipy.special unloaded."""
+    stream = str(tmp_path / "x.cpc")
+    runs = [
+        ["encode", "--codebook", str(DATA / "golden_v1.json"),
+         "--input", str(DATA / "golden_vectors.csv"), "--output", stream],
+        ["decode", "--codebook", str(DATA / "golden_v1.json"), "--input", stream,
+         "--output", str(tmp_path / "x.csv")],
+        ["ratepoints", "--n-range", "2:4", "--j-range", "1:2", "--output", str(tmp_path / "r.csv")],
+        design_args(str(tmp_path / "cb.json")),
+    ]
+    probe = ("import json, sys\nfrom cpcodes.cli import main\n"
+             "for argv in json.loads(sys.argv[1]): main.main(args=argv, standalone_mode=False)")
+    assert _loaded_after(probe, ("scipy.special",), json.dumps(runs)) == []
+    assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
 
 
 class TestEval:
@@ -320,6 +354,15 @@ class TestEval:
                                    "--output", str(out)])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])
+    def test_bad_sigma_usage_error(self, runner, tmp_path, sigma):
+        out = tmp_path / "rd.csv"
+        for source in (["--baselines", "ecsq"], ["--codebook", str(DATA / "golden_v1.json")]):
+            res = runner.invoke(main, ["eval", *source, "--sigma", sigma, "--output", str(out)])
+            assert res.exit_code == 2, res.output
+            assert "--sigma must be positive and finite" in res.output
+            assert not out.exists()
+
 
 class TestRatepoints:
     def test_matches_library(self, runner, tmp_path):
@@ -355,6 +398,16 @@ class TestRatepoints:
         res = runner.invoke(main, ["ratepoints", "--n-range", "wat",
                                    "--output", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("option,text", [("--n-range", "0:2"), ("--n-range", "1:3"),
+                                             ("--j-range", "0:2"), ("--n-range", "3:2"),
+                                             ("--j-range", "2:1")])
+    def test_out_of_domain_range_usage_error(self, runner, tmp_path, option, text):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["ratepoints", option, text, "--output", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"bad {option} '{text}'" in res.output
+        assert not out.exists()
 
 
 class TestReplay:

@@ -5,6 +5,7 @@ import pytest
 
 from cpcodes.combinatorics import Composition
 from cpcodes.order_stats import (
+    _unit_table,
     folded_order_stats,
     gaussian_order_stats,
     grouped_projection,
@@ -81,6 +82,26 @@ class TestFoldedMoments:
     def test_nonnegative(self):
         t = folded_order_stats(9)
         assert np.all(t.mean_eta >= 0)
+
+
+class TestLazyTable:
+    @pytest.mark.parametrize("n", [1, 7, 16])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_moments_are_scaled_unit_table(self, n, sigma):
+        t = gaussian_order_stats(n, sigma)
+        u = _unit_table(n)
+        wanted = (u[0] * sigma, u[1] * sigma * sigma, u[2] * sigma, u[3] * sigma * sigma)
+        for got, want in zip((t.mean_xi, t.second_xi, t.mean_eta, t.second_eta), wanted):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+    @pytest.mark.parametrize("build", [gaussian_order_stats, folded_order_stats])
+    @pytest.mark.parametrize("n,sigma", [(0, 1.0), (3, 0.0), (3, -1.0)])
+    def test_bad_arguments_raise_on_call(self, build, n, sigma):
+        with pytest.raises(ValueError):
+            build(n, sigma)
 
 
 @pytest.mark.slow
