@@ -188,6 +188,8 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         raise click.UsageError("mode common needs exactly one --composition")
     if mode == "general" and not compositions:
         raise click.UsageError("mode general needs --composition (one per sphere, or one shared)")
+    if not (math.isfinite(sigma) and sigma > 0):  # before any samples are drawn
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     g_lambda_value = wsc.LATTICE_SECOND_MOMENTS.get(g_lambda)
     if g_lambda_value is None:
         try:

@@ -157,8 +157,8 @@ def _unit_table(n: int):
 def _build_table(n: int, sigma: float) -> OrderStatTable:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return OrderStatTable(n=n, sigma=float(sigma))
 
 

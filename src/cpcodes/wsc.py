@@ -147,8 +147,8 @@ def wsc_constants(n: int, g_lambda: float, sigma: float = 1.0) -> WscConstants:
     """Distortion constants of the wrapped-spherical shape and gain stages."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if g_lambda <= 0 or sigma <= 0:
-        raise ValueError("g_lambda and sigma must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (g_lambda, sigma)):
+        raise ValueError(f"g_lambda and sigma must be positive and finite, got {g_lambda} and {sigma}")
     from scipy import special
 
     log_sphere_area = math.log(2.0) + (n / 2.0) * math.log(math.pi) - special.gammaln(n / 2.0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,21 @@ class TestDesign:
         res = runner.invoke(main, design_args(str(tmp_path / "x.json"), **{"--sigma": "0"}))
         assert res.exit_code == 3
         assert "sigma must be positive" in res.output
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["common", "wsc-fixed"])
+    def test_non_finite_sigma_exits_3(self, runner, tmp_path, mode, sigma):
+        """A NaN or infinite sigma is refused before any sample is drawn, so no
+        numpy RuntimeWarning is raised on the way."""
+        extra = {"--composition": None, "--rate": "1.5"} if mode == "wsc-fixed" else {}
+        args = design_args(str(tmp_path / "x.json"), **{"--mode": mode, "--sigma": sigma, **extra})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert "sigma must be positive" in res.output
+        assert "RuntimeWarning" not in res.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_common_needs_one_composition(self, runner, tmp_path):
         res = runner.invoke(
@@ -237,6 +253,22 @@ def test_golden_eval(runner, tmp_path, threads):
     assert out.read_bytes() == (DATA / "golden_rd.csv").read_bytes()
 
 
+@pytest.mark.parametrize("sigma, golden", [("1", "golden_baselines.csv"),
+                                           ("2.5", "golden_baselines_sigma2.5.csv")])
+def test_golden_baselines(runner, tmp_path, sigma, golden):
+    """The ECSQ, ECUSQ and bound rows stay byte for byte what scipy's ndtr gave."""
+    out = tmp_path / "rd.csv"
+    res = runner.invoke(main, ["eval", "--baselines", "ecsq,ecusq,bound", "--sigma", sigma,
+                               "--output", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+# Runs each argv of the JSON list in sys.argv[1] through the command line, in order.
+_RUN_ARGVS = ("import json, sys\nfrom cpcodes.cli import main\n"
+              "for argv in json.loads(sys.argv[1]): main.main(args=argv, standalone_mode=False)")
+
+
 def _loaded_after(probe: str, prefixes: tuple[str, ...], *args: str) -> list[str]:
     """Names of the modules starting with one of ``prefixes`` that are loaded
     after ``probe`` runs, with ``args`` as its argv, in a fresh interpreter."""
@@ -267,10 +299,21 @@ def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
         ["ratepoints", "--n-range", "2:4", "--j-range", "1:2", "--output", str(tmp_path / "r.csv")],
         design_args(str(tmp_path / "cb.json")),
     ]
-    probe = ("import json, sys\nfrom cpcodes.cli import main\n"
-             "for argv in json.loads(sys.argv[1]): main.main(args=argv, standalone_mode=False)")
-    assert _loaded_after(probe, ("scipy.special",), json.dumps(runs)) == []
+    assert _loaded_after(_RUN_ARGVS, ("scipy.special",), json.dumps(runs)) == []
     assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
+
+
+def test_eval_skips_scipy_special(tmp_path):
+    """eval evaluates its baselines' normal CDF without scipy.special, with
+    or without a codebook."""
+    out = str(tmp_path / "rd.csv")
+    runs = [
+        ["eval", "--codebook", str(DATA / "golden_v1.json"), "--samples", "2000",
+         "--baselines", "ecsq,ecusq,bound", "--output", str(tmp_path / "cb.csv")],
+        ["eval", "--baselines", "ecsq,ecusq,bound", "--output", out],
+    ]
+    assert _loaded_after(_RUN_ARGVS, ("scipy.special",), json.dumps(runs)) == []
+    assert Path(out).read_bytes() == (DATA / "golden_baselines.csv").read_bytes()
 
 
 class TestEval:

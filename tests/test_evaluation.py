@@ -196,6 +196,51 @@ class TestScalarBaselines:
         with pytest.raises(ValueError):
             ecsq_curve([0.0])
 
+    def test_no_steps_no_points(self):
+        assert ecsq_curve([]) == [] and ecusq_curve([]) == []
+
+
+def _cell_edges(sigma):
+    """Every finite cell edge of the default baseline steps at ``sigma``."""
+    out = []
+    for step in evaluation.DEFAULT_BASELINE_STEPS:
+        k_max = max(1, int(math.ceil(10.0 * sigma / step + 0.5)))
+        out.append((np.arange(-k_max, k_max + 2) - 0.5) * step / sigma)
+    return np.concatenate(out)
+
+
+def _branch_points():
+    """Cephes ndtr's branch boundaries (erf/erfc at |x| = sqrt(1/2) and 1,
+    P/Q versus R/S at 8, underflow at sqrt(MAXLOG)) in ``a = x sqrt(2)``
+    units, each with its neighbouring doubles, plus signed zeros, infinities
+    and NaN."""
+    pts = []
+    for v in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * evaluation._MAXLOG)):
+        for a in (v, -v):
+            pts += [np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)]
+    return np.array(pts + [0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+class TestNdtr:
+    """The private normal CDF is scipy's Cephes ndtr, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["edges", "random", "branches"])
+    def test_bit_identical_to_scipy(self, name):
+        special = pytest.importorskip("scipy.special")
+        a = {
+            "edges": lambda: np.concatenate([_cell_edges(s) for s in (0.5, 1.0, 2.0, 3.7)]),
+            "random": lambda: np.random.default_rng(20091).uniform(-40.0, 40.0, 200_000),
+            "branches": _branch_points,
+        }[name]()
+        got = [v.hex() for v in evaluation._ndtr(a).tolist()]
+        want = [v.hex() for v in special.ndtr(a).tolist()]
+        bad = [(x, g, w) for x, g, w in zip(a.tolist(), got, want) if g != w]
+        assert not bad, f"{len(bad)} of {a.size} differ, first {bad[:3]}"
+
+    def test_no_floating_point_warnings(self):
+        with np.errstate(all="raise"):
+            evaluation._ndtr(np.array([-1e300, -40.0, 40.0, 1e300, np.inf, -np.inf, np.nan]))
+
 
 class TestShannonBound:
     def test_values(self):
