@@ -7,7 +7,7 @@ reduced-dimension form for a shared composition), shape-gain rate allocation
 for sizing subcodebooks, and Monte Carlo rate-distortion evaluation.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .combinatorics import (
     Composition,

@@ -172,7 +172,7 @@ def main():
 @click.option("--rate", type=float, default=None, help="Target bits/sample (wsc modes).")
 @click.option("--composition", "compositions", multiple=True, help="Parts like 3,2,2 (repeatable).")
 @click.option("--samples", type=int, default=500_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--g-lambda", default="scalar", show_default=True, help="Lattice second moment: scalar, lambda24, or a float.")
 @click.option("--no-conjecture-filter", is_flag=True, help="Search all compositions, not just the monotone-pattern subset.")
@@ -296,11 +296,11 @@ def cmd_decode(codebook, input_path, output):
 @main.command("eval")
 @click.option("--codebook", "codebooks", type=click.Path(exists=True), multiple=True)
 @click.option("--samples", type=int, default=500_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--baselines", default="", help="Comma list from: ecsq, ecusq, bound.")
 @click.option("--fixed-rate", is_flag=True, help="Report the no-entropy-coding rate.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default CPC_THREADS or 1).")
+@click.option("--threads", type=click.IntRange(min=1), envvar="CPC_THREADS", help="Worker threads (default CPC_THREADS or 1).")
 @click.option("--output", type=click.Path(), default="rd.csv", show_default=True)
 @_recorded()
 def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, output):

@@ -1,9 +1,15 @@
 """Encoding, decoding, and bijective indexing for permutation codebooks.
 
 Encoding a vector against a union of permutation subcodebooks costs one sort
-of the input plus O(J n) bookkeeping: the best codeword inside each subcode
-is obtained by writing its level values into the sorted positions, and the
-winner among the J candidates is a global nearest neighbor.
+of the input plus O(J n): subcode j's best codeword is its initial vector
+``v_j`` laid over the sorted keys ``s`` (``|x|`` for sign-carrying codebooks,
+whose signs drop out of ``(x - w)**2`` exactly).  One rule picks the sphere
+for the encoder, the evaluator and the designers.  :func:`sorted_distances`
+takes a sorted block stored coordinate-major, shape ``(n, m)``, and returns
+the ``(J, m)`` distances, row j being ``(s[0] - v_j[0])**2 + (s[1] -
+v_j[1])**2 + ...`` added left to right; :func:`nearest_subcode` takes each
+column's smallest entry, ties going to the smaller sphere.  All callers thus
+agree on the sphere and its distance bit for bit.
 
 A coded index is two arrays, ``spheres`` and ``ranks``, from the encoder to
 the stream and back.  :func:`encode_batch` returns them (with the codewords),
@@ -12,15 +18,9 @@ the stream and back.  :func:`encode_batch` returns them (with the codewords),
 integers in an object array for codebooks whose rank arithmetic reaches
 ``2**63``.  The batch routines walk the rows in fixed blocks of
 ``streams.SHARD_VECTORS``, so their temporaries stay O(block), and each block
-costs exactly one stable sort of the keys (``|x|`` for sign-carrying
-codebooks), shared by every subcode.
-
-One rule picks the sphere: :func:`nearest_subcode` over a matrix of
-distances, ties going to the smaller sphere index.  The encoder feeds it the
-direct-form distances ``sum((x - w)**2)``; the evaluator and the designers
-feed it :func:`subcode_distances` of the sorted samples.  The one-vector
-callers (:func:`encode_cpc`, :func:`rank_codeword`, :func:`unrank_codeword`)
-run one row through the same routines, so one routine ranks.
+costs exactly one stable sort of the keys, shared by every subcode.  The
+one-vector callers (:func:`encode_cpc`, :func:`rank_codeword`,
+:func:`unrank_codeword`) run one row through the same routines.
 
 Index layout.  Codewords are ranked lexicographically with level 0 (the
 largest value) as the smallest symbol, so the initial codeword itself always
@@ -40,13 +40,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .combinatorics import Composition, group_starts, multinomial_size, variant2_size
+from .combinatorics import Composition, multinomial_size, variant2_size
 from .streams import SHARD_VECTORS
 
 VARIANT_I = 1
 VARIANT_II = 2
 
 _MAGIC = b"CPC1"
+
+# cache-sized blocks, the best measured on a 2-core Xeon with 2 MiB of L2 per core
+SORT_ROWS = 4096  # rows that sorted_columns sorts and transposes at a time
+DISTANCE_COLUMNS = 16384  # columns of a sorted block that sorted_distances takes at a time
 
 
 class StreamError(ValueError):
@@ -201,7 +205,7 @@ def encode_batch(X: np.ndarray, code: ConcentricCode) -> tuple[np.ndarray, np.nd
     W = np.empty_like(X)
     for lo in range(0, len(X), SHARD_VECTORS):
         block = slice(lo, lo + SHARD_VECTORS)
-        spheres[block], symbols, W[block] = _nearest(X[block], code.variant, tables)
+        spheres[block], symbols, W[block] = _nearest(X[block], code)
         signed = np.ascontiguousarray(W[block].T) if code.variant == VARIANT_II else None
         ranks[block] = _rank(symbols, tables.perms[spheres[block]], signed)
     return spheres, ranks, W
@@ -217,25 +221,19 @@ def _finite_rows(X, n: int) -> np.ndarray:
     return X
 
 
-def _nearest(x: np.ndarray, variant: int, tables: _Tables):
-    """Nearest subcode and codeword for each row of a block, from one sort.
-
-    Returns the spheres, the level index at each position (one row per
-    position) and the codewords.
-    """
+def _nearest(x: np.ndarray, code: ConcentricCode):
+    """The nearest spheres, the level index at each position (one row per
+    position) and the codewords of the rows of a block, from one sort."""
     m, n = x.shape
-    keys = np.abs(x) if variant == VARIANT_II else x
+    keys = np.abs(x) if code.variant == VARIANT_II else x
     # the block's one sort; equal keys keep their index order
     order = np.argsort(-keys, axis=1, kind="stable")
     place = np.empty_like(order)  # place[r, p]: rank of coordinate p in the descending order
     place[np.arange(m)[:, None], order] = np.arange(n)
-    # (x - sign*w)**2 == (|x| - w)**2 bit for bit, so the keys stand in for x
-    d = np.empty((m, len(tables.vectors)))
-    for j, vector in enumerate(tables.vectors):
-        d[:, j] = ((keys - vector[place]) ** 2).sum(axis=1)
-    spheres = nearest_subcode(d)[0]
+    spheres = nearest_subcode(sorted_distances(keys[np.arange(m), order.T], code))[0]
+    tables = code._tables
     w = tables.vectors[spheres[:, None], place]
-    if variant == VARIANT_II:
+    if code.variant == VARIANT_II:
         w = np.where(w != 0.0, np.where(x < 0, -w, w), 0.0)  # a zero level stays +0.0
     return spheres, tables.symbols[spheres, place.T], w
 
@@ -363,44 +361,48 @@ def sort_by_variant(x: np.ndarray, variant: int) -> np.ndarray:
     return keys
 
 
+def sorted_columns(x: np.ndarray, variant: int) -> np.ndarray:
+    """``sort_by_variant(x, variant).T``, contiguous, built ``SORT_ROWS`` rows
+    at a time: besides ``x`` and the result only one small chunk is held."""
+    m, n = x.shape
+    sT = np.empty((n, m))
+    for lo in range(0, m, SORT_ROWS):
+        sT[:, lo : lo + SORT_ROWS] = sort_by_variant(x[lo : lo + SORT_ROWS], variant).T
+    return sT
+
+
+def sorted_distances(sT: np.ndarray, code: ConcentricCode) -> np.ndarray:
+    """``(J, m)`` squared distances from the columns of the sorted block
+    ``sT`` (``(n, m)``, as :func:`sorted_columns` builds it) to each
+    subcode's best codeword: ``sum_p (sT[p] - v_j[p])**2``, added left to
+    right over p.  Sums of squares, so never negative and never -0.0."""
+    levels = code._tables.vectors.T[:, :, None]  # (n, J, 1): each subcode's level at p
+    d = np.zeros((code.J, sT.shape[1]))
+    for lo in range(0, sT.shape[1], DISTANCE_COLUMNS):
+        block = d[:, lo : lo + DISTANCE_COLUMNS]
+        t = np.empty_like(block)
+        for s, level in zip(sT[:, lo : lo + DISTANCE_COLUMNS], levels):
+            np.subtract(s, level, out=t)
+            np.multiply(t, t, out=t)
+            block += t
+    return d
+
+
 def nearest_subcode(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The column of the smallest entry in each row of ``d`` and that entry.
+    """The row of the smallest entry in each column of the ``(J, m)`` ``d``,
+    and that entry; a tie goes to the smaller row, as with ``np.argmin``.
 
-    Scans the columns with a strict ``<``, so a tie goes to the smaller
-    column index, as with ``np.argmin``.  The encoder, the evaluator and both
-    designers pick their spheres here.
+    Branch-free: for finite entries that are never -0.0, ``np.minimum`` is
+    the strict-``<`` update, and the winning row index only grows.
     """
-    assign = np.zeros(d.shape[0], dtype=np.intp)
-    mind = d[:, 0].copy()
-    for j in range(1, d.shape[1]):
-        col = d[:, j]
-        better = col < mind
-        np.copyto(assign, j, where=better)
-        np.copyto(mind, col, where=better)
+    assign = np.zeros(d.shape[1], dtype=np.intp)
+    mind = d[0].copy()
+    better = np.empty(d.shape[1], dtype=bool)
+    for j in range(1, d.shape[0]):
+        np.less(d[j], mind, out=better)
+        np.minimum(mind, d[j], out=mind)
+        np.maximum(assign, better * j, out=assign)
     return assign, mind
-
-
-def subcode_distances(sorted_samples: np.ndarray, code: ConcentricCode) -> np.ndarray:
-    """Squared distances from each (pre-sorted) sample row to each subcode's codeword.
-
-    ``sorted_samples`` must come from :func:`sort_by_variant`; for
-    sign-carrying codebooks the sign-matched distance equals the distance in
-    magnitude coordinates, so signs drop out here.  The group sums of each
-    distinct composition are formed once and serve every subcode that has it.
-    """
-    s = np.asarray(sorted_samples, dtype=float)
-    x2 = np.einsum("ij,ij->i", s, s)
-    cols = np.empty((s.shape[0], code.J), dtype=float)
-    sharing: dict[Composition, list[int]] = {}
-    for j, cw in enumerate(code.subcodes):
-        sharing.setdefault(cw.composition, []).append(j)
-    for c, members in sharing.items():
-        gs = np.add.reduceat(s, group_starts(c), axis=1)
-        for j in members:
-            mu = np.asarray(code.subcodes[j].levels)
-            const = float(np.dot(np.asarray(c.parts, dtype=float), mu * mu))
-            cols[:, j] = const - 2.0 * (gs @ mu)
-    return cols + x2[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,7 @@ def encode_cpc(x: np.ndarray, code: ConcentricCode) -> tuple[tuple[int, int], np
     x = np.asarray(x, dtype=float)
     if x.shape != (code.n,):
         raise ValueError(f"expected a vector of length {code.n}, got shape {x.shape}")
-    spheres, symbols, w = _nearest(_finite_rows(x[None, :], code.n), code.variant, code._tables)
+    spheres, symbols, w = _nearest(_finite_rows(x[None, :], code.n), code)
     j = int(spheres[0])
     signed = w[0].tolist() if code.variant == VARIANT_II else None
     rank = _rank(symbols[:, 0].tolist(), int(code._tables.perms[j]), signed)

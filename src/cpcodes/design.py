@@ -25,7 +25,8 @@ from .codec import (
     InitialCodeword,
     nearest_subcode,
     sort_by_variant,
-    subcode_distances,
+    sorted_columns,
+    sorted_distances,
 )
 from .order_stats import OrderStatTable, grouped_projection
 from .streams import substream
@@ -125,10 +126,11 @@ def pc_distortion_exact(cw: InitialCodeword, table: OrderStatTable) -> float:
 
 
 def _draw_training(cfg: DesignConfig, n: int, sigma: float):
+    """The sorted training rows (magnitudes for variant II) and J start rows."""
     rng = substream(cfg.rng_seed, "design")
     x = rng.standard_normal((cfg.sample_count, n)) * sigma
     init_rows = rng.choice(cfg.sample_count, size=cfg.J, replace=False)
-    return x, init_rows
+    return sort_by_variant(x, cfg.variant), init_rows
 
 
 def _settled(history: list[float]) -> bool:
@@ -202,30 +204,32 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
     floating-point roundoff.
     """
     s = sort_by_variant(np.asarray(x, dtype=float), code.variant)
-    return _decomposition(code, s, subcode_distances(s, code))
+    return _decomposition(code, s, _nearest_sorted(s, code)[1])
 
 
-def _decomposition(code: ConcentricCode, s: np.ndarray, dists: np.ndarray):
+def _nearest_sorted(s: np.ndarray, code: ConcentricCode):
+    """The encoder's and the evaluator's ``(assign, mind)`` for the sorted rows ``s``."""
+    return nearest_subcode(sorted_distances(np.ascontiguousarray(s.T), code))
+
+
+def _decomposition(code: ConcentricCode, s: np.ndarray, mind: np.ndarray):
     """:func:`distortion_decomposition` of the sorted samples ``s``, whose
-    subcode distances ``dists`` are already known."""
+    nearest-subcode distances ``mind`` are already known."""
     c = code.subcodes[0].composition
     if any(cw.composition != c for cw in code.subcodes):
         raise ValueError("decomposition requires a common composition")
     n = code.n
-    direct = float(dists.min(axis=1).mean()) / n
+    direct = float(mind.mean()) / n
 
     proj = grouped_projection(s, c)
     points = np.stack(
         [np.asarray(cw.levels) * np.sqrt(np.asarray(c.parts, float)) for cw in code.subcodes]
     )
-    d2 = (
-        np.einsum("ij,ij->i", proj, proj)[:, None]
-        - 2.0 * proj @ points.T
-        + np.einsum("ij,ij->i", points, points)[None, :]
-    )
+    p2 = np.einsum("ij,ij->i", proj, proj)
+    d2 = p2[:, None] - 2.0 * proj @ points.T + np.einsum("ij,ij->i", points, points)[None, :]
     reduced = float(d2.min(axis=1).mean())
     energy = float(np.einsum("ij,ij->i", s, s).mean())
-    shrink = float(np.einsum("ij,ij->i", proj, proj).mean())
+    shrink = float(p2.mean())
     return direct, (reduced + energy - shrink) / n
 
 
@@ -240,8 +244,7 @@ def design_common_composition(
     """
     if table.n != c.n:
         raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
-    x, init_rows = _draw_training(cfg, c.n, table.sigma)
-    s = sort_by_variant(x, cfg.variant)
+    s, init_rows = _draw_training(cfg, c.n, table.sigma)
     proj = grouped_projection(s, c)
 
     n = c.n
@@ -249,14 +252,13 @@ def design_common_composition(
     p2 = np.einsum("ij,ij->i", proj, proj)
     p2_mean = float(p2.mean())
 
+    projT = np.ascontiguousarray(proj.T)  # so that a round's distances come out (J, m)
     centroids = proj[init_rows]
     history: list[float] = []
     events = 0
     converged = False
     for _ in range(LLOYD_MAX_ITERS):
-        d2 = p2[:, None] - 2.0 * proj @ centroids.T + np.einsum(
-            "ij,ij->i", centroids, centroids
-        )[None, :]
+        d2 = p2 - 2.0 * (centroids @ projT) + np.einsum("ij,ij->i", centroids, centroids)[:, None]
         assign, mind = nearest_subcode(d2)
         np.maximum(mind, 0.0, out=mind)
         history.append((float(mind.mean()) + x2_mean - p2_mean) / n)
@@ -274,14 +276,13 @@ def design_common_composition(
         cw, merged = _codeword_from_levels(c.parts, tuple(centroids[j] / scale), cfg.variant)
         merged_any |= merged
         subcodes.append(cw)
-    final = subcode_distances(s, ConcentricCode(tuple(subcodes)))
-    assign, mind = nearest_subcode(final)
+    assign, mind = _nearest_sorted(s, ConcentricCode(tuple(subcodes)))
     probs = tuple(np.bincount(assign, minlength=cfg.J) / len(proj))
     code = ConcentricCode(tuple(subcodes), probs=probs)
 
     distortion = float(mind.mean()) / n
     if not merged_any:
-        direct, decomposed = _decomposition(code, s, final)
+        direct, decomposed = _decomposition(code, s, mind)
         if abs(direct - decomposed) > 1e-9 * max(abs(direct), 1e-300):
             raise AssertionError(
                 f"distortion decomposition mismatch: {direct} vs {decomposed}"
@@ -321,8 +322,7 @@ def lloyd_general(
     if table.n != n:
         raise ValueError(f"table is for n={table.n}, compositions need n={n}")
 
-    x, init_rows = _draw_training(cfg, n, table.sigma)
-    s = sort_by_variant(x, cfg.variant)
+    s, init_rows = _draw_training(cfg, n, table.sigma)
     x2 = np.einsum("ij,ij->i", s, s)
 
     by_composition = {c: np.add.reduceat(s, group_starts(c), axis=1) for c in compositions}
@@ -333,10 +333,10 @@ def lloyd_general(
     history: list[float] = []
     events = 0
     converged = False
-    dists = np.empty((len(s), cfg.J), dtype=float)
+    dists = np.empty((cfg.J, len(s)), dtype=float)
     for _ in range(LLOYD_MAX_ITERS):
         for j, mu in enumerate(mus):
-            dists[:, j] = x2 - 2.0 * (group_sums[j] @ mu) + float(parts_arr[j] @ (mu * mu))
+            dists[j] = x2 - 2.0 * (group_sums[j] @ mu) + float(parts_arr[j] @ (mu * mu))
         assign, mind = nearest_subcode(dists)
         np.maximum(mind, 0.0, out=mind)
         history.append(float(mind.mean()) / n)
@@ -355,8 +355,7 @@ def lloyd_general(
         )
         merged_any |= merged
         subcodes.append(cw)
-    code = ConcentricCode(tuple(subcodes))
-    assign, mind = nearest_subcode(subcode_distances(s, code))
+    assign, mind = _nearest_sorted(s, ConcentricCode(tuple(subcodes)))
     probs = tuple(np.bincount(assign, minlength=cfg.J) / len(s))
     code = ConcentricCode(tuple(subcodes), probs=probs)
     distortion = float(mind.mean()) / n
@@ -508,9 +507,9 @@ def swap_improvement_test(
     )
 
     rng = substream(cfg.rng_seed, "swap-eval")
-    s = sort_by_variant(rng.standard_normal((cfg.sample_count, c.n)) * table.sigma, VARIANT_II)
-    d_before = subcode_distances(s, before).min(axis=1) / c.n
-    d_after = subcode_distances(s, after).min(axis=1) / c.n
+    sT = sorted_columns(rng.standard_normal((cfg.sample_count, c.n)) * table.sigma, VARIANT_II)
+    d_before = nearest_subcode(sorted_distances(sT, before))[1] / c.n
+    d_after = nearest_subcode(sorted_distances(sT, after))[1] / c.n
     diff = d_after - d_before
     stderr = float(diff.std(ddof=1) / math.sqrt(len(diff)))
     gaps = [float(lv[m - 1]) - float(lv[m]) for lv in levels_per_sphere]

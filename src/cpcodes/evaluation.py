@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ConcentricCode, nearest_subcode, sort_by_variant, subcode_distances
+from .codec import ConcentricCode, nearest_subcode, sorted_columns, sorted_distances
 from .streams import SHARD_VECTORS, substream
 
 MIN_SAMPLES = 1000  # fewest Monte Carlo samples a codebook is measured from
@@ -68,9 +68,12 @@ class EmpiricalDistortion:
 
 
 def threads_from_env(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    return max(1, int(os.environ.get("CPC_THREADS", "1")))
+    """``explicit``, else ``CPC_THREADS``, else 1; ``ValueError`` unless a positive integer."""
+    value = (os.environ.get("CPC_THREADS") or "1") if explicit is None else explicit
+    threads = int(value)
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {value!r}")
+    return threads
 
 
 def empirical_distortion(
@@ -97,8 +100,9 @@ def empirical_distortions(
     over the shards.
 
     Each shard is drawn once per distinct dimension and sorted once per
-    variant, and every code of that dimension and variant reads the same
-    sorted block, so each result equals the one-code call.
+    variant into one coordinate-major block (:func:`codec.sorted_columns`),
+    and every code of that dimension and variant reads the same block, so
+    each result equals the one-code call.
     """
     codes = list(codes)
     if not codes:
@@ -108,11 +112,6 @@ def empirical_distortions(
     groups: dict[int, dict[int, list[int]]] = {}  # n -> variant -> indices into codes
     for i, code in enumerate(codes):
         groups.setdefault(code.n, {}).setdefault(code.variant, []).append(i)
-    shard_sizes = []
-    left = samples
-    while left > 0:
-        shard_sizes.append(min(SHARD_VECTORS, left))
-        left -= shard_sizes[-1]
 
     def run_shard(args):
         shard, size = args
@@ -121,16 +120,16 @@ def empirical_distortions(
             x = substream(seed, "eval", shard).standard_normal((size, n))
             x *= sigma
             for variant, members in by_variant.items():
-                s = sort_by_variant(x, variant)
+                sT = sorted_columns(x, variant)
                 for i in members:
-                    assign, mind = nearest_subcode(subcode_distances(s, codes[i]))
-                    np.maximum(mind, 0.0, out=mind)
+                    assign, mind = nearest_subcode(sorted_distances(sT, codes[i]))
                     mind /= n
                     hits = np.bincount(assign, minlength=codes[i].J)
                     parts[i] = (float(mind.sum()), float((mind * mind).sum()), hits)
+                del sT  # one sorted block per worker at a time
         return parts
 
-    jobs = list(enumerate(shard_sizes))
+    jobs = list(enumerate(min(SHARD_VECTORS, samples - lo) for lo in range(0, samples, SHARD_VECTORS)))
     workers = threads_from_env(threads)
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -140,11 +139,9 @@ def empirical_distortions(
 
     out = []
     for i, code in enumerate(codes):
-        total = 0.0
-        total_sq = 0.0
+        total = total_sq = 0.0
         hits = np.zeros(code.J, dtype=np.int64)
-        for parts in results:  # fixed shard order
-            part_sum, part_sq, part_hits = parts[i]
+        for part_sum, part_sq, part_hits in (parts[i] for parts in results):  # fixed shard order
             total += part_sum
             total_sq += part_sq
             hits += part_hits

@@ -47,3 +47,16 @@ def random_decreasing_levels(rng, K: int, variant: int, zero_last: bool = False)
     else:
         levels = levels - levels.mean()
     return tuple(float(v) for v in levels)
+
+
+def sorted_order_distances(X: np.ndarray, W: np.ndarray, variant: int) -> np.ndarray:
+    """Squared distance from each row of ``X`` to the same row of ``W``, the
+    terms taken in the descending order of the keys (``|x|`` for variant II,
+    equal keys in index order) and added left to right."""
+    keys = np.abs(X) if variant == VARIANT_II else X
+    order = np.argsort(-keys, axis=1, kind="stable")
+    terms = (np.take_along_axis(X, order, axis=1) - np.take_along_axis(W, order, axis=1)) ** 2
+    total = np.zeros(len(X))
+    for column in terms.T:
+        total += column
+    return total

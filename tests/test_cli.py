@@ -407,6 +407,50 @@ class TestEval:
             assert not out.exists()
 
 
+class TestSeedsAndThreads:
+    """A negative seed, or a thread count below 1 or not an integer (from
+    ``--threads`` or ``CPC_THREADS``), is bad usage: exit 2, before any
+    sample is drawn or any worker thread started."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        import cpcodes.cli
+        from cpcodes import evaluation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((evaluation, "ThreadPoolExecutor"), (evaluation, "substream"),
+                             (cpcodes.cli, "design_common_composition")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--threads", "0"),
+                                               ("--threads", "-2"), ("--threads", "1.5")])
+    def test_eval_option(self, runner, tmp_path, option, value):
+        out = tmp_path / "rd.csv"
+        res = runner.invoke(main, ["eval", "--codebook", str(DATA / "golden_v1.json"),
+                                   option, value, "--output", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"Invalid value for '{option}'" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_eval_environment(self, runner, tmp_path, value):
+        out = tmp_path / "rd.csv"
+        res = runner.invoke(main, ["eval", "--codebook", str(DATA / "golden_v1.json"),
+                                   "--output", str(out)], env={"CPC_THREADS": value})
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--threads'" in res.output
+        assert not out.exists()
+
+    def test_design_seed(self, runner, tmp_path):
+        out = tmp_path / "cb.json"
+        res = runner.invoke(main, design_args(str(out), **{"--seed": "-1"}))
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--seed'" in res.output
+        assert not out.exists()
+
+
 class TestRatepoints:
     def test_matches_library(self, runner, tmp_path):
         out = str(tmp_path / "census.csv")

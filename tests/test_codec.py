@@ -23,13 +23,19 @@ from cpcodes.codec import (
     rank_codeword,
     read_stream,
     sort_by_variant,
-    subcode_distances,
+    sorted_columns,
+    sorted_distances,
     unrank_codeword,
     write_stream,
 )
 from cpcodes.combinatorics import Composition, enumerate_compositions, multinomial_size
 
-from helpers import brute_force_min_distance, enumerate_codebook, random_decreasing_levels
+from helpers import (
+    brute_force_min_distance,
+    enumerate_codebook,
+    random_decreasing_levels,
+    sorted_order_distances,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,19 +195,20 @@ class TestEncodeCPC:
         for variant in (VARIANT_I, VARIANT_II):
             code = self._code(rng, variant, [(2, 2), (1, 1, 2)])
             x = rng.standard_normal((64, 4))
-            d = subcode_distances(sort_by_variant(x, variant), code)
+            assign, mind = nearest_subcode(sorted_distances(sorted_columns(x, variant), code))
             for row, xi in enumerate(x):
                 (sphere, _), w = encode_cpc(xi, code)
-                assert d[row].min() == pytest.approx(float(np.sum((xi - w) ** 2)), rel=1e-12)
-                assert int(np.argmin(d[row])) == sphere
-        # the encoder's direct-form distances and the evaluator's sorted-sample
-        # distances pick the same sphere on a large Gaussian block of each book
+                assert sphere == assign[row]
+                assert mind[row].hex() == sorted_order_distances(xi[None], w[None], variant)[0].hex()
+        # the encoder and the evaluator pick the same sphere, at the same
+        # distance, on a large Gaussian block of each book
         for book in ("golden_v1", "golden_v2", "golden_n9"):
             code = load_code(DATA / f"{book}.json")
             x = rng.standard_normal((20_000, code.n))
-            spheres = encode_batch(x, code)[0]
-            d = subcode_distances(sort_by_variant(x, code.variant), code)
-            assert np.array_equal(spheres, nearest_subcode(d)[0])
+            spheres, _, W = encode_batch(x, code)
+            assign, mind = nearest_subcode(sorted_distances(sorted_columns(x, code.variant), code))
+            assert np.array_equal(spheres, assign)
+            assert mind.tobytes() == sorted_order_distances(x, W, code.variant).tobytes()
 
 
 class TestSortedSampleRules:
@@ -220,17 +227,19 @@ class TestSortedSampleRules:
             assert np.array_equal(x.view(np.int64), before.view(np.int64))
 
     def test_nearest_subcode_ties_match_argmin(self):
+        # one row per sphere; +0.0 and negative entries tie and compete as
+        # the Lloyd rounds' expanded-form distances do
         rng = np.random.default_rng(6)
-        d = rng.integers(0, 3, size=(500, 4)).astype(float)
-        d[::7, 1] = -0.0
-        d[::7, 2] = 0.0
+        d = rng.integers(-2, 3, size=(4, 500)).astype(float)
+        d[1, ::7] = 0.0
+        d[2, ::7] = 0.0
         assign, mind = nearest_subcode(d)
-        want = np.argmin(d, axis=1)
+        want = np.argmin(d, axis=0)
         assert np.array_equal(assign, want)
-        assert np.array_equal(mind.view(np.int64), d[np.arange(len(d)), want].view(np.int64))
-        assert np.array_equal(nearest_subcode(d[:, :1])[0], np.zeros(len(d)))
+        assert np.array_equal(mind.view(np.int64), d[want, np.arange(d.shape[1])].view(np.int64))
+        assert np.array_equal(nearest_subcode(d[:1])[0], np.zeros(d.shape[1]))
 
-    def test_shared_composition_columns_unchanged(self):
+    def test_shared_composition_rows_unchanged(self):
         rng = np.random.default_rng(7)
         for variant in (VARIANT_I, VARIANT_II):
             comps = [(2, 3, 1), (3, 3), (2, 3, 1), (2, 3, 1)]
@@ -238,11 +247,46 @@ class TestSortedSampleRules:
                 InitialCodeword(Composition(c), random_decreasing_levels(rng, len(c), variant), variant)
                 for c in comps
             )
-            s = sort_by_variant(rng.standard_normal((300, 6)), variant)
-            d = subcode_distances(s, ConcentricCode(subs))
+            sT = sorted_columns(rng.standard_normal((300, 6)), variant)
+            d = sorted_distances(sT, ConcentricCode(subs))
             for j, cw in enumerate(subs):
-                alone = subcode_distances(s, ConcentricCode((cw,)))[:, 0]
-                assert np.array_equal(d[:, j].view(np.int64), alone.view(np.int64))
+                alone = sorted_distances(sT, ConcentricCode((cw,)))[0]
+                assert np.array_equal(d[j].view(np.int64), alone.view(np.int64))
+
+    def test_sorted_distances_add_left_to_right(self):
+        rng = np.random.default_rng(8)
+        for variant, zero_last in ((VARIANT_I, False), (VARIANT_II, False), (VARIANT_II, True)):
+            subs = tuple(
+                InitialCodeword(
+                    Composition(c), random_decreasing_levels(rng, len(c), variant, zero_last), variant
+                )
+                for c in [(2, 1, 3, 1), (7,), (1, 1, 1, 1, 1, 1, 1)]
+            )
+            x = 3.0 * rng.standard_normal((40, 7))
+            sT = sorted_columns(x, variant)
+            d = sorted_distances(sT, ConcentricCode(subs))
+            assert d.shape == (3, 40)
+            for j, cw in enumerate(subs):
+                vector = cw.initial_vector().tolist()
+                for r in range(len(x)):
+                    total = 0.0
+                    for p, level in enumerate(vector):
+                        diff = float(sT[p, r]) - level
+                        total += diff * diff
+                    assert float(d[j, r]).hex() == total.hex()
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, codec.SORT_ROWS - 1, codec.SORT_ROWS + 1, codec.SHARD_VECTORS + 1]
+    )
+    def test_sorted_columns_chunks_match_one_sort(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0], size=(rows, 5))
+        x[::3] = rng.standard_normal((len(x[::3]), 5))
+        for variant in (VARIANT_I, VARIANT_II):
+            got = sorted_columns(x, variant)
+            want = sort_by_variant(x, variant).T
+            assert got.shape == (5, rows) and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite
@@ -267,6 +311,85 @@ def codes_with_tied_rows(draw):
     grid = st.sampled_from([-0.0] + [0.5 * k for k in range(-8, 9)])
     rows = draw(st.lists(st.lists(grid, min_size=n, max_size=n), min_size=1, max_size=8))
     return ConcentricCode(tuple(subs)), np.array(rows, dtype=float)
+
+
+@st.composite
+def codes_with_near_ties(draw):
+    """A random code (n <= 8, J <= 4, both variants, zero last levels) and
+    rows on the 0.5 grid of its levels, some entries moved by one ulp, so
+    that codewords and spheres tie exactly or to the last bit."""
+    n = draw(st.integers(1, 8))
+    variant = draw(st.sampled_from([VARIANT_I, VARIANT_II]))
+    subs = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        bounds = [0, *cuts, n]
+        parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        steps = st.integers(0, 8) if variant == VARIANT_II else st.integers(-6, 6)
+        levels = sorted(
+            draw(st.lists(steps, min_size=len(parts), max_size=len(parts), unique=True)),
+            reverse=True,
+        )
+        if variant == VARIANT_II and draw(st.booleans()):
+            levels[-1] = 0
+        subs.append(InitialCodeword(Composition(parts), tuple(0.25 * v for v in levels), variant))
+    grid = st.sampled_from([-0.0] + [0.25 * k for k in range(-12, 13)])
+    nudge = st.sampled_from([0, 0, -1, 1])  # ulps
+    cells = st.tuples(grid, nudge).map(
+        lambda c: float(np.nextafter(c[0], np.inf * c[1])) if c[1] else c[0]
+    )
+    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=8))
+    return ConcentricCode(tuple(subs)), np.array(rows, dtype=float)
+
+
+def assert_one_rule(code, X):
+    """The encoder's sphere is the evaluator's ``assign`` and the distance
+    to its codeword, summed over the sorted coordinates, the evaluator's
+    ``mind``, bit for bit, on every row of ``X``."""
+    spheres, _, W = encode_batch(X, code)
+    assign, mind = nearest_subcode(sorted_distances(sorted_columns(X, code.variant), code))
+    assert np.array_equal(spheres, assign)
+    assert mind.tobytes() == sorted_order_distances(X, W, code.variant).tobytes()
+
+
+class TestOneRule:
+    """Encoder and evaluator: one sphere, one distance."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(codes_with_near_ties())
+    def test_encoder_matches_evaluator(self, case):
+        assert_one_rule(*case)
+
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_boundary_rows(self, variant):
+        """Rows within a few ulps of the boundary between two spheres, where
+        the order of summation decides the winner."""
+        levels = {VARIANT_I: [(1.9, 0.7, -0.4, -1.6), (1.3, 0.2, -1.1)],
+                  VARIANT_II: [(2.1, 1.2, 0.4, 0.0), (1.5, 0.6, 0.1)]}[variant]
+        subs = tuple(InitialCodeword(Composition(parts), lv, variant)
+                     for parts, lv in zip([(2, 2, 3, 1), (1, 4, 3)], levels))
+        a, b = (cw.initial_vector() for cw in subs)
+        rng = np.random.default_rng(12)
+        rows = []
+        for x in rng.standard_normal((100, 8)):
+            s = sort_by_variant(x, variant)
+            scale = (a @ a - b @ b) / (2.0 * (s @ a - s @ b))  # equidistant in exact arithmetic
+            for ulps in range(-4, 5):
+                rows.append(x * (scale + ulps * np.spacing(scale)))
+        X = np.array(rows)
+        assert_one_rule(ConcentricCode(subs), X)
+        # the rows are sharp: summed in input order, the distances pick
+        # another sphere on some of them
+        unsorted = np.stack([((X - encode_batch(X, ConcentricCode((cw,)))[2]) ** 2).sum(axis=1)
+                             for cw in subs])
+        assign = nearest_subcode(sorted_distances(sorted_columns(X, variant), ConcentricCode(subs)))[0]
+        assert (nearest_subcode(unsorted)[0] != assign).any()
+
+    @pytest.mark.parametrize("book", ["golden_v1", "golden_v2"])
+    def test_golden_vectors(self, book):
+        lines = (DATA / "golden_vectors.csv").read_text().splitlines()
+        X = np.array([[float(v) for v in line.split(",")] for line in lines if line.strip()])
+        assert_one_rule(load_code(DATA / f"{book}.json"), X)
 
 
 class TestBatchCore:

@@ -65,6 +65,21 @@ class TestEmpiricalDistortion:
         with pytest.raises(ValueError):
             empirical_distortion(origin_code(4), 100, seed=0)
 
+    def test_thread_count_must_be_positive_integer(self, monkeypatch):
+        monkeypatch.delenv("CPC_THREADS", raising=False)
+        assert evaluation.threads_from_env() == 1
+        assert evaluation.threads_from_env(3) == 3
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
+                evaluation.threads_from_env(bad)
+        for env, want in (("2", 2), ("", 1), ("abc", None), ("0", None)):
+            monkeypatch.setenv("CPC_THREADS", env)
+            if want is None:
+                with pytest.raises(ValueError):
+                    evaluation.threads_from_env()
+            else:
+                assert evaluation.threads_from_env() == want
+
 
 def mixed_codes():
     """Two dimensions, both variants, and two codes that share one sort."""
