@@ -36,6 +36,7 @@ from .codec import (
     write_stream,
 )
 from .design import (
+    MIN_TRAINING_SAMPLES,
     DesignConfig,
     DesignInfeasibleError,
     design_common_composition,
@@ -160,8 +161,8 @@ def main():
 
 
 @main.command("design")
-@click.option("--n", type=int, required=True, help="Vector dimension.")
-@click.option("--j", "-J", "j_spheres", type=int, default=1, show_default=True, help="Sphere count.")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Vector dimension.")
+@click.option("--j", "-J", "j_spheres", type=click.IntRange(min=1), default=1, show_default=True, help="Sphere count.")
 @click.option("--variant", type=click.Choice(["1", "2"]), default="1", show_default=True)
 @click.option(
     "--mode",
@@ -171,7 +172,8 @@ def main():
 )
 @click.option("--rate", type=float, default=None, help="Target bits/sample (wsc modes).")
 @click.option("--composition", "compositions", multiple=True, help="Parts like 3,2,2 (repeatable).")
-@click.option("--samples", type=int, default=500_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=MIN_TRAINING_SAMPLES), default=500_000,
+              show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--g-lambda", default="scalar", show_default=True, help="Lattice second moment: scalar, lambda24, or a float.")
@@ -188,8 +190,6 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         raise click.UsageError("mode common needs exactly one --composition")
     if mode == "general" and not compositions:
         raise click.UsageError("mode general needs --composition (one per sphere, or one shared)")
-    if not (math.isfinite(sigma) and sigma > 0):  # before any samples are drawn
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     g_lambda_value = wsc.LATTICE_SECOND_MOMENTS.get(g_lambda)
     if g_lambda_value is None:
         try:
@@ -218,7 +218,7 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         kwargs = {"sigma": sigma, "filt": "none" if no_conjecture_filter else None}
         if mode == "wsc-var":
             kwargs["g_lambda"] = g_lambda_value
-        result = designer(n, j_spheres, rate, cfg, **kwargs)
+        result = designer(n, rate, cfg, **kwargs)
         design_block.update(iterations=result.lloyd.iterations, empirical_D=result.distortion,
                             report=result.report)
     save_code(out, result.code, extra={"design": design_block})

@@ -1,11 +1,13 @@
 """Level and composition optimization for single- and multi-sphere codebooks.
 
-Two Lloyd variants are provided.  With one shared composition the search
-collapses to a J-point vector quantizer on the scaled group sums of the
-sorted source (dimension K instead of n); with arbitrary per-sphere
-compositions the full-dimension alternation between nearest-subcode
-partitioning and conditional group means is used.  Both record their
-distortion trajectory and are reproducible from (seed, sample_count).
+Both designers run one Lloyd loop (:func:`_lloyd`) and one finishing pass
+(:func:`_lloyd_result`) in two coordinate systems.  With one shared
+composition the search collapses to a J-point vector quantizer on the scaled
+group sums of the sorted source (dimension K instead of n); with arbitrary
+per-sphere compositions each sphere keeps its own group sums.  The two
+distance rules stay separate: one matrix product and a matrix-vector product
+per sphere round differently, and the golden designs pin both.  Both record
+their distortion trajectory and are reproducible from (seed, sample_count).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class DesignInfeasibleError(RuntimeError):
 
 LLOYD_REL_TOL = 1e-6  # stop once a round lowers distortion by less than this fraction
 LLOYD_MAX_ITERS = 200
+MIN_TRAINING_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,8 @@ class DesignConfig:
             raise ValueError("J must be >= 1")
         if self.variant not in (VARIANT_I, VARIANT_II):
             raise ValueError("variant must be 1 or 2")
-        if self.sample_count < 10_000:
-            raise ValueError("sample_count must be >= 10000")
+        if self.sample_count < MIN_TRAINING_SAMPLES:
+            raise ValueError(f"sample_count must be >= {MIN_TRAINING_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,6 @@ class ReducedVQ:
     def K(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def J(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass
 class LloydResult:
@@ -86,12 +85,9 @@ class LloydResult:
     distortion_history: list[float]
     iterations: int
     converged: bool
-    probs: tuple[float, ...]
     empty_cell_events: int = 0
     merged_levels: bool = False
     reduced: ReducedVQ | None = None
-    seed: int = 0
-    sample_count: int = 0
 
 
 def optimal_levels_single(
@@ -168,6 +164,29 @@ def _cell_means(cells: Sequence[np.ndarray], assign: np.ndarray, mind: np.ndarra
     return means, empty
 
 
+def _lloyd(cells, means, distances, n, energy=(0.0, 0.0)):
+    """Lloyd rounds from the start ``means`` until :func:`_settled` or LLOYD_MAX_ITERS.
+
+    ``distances(means)`` is the designer's ``(J, m)`` distance rule and cell j
+    averages its rows of ``cells[j]``.  ``energy = (x2_mean, p2_mean)`` adds
+    back to each round's distortion what reduced coordinates leave out.
+    Returns the final means, the distortion history, the empty-cell count and
+    whether the loop converged.
+    """
+    x2_mean, p2_mean = energy
+    history: list[float] = []
+    events = 0
+    for _ in range(LLOYD_MAX_ITERS):
+        assign, mind = nearest_subcode(distances(means))
+        np.maximum(mind, 0.0, out=mind)
+        history.append((float(mind.mean()) + x2_mean - p2_mean) / n)
+        means, empty = _cell_means(cells, assign, mind)
+        events += empty
+        if _settled(history):
+            return means, history, events, True
+    return means, history, events, False
+
+
 def _merge_nonincreasing(parts: Sequence[int], levels: Sequence[float]):
     """Pool adjacent groups until levels are strictly decreasing (left to right)."""
     parts = list(parts)
@@ -233,6 +252,39 @@ def _decomposition(code: ConcentricCode, s: np.ndarray, mind: np.ndarray):
     return direct, (reduced + energy - shrink) / n
 
 
+def _lloyd_result(s, parts, levels, cfg, rounds, reduced=None) -> LloydResult:
+    """The codebook with ``parts[j]`` and ``levels[j]`` on sphere j, and its
+    training distortion and sphere probabilities under the encoder's rule.
+
+    ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.  The
+    reduced designer passes its final centroids as ``reduced``; unless levels
+    merged, its distortion is then checked against the reduced-space
+    decomposition.
+    """
+    history, events, converged = rounds
+    built = [_codeword_from_levels(p, lv, cfg.variant) for p, lv in zip(parts, levels)]
+    subcodes = tuple(cw for cw, _ in built)
+    merged_any = any(merged for _, merged in built)
+    assign, mind = _nearest_sorted(s, ConcentricCode(subcodes))
+    code = ConcentricCode(subcodes, probs=tuple(np.bincount(assign, minlength=cfg.J) / len(s)))
+    if reduced is not None and not merged_any:
+        direct, decomposed = _decomposition(code, s, mind)
+        if abs(direct - decomposed) > 1e-9 * max(abs(direct), 1e-300):
+            raise AssertionError(
+                f"distortion decomposition mismatch: {direct} vs {decomposed}"
+            )
+    return LloydResult(
+        code=code,
+        distortion=float(mind.mean()) / s.shape[1],
+        distortion_history=history,
+        iterations=len(history),
+        converged=converged,
+        empty_cell_events=events,
+        merged_levels=merged_any,
+        reduced=None if reduced is None else ReducedVQ(reduced),
+    )
+
+
 def design_common_composition(
     c: Composition, cfg: DesignConfig, table: OrderStatTable
 ) -> LloydResult:
@@ -246,60 +298,18 @@ def design_common_composition(
         raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
     s, init_rows = _draw_training(cfg, c.n, table.sigma)
     proj = grouped_projection(s, c)
-
-    n = c.n
-    x2_mean = float(np.einsum("ij,ij->i", s, s).mean())
     p2 = np.einsum("ij,ij->i", proj, proj)
-    p2_mean = float(p2.mean())
-
+    energy = (float(np.einsum("ij,ij->i", s, s).mean()), float(p2.mean()))
     projT = np.ascontiguousarray(proj.T)  # so that a round's distances come out (J, m)
-    centroids = proj[init_rows]
-    history: list[float] = []
-    events = 0
-    converged = False
-    for _ in range(LLOYD_MAX_ITERS):
-        d2 = p2 - 2.0 * (centroids @ projT) + np.einsum("ij,ij->i", centroids, centroids)[:, None]
-        assign, mind = nearest_subcode(d2)
-        np.maximum(mind, 0.0, out=mind)
-        history.append((float(mind.mean()) + x2_mean - p2_mean) / n)
-        means, empty = _cell_means([proj] * cfg.J, assign, mind)
+
+    def distances(means):
         centroids = np.stack(means)
-        events += empty
-        if _settled(history):
-            converged = True
-            break
+        return p2 - 2.0 * (centroids @ projT) + np.einsum("ij,ij->i", centroids, centroids)[:, None]
 
-    scale = np.sqrt(np.asarray(c.parts, dtype=float))
-    merged_any = False
-    subcodes = []
-    for j in range(cfg.J):
-        cw, merged = _codeword_from_levels(c.parts, tuple(centroids[j] / scale), cfg.variant)
-        merged_any |= merged
-        subcodes.append(cw)
-    assign, mind = _nearest_sorted(s, ConcentricCode(tuple(subcodes)))
-    probs = tuple(np.bincount(assign, minlength=cfg.J) / len(proj))
-    code = ConcentricCode(tuple(subcodes), probs=probs)
-
-    distortion = float(mind.mean()) / n
-    if not merged_any:
-        direct, decomposed = _decomposition(code, s, mind)
-        if abs(direct - decomposed) > 1e-9 * max(abs(direct), 1e-300):
-            raise AssertionError(
-                f"distortion decomposition mismatch: {direct} vs {decomposed}"
-            )
-    return LloydResult(
-        code=code,
-        distortion=distortion,
-        distortion_history=history,
-        iterations=len(history),
-        converged=converged,
-        probs=probs,
-        empty_cell_events=events,
-        merged_levels=merged_any,
-        reduced=ReducedVQ(centroids),
-        seed=cfg.rng_seed,
-        sample_count=cfg.sample_count,
-    )
+    means, *rounds = _lloyd([proj] * cfg.J, proj[init_rows], distances, c.n, energy)
+    centroids = np.stack(means)
+    levels = centroids / np.sqrt(np.asarray(c.parts, dtype=float))
+    return _lloyd_result(s, [c.parts] * cfg.J, levels, cfg, rounds, reduced=centroids)
 
 
 def lloyd_general(
@@ -311,9 +321,6 @@ def lloyd_general(
     and resets each level to the conditional mean of its group sum.  An empty
     region is reseeded at the worst-quantized training vector.
     """
-    compositions = [
-        c if isinstance(c, Composition) else Composition(tuple(c)) for c in compositions
-    ]
     if len(compositions) != cfg.J:
         raise ValueError(f"{len(compositions)} compositions for J={cfg.J}")
     n = compositions[0].n
@@ -328,49 +335,18 @@ def lloyd_general(
     by_composition = {c: np.add.reduceat(s, group_starts(c), axis=1) for c in compositions}
     group_sums = [by_composition[c] for c in compositions]
     parts_arr = [np.asarray(c.parts, dtype=float) for c in compositions]
-    mus = [group_sums[j][init_rows[j]] / parts_arr[j] for j in range(cfg.J)]
-
-    history: list[float] = []
-    events = 0
-    converged = False
     dists = np.empty((cfg.J, len(s)), dtype=float)
-    for _ in range(LLOYD_MAX_ITERS):
-        for j, mu in enumerate(mus):
-            dists[j] = x2 - 2.0 * (group_sums[j] @ mu) + float(parts_arr[j] @ (mu * mu))
-        assign, mind = nearest_subcode(dists)
-        np.maximum(mind, 0.0, out=mind)
-        history.append(float(mind.mean()) / n)
-        means, empty = _cell_means(group_sums, assign, mind)
-        mus = [mean / parts for mean, parts in zip(means, parts_arr)]
-        events += empty
-        if _settled(history):
-            converged = True
-            break
 
-    merged_any = False
-    subcodes = []
-    for j in range(cfg.J):
-        cw, merged = _codeword_from_levels(
-            compositions[j].parts, tuple(mus[j]), cfg.variant
-        )
-        merged_any |= merged
-        subcodes.append(cw)
-    assign, mind = _nearest_sorted(s, ConcentricCode(tuple(subcodes)))
-    probs = tuple(np.bincount(assign, minlength=cfg.J) / len(s))
-    code = ConcentricCode(tuple(subcodes), probs=probs)
-    distortion = float(mind.mean()) / n
-    return LloydResult(
-        code=code,
-        distortion=distortion,
-        distortion_history=history,
-        iterations=len(history),
-        converged=converged,
-        probs=probs,
-        empty_cell_events=events,
-        merged_levels=merged_any,
-        seed=cfg.rng_seed,
-        sample_count=cfg.sample_count,
-    )
+    def distances(means):
+        for j, (mean, parts) in enumerate(zip(means, parts_arr)):
+            mu = mean / parts
+            dists[j] = x2 - 2.0 * (group_sums[j] @ mu) + float(parts @ (mu * mu))
+        return dists
+
+    starts = [sums[row] for sums, row in zip(group_sums, init_rows)]
+    means, *rounds = _lloyd(group_sums, starts, distances, n)
+    levels = [mean / parts for mean, parts in zip(means, parts_arr)]
+    return _lloyd_result(s, [c.parts for c in compositions], levels, cfg, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +428,6 @@ class SwapReport:
     constraint_satisfied: bool
     zeta_plus: float
     zeta_minus: float
-    gap_ratio: float
-    seed: int
-    samples: int
-
-    @property
-    def improvement(self) -> float:
-        return self.d_before - self.d_after
 
 
 def swap_improvement_test(
@@ -512,7 +481,6 @@ def swap_improvement_test(
     d_after = nearest_subcode(sorted_distances(sT, after))[1] / c.n
     diff = d_after - d_before
     stderr = float(diff.std(ddof=1) / math.sqrt(len(diff)))
-    gaps = [float(lv[m - 1]) - float(lv[m]) for lv in levels_per_sphere]
     return SwapReport(
         d_before=float(d_before.mean()),
         d_after=float(d_after.mean()),
@@ -520,7 +488,4 @@ def swap_improvement_test(
         constraint_satisfied=constraint,
         zeta_plus=zeta_plus,
         zeta_minus=zeta_minus,
-        gap_ratio=min(gaps) / max(gaps),
-        seed=cfg.rng_seed,
-        samples=cfg.sample_count,
     )

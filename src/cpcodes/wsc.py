@@ -12,7 +12,7 @@ block lengths do not overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -274,10 +274,6 @@ def highres_fixed_rate_model(
 # composition selection and end-to-end design
 
 
-def default_filter(variant: int) -> str:
-    return "variant1_unimodal" if variant == VARIANT_I else "variant2_monotone"
-
-
 def allocate_compositions(
     n: int,
     targets: Sequence[float],
@@ -295,7 +291,7 @@ def allocate_compositions(
     arrangements.
     """
     if filt is None:
-        filt = default_filter(variant)
+        filt = "variant1_unimodal" if variant == VARIANT_I else "variant2_monotone"
     sign_bits = n if variant == VARIANT_II else 0
     if filt == "none":
         if partition_count(n) > limit:
@@ -323,12 +319,13 @@ class WscDesignResult:
     lloyd: LloydResult
     rate: float
     distortion: float
-    stderr: float
     report: dict
-    rate_deviation_flag: bool = False
 
 
-def _finish_design(n, J, R, cfg, gc, targets, comps, table, fixed_rate, extra_report):
+def _finish_design(R, cfg, table, gc, targets, filt, fixed_rate, extra_report):
+    """Compositions for the size ``targets``, their Lloyd levels, and the
+    measured rate and distortion of the resulting code."""
+    comps = allocate_compositions(table.n, targets, cfg.variant, filt)
     lloyd = lloyd_general(comps, cfg, table)
     measured = evaluation.empirical_distortion(
         lloyd.code, cfg.sample_count, cfg.rng_seed, sigma=table.sigma
@@ -339,7 +336,8 @@ def _finish_design(n, J, R, cfg, gc, targets, comps, table, fixed_rate, extra_re
     else:
         rate = evaluation.rate_variable(code, measured.probs)
     report = {
-        "inputs": {"n": n, "J": J, "rate": R, "variant": cfg.variant, "sigma": table.sigma},
+        "inputs": {"n": table.n, "J": cfg.J, "rate": R, "variant": cfg.variant,
+                   "sigma": table.sigma},
         "gains": list(gc.gains),
         "probs": list(gc.probs),
         "M_targets": [float(t) for t in targets],
@@ -350,53 +348,46 @@ def _finish_design(n, J, R, cfg, gc, targets, comps, table, fixed_rate, extra_re
         "seed": cfg.rng_seed,
     }
     report.update(extra_report)
-    deviates = abs(rate - R) > 0.5
-    if deviates:
+    if abs(rate - R) > 0.5:
         report["rate_deviation"] = rate - R
     return WscDesignResult(
         code=code,
         lloyd=lloyd,
         rate=rate,
         distortion=measured.distortion,
-        stderr=measured.stderr,
         report=report,
-        rate_deviation_flag=deviates,
     )
 
 
 def design_variable_rate(
     n: int,
-    J: int,
     R: float,
     cfg: DesignConfig,
     sigma: float = 1.0,
     g_lambda: float = LATTICE_SECOND_MOMENTS["scalar"],
     filt: str | None = None,
 ) -> WscDesignResult:
-    """Variable-rate design: rate split, size targets, compositions, Lloyd."""
-    cfg = replace(cfg, J=J)
+    """Variable-rate design of ``cfg.J`` spheres at ``R`` bits/sample: rate
+    split, size targets, compositions, Lloyd."""
     table = gaussian_order_stats(n, sigma)
     consts = wsc_constants(n, g_lambda, sigma)
-    gc = gain_codebook(J, n, sigma)
+    gc = gain_codebook(cfg.J, n, sigma)
     split = optimal_rate_split(R, consts)
     targets = sizes_variable_rate(split, gc, n)
-    comps = allocate_compositions(n, targets, cfg.variant, filt)
     extra = {"shape_rate": split.shape_rate, "gain_rate": split.gain_rate, "g_lambda": g_lambda}
-    return _finish_design(n, J, R, cfg, gc, targets, comps, table, False, extra)
+    return _finish_design(R, cfg, table, gc, targets, filt, False, extra)
 
 
 def design_fixed_rate(
     n: int,
-    J: int,
     R: float,
     cfg: DesignConfig,
     sigma: float = 1.0,
     filt: str | None = None,
 ) -> WscDesignResult:
-    """Fixed-rate design: size targets straight from the gain codebook."""
-    cfg = replace(cfg, J=J)
+    """Fixed-rate design of ``cfg.J`` spheres at ``R`` bits/sample: size
+    targets straight from the gain codebook."""
     table = gaussian_order_stats(n, sigma)
-    gc = gain_codebook(J, n, sigma)
+    gc = gain_codebook(cfg.J, n, sigma)
     targets = sizes_fixed_rate(R, gc, n)
-    comps = allocate_compositions(n, targets, cfg.variant, filt)
-    return _finish_design(n, J, R, cfg, gc, targets, comps, table, True, {})
+    return _finish_design(R, cfg, table, gc, targets, filt, True, {})

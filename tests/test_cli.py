@@ -95,25 +95,30 @@ class TestDesign:
         )
         assert res.exit_code == 3
 
-    def test_zero_sigma_exits_3(self, runner, tmp_path):
-        res = runner.invoke(main, design_args(str(tmp_path / "x.json"), **{"--sigma": "0"}))
-        assert res.exit_code == 3
-        assert "sigma must be positive" in res.output
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("mode", ["common", "general", "wsc-var", "wsc-fixed"])
+    def test_non_finite_sigma_exits_3(self, runner, tmp_path, monkeypatch, mode, sigma):
+        """A NaN, infinite or zero sigma is refused before any sample is drawn,
+        so no numpy RuntimeWarning is raised on the way."""
+        def no_draw(*args):
+            raise AssertionError("training samples drawn for a bad sigma")
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf"])
-    @pytest.mark.parametrize("mode", ["common", "wsc-fixed"])
-    def test_non_finite_sigma_exits_3(self, runner, tmp_path, mode, sigma):
-        """A NaN or infinite sigma is refused before any sample is drawn, so no
-        numpy RuntimeWarning is raised on the way."""
-        extra = {"--composition": None, "--rate": "1.5"} if mode == "wsc-fixed" else {}
+        monkeypatch.setattr("cpcodes.design.substream", no_draw)
+        extra = {"--composition": None, "--rate": "1.5"} if mode.startswith("wsc") else {}
         args = design_args(str(tmp_path / "x.json"), **{"--mode": mode, "--sigma": sigma, **extra})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = runner.invoke(main, args)
         assert res.exit_code == 3
-        assert "sigma must be positive" in res.output
+        assert "sigma must be positive and finite" in res.output
         assert "RuntimeWarning" not in res.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("option, value", [("--samples", "100"), ("--j", "0"), ("--n", "0")])
+    def test_out_of_range_option_is_usage_error(self, runner, tmp_path, option, value):
+        res = runner.invoke(main, design_args(str(tmp_path / "x.json"), **{option: value}))
+        assert res.exit_code == 2, res.output
+        assert "design infeasible" not in res.output
 
     def test_common_needs_one_composition(self, runner, tmp_path):
         res = runner.invoke(
@@ -238,6 +243,32 @@ def test_golden_streams(runner, tmp_path, book):
     assert res.exit_code == 0, res.output
     assert stream.read_bytes() == (DATA / f"{book}.cpc").read_bytes()
     assert recon.read_bytes() == (DATA / f"{book}_decoded.csv").read_bytes()
+
+
+GOLDEN_DESIGNS = {
+    "common_v1": ["--n", "6", "--j", "2", "--variant", "1", "--mode", "common",
+                  "--composition", "2,2,2", "--seed", "7"],
+    "wsc_fixed_v1": ["--n", "7", "--j", "3", "--variant", "1", "--mode", "wsc-fixed",
+                     "--rate", "1.5", "--seed", "1"],
+    "wsc_fixed_v2": ["--n", "7", "--j", "3", "--variant", "2", "--mode", "wsc-fixed",
+                     "--rate", "2", "--seed", "2"],
+    "wsc_var_v1": ["--n", "7", "--j", "2", "--variant", "1", "--mode", "wsc-var",
+                   "--rate", "1.2", "--seed", "3"],
+    "wsc_var_v2": ["--n", "7", "--j", "2", "--variant", "2", "--mode", "wsc-var",
+                   "--rate", "2", "--g-lambda", "lambda24", "--no-conjecture-filter",
+                   "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DESIGNS))
+def test_golden_design_files(runner, tmp_path, name):
+    """Codebooks and design reports, Lloyd trajectory and rate allocation
+    included, stay byte for byte the pinned ones."""
+    out = tmp_path / "cb.json"
+    res = runner.invoke(main, ["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (DATA / f"golden_design_{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])

@@ -108,7 +108,7 @@ class TestCommonCompositionDesign:
     def test_probs_sum_to_one(self):
         t = gaussian_order_stats(5)
         res = design_common_composition(Composition((2, 3)), small_cfg(3, seed=4), t)
-        assert sum(res.probs) == pytest.approx(1.0, abs=0)
+        assert sum(res.code.probs) == pytest.approx(1.0, abs=0)
 
     def test_decomposition_identity(self):
         t = gaussian_order_stats(7)

@@ -68,7 +68,7 @@ def run_case(name):
             {"parts": list(cw.composition.parts), "levels": _hex(cw.levels)}
             for cw in res.code.subcodes
         ],
-        "probs": _hex(res.probs),
+        "probs": _hex(res.code.probs),
         "distortion": float(res.distortion).hex(),
         "history": _hex(res.distortion_history),
         "iterations": res.iterations,

@@ -324,14 +324,14 @@ class TestHighresModelCurves:
 class TestEndToEndDesigns:
     def test_fixed_rate_j1_is_single_code_search(self):
         cfg = DesignConfig(J=1, variant=VARIANT_I, sample_count=20_000, rng_seed=0)
-        res = design_fixed_rate(7, 1, 1.0, cfg)
+        res = design_fixed_rate(7, 1.0, cfg)
         assert res.code.J == 1
         # J=1 target is 2^(nR); the chosen composition has the closest size
         assert abs(math.log2(res.code.sizes[0]) - 7.0) <= 1.0
 
     def test_variable_rate_reports(self):
         cfg = DesignConfig(J=2, variant=VARIANT_I, sample_count=20_000, rng_seed=1)
-        res = design_variable_rate(7, 2, 1.2, cfg)
+        res = design_variable_rate(7, 1.2, cfg)
         report = res.report
         assert set(report) >= {
             "inputs", "gains", "probs", "M_targets", "chosen_compositions",
@@ -342,11 +342,11 @@ class TestEndToEndDesigns:
 
     def test_fixed_rate_reasonable_rate(self):
         cfg = DesignConfig(J=3, variant=VARIANT_I, sample_count=20_000, rng_seed=2)
-        res = design_fixed_rate(7, 3, 1.3, cfg)
+        res = design_fixed_rate(7, 1.3, cfg)
         assert abs(res.rate - 1.3) < 0.5
         assert 0 < res.distortion < 1.0
 
     def test_rate_too_low_propagates(self):
         cfg = DesignConfig(J=2, variant=VARIANT_I, sample_count=20_000, rng_seed=3)
         with pytest.raises(RateTooLowError):
-            design_variable_rate(7, 2, 0.01, cfg)
+            design_variable_rate(7, 0.01, cfg)
