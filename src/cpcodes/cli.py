@@ -9,11 +9,16 @@ versions, output paths and wall time.
 Exit codes: 0 success, 2 bad usage, 3 design infeasible, 4 bad input
 (dimension mismatch, non-finite value or unreadable codebook), 5 corrupt
 stream, 6 resource guard exceeded.
+
+Each command imports the modules it runs inside its own body: ``encode`` and
+``decode`` load the codec, ``ratepoints`` the combinatorics alone.  ``cpc``
+and ``python -m cpcodes.cli`` enter through :func:`run`.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import math
 import os
@@ -24,40 +29,28 @@ import time
 import click
 import numpy as np
 
-from . import __version__, evaluation, wsc
+from . import __version__
 from .combinatorics import Composition, ResourceLimitError, rate_point_census
-from .codec import (
-    StreamError,
-    decode_batch,
-    encode_batch,
-    load_code,
-    read_stream,
-    save_code,
-    write_stream,
-)
-from .design import (
-    MIN_TRAINING_SAMPLES,
-    DesignConfig,
-    DesignInfeasibleError,
-    design_common_composition,
-    lloyd_general,
-)
-from .order_stats import gaussian_order_stats
-from .streams import GENERATOR_ID
+from .streams import GENERATOR_ID, MIN_TRAINING_SAMPLES
 
 
 class BadInputError(Exception):
     """A vector file or codebook that the program cannot use."""
 
 
-# (exception types, exit code, stderr prefix). The first match wins, so
-# ResourceLimitError, a RuntimeError, comes before any wider net.
-EXITS = (
-    (ResourceLimitError, 6, "resource guard: "),
-    (StreamError, 5, "corrupt stream: "),
-    (DesignInfeasibleError, 3, "design infeasible: "),
-    (BadInputError, 4, ""),
-)
+def _exits():
+    """The ``(exception types, exit code, stderr prefix)`` rows every command
+    shares.  The first match wins, so ResourceLimitError, a RuntimeError, comes
+    before any wider net.  Built only when a command fails, so that a command
+    that never touches a stream does not load the codec for its StreamError.
+    """
+    from .codec import StreamError
+
+    return (
+        (ResourceLimitError, 6, "resource guard: "),
+        (StreamError, 5, "corrupt stream: "),
+        (BadInputError, 4, ""),
+    )
 
 
 def _versions() -> dict:
@@ -106,7 +99,7 @@ def _recorded(*exits):
     """Wrap a command body that returns its output paths.
 
     Adds the ``--manifest`` option, times the run, maps the body's expected
-    exceptions to exit codes through ``EXITS`` and then ``exits``, and writes
+    exceptions to exit codes through :func:`_exits` and then ``exits``, and writes
     the manifest, by default to ``<first output>.manifest.json``.
     """
     def decorate(body):
@@ -116,7 +109,7 @@ def _recorded(*exits):
             try:
                 outputs = body(**kwargs)
             except Exception as exc:
-                for types, code, prefix in EXITS + exits:
+                for types, code, prefix in _exits() + exits:
                     if isinstance(exc, types):
                         click.echo(f"{prefix}{exc}", err=True)
                         sys.exit(code)
@@ -132,6 +125,8 @@ def _recorded(*exits):
 
 
 def _load_code(path):
+    from .codec import load_code
+
     try:
         return load_code(path)
     except (KeyError, TypeError, ValueError) as exc:
@@ -160,6 +155,21 @@ def main():
     """Design, code with, and evaluate permutation codebooks on concentric spheres."""
 
 
+def run():
+    """The ``cpc`` process: :func:`main` between two ``gc.freeze()`` calls.
+
+    The first freeze moves the import heap out of the collector's reach for the
+    command's own collections, the second moves whatever the command loaded;
+    the full collection at interpreter exit then skips both.  Tests and
+    ``cpc replay`` call :func:`main`, so nothing is frozen in their process.
+    """
+    gc.freeze()
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 @main.command("design")
 @click.option("--n", type=click.IntRange(min=1), required=True, help="Vector dimension.")
 @click.option("--j", "-J", "j_spheres", type=click.IntRange(min=1), default=1, show_default=True, help="Sphere count.")
@@ -183,9 +193,16 @@ def main():
 def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, sigma,
                g_lambda, no_conjecture_filter, out):
     """Design a codebook and write it with a run manifest."""
+    from . import wsc
+    from .codec import save_code
+    from .design import DesignConfig, design_common_composition, lloyd_general
+    from .order_stats import gaussian_order_stats
+
     variant = int(variant)
     if mode in ("wsc-var", "wsc-fixed") and rate is None:
         raise click.UsageError(f"--rate is required for mode {mode}")
+    if rate is not None and not (math.isfinite(rate) and rate > 0):
+        raise click.UsageError(f"--rate must be positive and finite, got {rate}")
     if mode == "common" and len(compositions) != 1:
         raise click.UsageError("mode common needs exactly one --composition")
     if mode == "general" and not compositions:
@@ -268,6 +285,8 @@ def _csv_lines(W: np.ndarray) -> list[str]:
 @_recorded()
 def cmd_encode(codebook, input_path, output):
     """Encode vectors to the (sphere, rank) stream format."""
+    from .codec import encode_batch, write_stream
+
     code = _load_code(codebook)
     spheres, ranks, _ = encode_batch(_read_vectors(input_path, code.n), code)
     with open(output, "wb") as fp:
@@ -283,6 +302,8 @@ def cmd_encode(codebook, input_path, output):
 @_recorded()
 def cmd_decode(codebook, input_path, output):
     """Reconstruct codewords from an encoded stream."""
+    from .codec import decode_batch, read_stream
+
     code = _load_code(codebook)
     with open(input_path, "rb") as fp:
         spheres, ranks = read_stream(fp, code)
@@ -305,6 +326,8 @@ def cmd_decode(codebook, input_path, output):
 @_recorded()
 def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, output):
     """Measure rate-distortion points and write them as CSV."""
+    from . import evaluation
+
     wanted = [b.strip() for b in baselines.split(",") if b.strip()]
     unknown = set(wanted) - {"ecsq", "ecusq", "bound"}
     if unknown:
@@ -394,4 +417,4 @@ def cmd_replay(manifest_path):
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -32,7 +32,6 @@ negative entry.  Zero-level positions carry no sign bit and decode to +0.0.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -514,22 +513,24 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_varint(fp) -> int | None:
-    shift = 0
+def _read_varint(data: bytes, pos: int) -> tuple[int | None, int]:
+    """The varint that starts at ``data[pos]`` and the position after it;
+    ``(None, pos)`` at the end of ``data``."""
+    try:
+        byte = data[pos]
+    except IndexError:
+        return None, pos
     value = 0
-    started = False
-    while True:
-        chunk = fp.read(1)
-        if not chunk:
-            if started:
-                raise StreamError("truncated varint")
-            return None
-        started = True
-        byte = chunk[0]
+    shift = 0
+    while byte & 0x80:
         value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
         shift += 7
+        pos += 1
+        try:
+            byte = data[pos]
+        except IndexError:
+            raise StreamError("truncated varint") from None
+    return value | byte << shift, pos + 1
 
 
 def write_stream(fp, code: ConcentricCode, spheres, ranks) -> int:
@@ -559,10 +560,15 @@ def read_stream(fp, code: ConcentricCode) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(spheres, ranks)`` as :func:`encode_batch` does: int64 spheres,
     and ranks in the codebook's rank dtype, exact past ``2**63``.
     """
-    fp = io.BytesIO(fp.read())  # one read of the source; the byte-wise parse stays in memory
-    if fp.read(len(_MAGIC)) != _MAGIC:
+    data = fp.read()  # one read of the source, parsed in memory by index
+    if data[: len(_MAGIC)] != _MAGIC:
         raise StreamError("bad magic; not an encoded-index stream")
-    n, variant, j_count = (_read_varint(fp) for _ in range(3))
+    pos = len(_MAGIC)
+    header = []
+    for _ in range(3):
+        value, pos = _read_varint(data, pos)
+        header.append(value)
+    n, variant, j_count = header
     if (n, variant, j_count) != (code.n, code.variant, code.J):
         raise StreamError(
             f"stream header (n={n}, variant={variant}, J={j_count}) does not match codebook"
@@ -570,18 +576,19 @@ def read_stream(fp, code: ConcentricCode) -> tuple[np.ndarray, np.ndarray]:
     sizes = code.sizes
     spheres, ranks = [], []
     while True:
-        sphere = _read_varint(fp)
+        sphere, pos = _read_varint(data, pos)
         if sphere is None:
             return np.array(spheres, dtype=np.int64), np.array(ranks, dtype=code._tables.dtype)
-        if sphere >= code.J:
+        if sphere >= j_count:
             raise StreamError(f"record {len(spheres)}: sphere {sphere} out of range")
-        length = _read_varint(fp)
+        length, pos = _read_varint(data, pos)
         if length is None:
             raise StreamError(f"record {len(spheres)}: missing rank")
-        payload = fp.read(length)
-        if len(payload) != length:
+        stop = pos + length
+        if stop > len(data):
             raise StreamError(f"record {len(spheres)}: truncated rank payload")
-        rank = int.from_bytes(payload, "big")
+        rank = int.from_bytes(data[pos:stop], "big")
+        pos = stop
         if rank >= sizes[sphere]:
             raise StreamError(f"record {len(spheres)}: rank {rank} out of range")
         spheres.append(sphere)

@@ -16,6 +16,8 @@ GENERATOR_ID = "philox4x64/seedseq(entropy=seed, spawn_key=(crc32(label), shard)
 
 SHARD_VECTORS = 1 << 16  # vectors per evaluation shard; fixed, never tuned per run
 
+MIN_TRAINING_SAMPLES = 10_000  # fewest rows a designer's training draw may have
+
 
 def substream(seed: int, label: str, shard: int = 0) -> np.random.Generator:
     """Independent generator for (seed, label, shard)."""

@@ -95,6 +95,22 @@ class TestDesign:
         )
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("rate", ["inf", "nan", "-1", "0"])
+    def test_rate_not_finite_and_positive_is_usage_error(self, runner, tmp_path, rate):
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["design", "--n", "6", "--j", "2", "--mode", "wsc-var",
+                                   "--rate", rate, "--samples", "10000", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "--rate must be positive and finite" in res.output
+        assert not out.exists()
+
+    def test_too_low_rate_exits_3(self, runner, tmp_path):
+        res = runner.invoke(main, ["design", "--n", "6", "--j", "2", "--mode", "wsc-var",
+                                   "--rate", "0.01", "--samples", "10000",
+                                   "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 3, res.output
+        assert "design infeasible: rate 0.01 bits/sample is too low" in res.output
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "0"])
     @pytest.mark.parametrize("mode", ["common", "general", "wsc-var", "wsc-fixed"])
     def test_non_finite_sigma_exits_3(self, runner, tmp_path, monkeypatch, mode, sigma):
@@ -300,14 +316,19 @@ _RUN_ARGVS = ("import json, sys\nfrom cpcodes.cli import main\n"
               "for argv in json.loads(sys.argv[1]): main.main(args=argv, standalone_mode=False)")
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing this checkout's cpcodes."""
+    src = str(Path(cpcodes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, capture_output=True,
+                          text=True)
+
+
 def _loaded_after(probe: str, prefixes: tuple[str, ...], *args: str) -> list[str]:
     """Names of the modules starting with one of ``prefixes`` that are loaded
     after ``probe`` runs, with ``args`` as its argv, in a fresh interpreter."""
-    src = str(Path(cpcodes.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     report = f"\nimport sys\nprint('loaded:', *sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
-    run = subprocess.run([sys.executable, "-c", probe + report, *args], env=env, timeout=120,
-                         capture_output=True, text=True)
+    run = _python("-c", probe + report, *args)
     assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()[-1].split()[1:]
 
@@ -332,6 +353,60 @@ def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
     ]
     assert _loaded_after(_RUN_ARGVS, ("scipy.special",), json.dumps(runs)) == []
     assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
+
+
+_DESIGN_MODULES = ("cpcodes.design", "cpcodes.wsc", "cpcodes.evaluation", "cpcodes.order_stats")
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """encode and decode load the codec but no designer, evaluator or
+    order-statistic module; ratepoints loads not even the codec."""
+    stream = str(tmp_path / "x.cpc")
+    encode = ["encode", "--codebook", str(DATA / "golden_v1.json"),
+              "--input", str(DATA / "golden_vectors.csv"), "--output", stream]
+    decode = ["decode", "--codebook", str(DATA / "golden_v1.json"),
+              "--input", str(DATA / "golden_v1.cpc"), "--output", str(tmp_path / "x.csv")]
+    for argv in (encode, decode):
+        assert _loaded_after(_RUN_ARGVS, _DESIGN_MODULES, json.dumps([argv])) == []
+    ratepoints = ["ratepoints", "--n-range", "2:4", "--j-range", "1:2",
+                  "--output", str(tmp_path / "r.csv")]
+    assert _loaded_after(_RUN_ARGVS, _DESIGN_MODULES + ("cpcodes.codec",),
+                         json.dumps([ratepoints])) == []
+    assert Path(stream).read_bytes() == (DATA / "golden_v1.cpc").read_bytes()
+    assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
+
+
+class TestProcessEntry:
+    """``python -m cpcodes.cli`` enters through ``run``, as the installed ``cpc`` does."""
+
+    def test_bad_usage_exits_2(self, tmp_path):
+        out = tmp_path / "x.json"
+        run = _python("-m", "cpcodes.cli", "design", "--n", "6", "--j", "2", "--mode", "wsc-var",
+                      "--rate", "inf", "--samples", "10000", "--out", str(out))
+        assert run.returncode == 2, run.stderr
+        assert "--rate must be positive and finite" in run.stderr
+        assert not out.exists()
+
+    def test_bad_input_row_exits_4(self, tmp_path):
+        vecs = tmp_path / "x.csv"
+        vecs.write_text("1,2,3,4,5,6\n1,2,3\n")
+        run = _python("-m", "cpcodes.cli", "encode", "--codebook", str(DATA / "golden_v1.json"),
+                      "--input", str(vecs), "--output", str(tmp_path / "x.cpc"))
+        assert run.returncode == 4, run.stderr
+        assert "row 2: expected 6 values, got 3" in run.stderr
+
+    def test_run_freezes_and_main_does_not(self):
+        probe = ("import gc, sys\nfrom cpcodes.cli import main, run\n"
+                 "main.main(args=['--help'], standalone_mode=False)\n"
+                 "print('frozen:', gc.get_freeze_count())\n"
+                 "sys.argv = ['cpc', '--help']\n"
+                 "try:\n    run()\nexcept SystemExit as exc:\n"
+                 "    print('frozen:', gc.get_freeze_count(), exc.code)")
+        run = _python("-c", probe)
+        assert run.returncode == 0, run.stderr
+        before, after = [line.split()[1:] for line in run.stdout.splitlines()
+                         if line.startswith("frozen:")]
+        assert before == ["0"] and int(after[0]) > 0 and after[1] == "0"
 
 
 def test_eval_skips_scipy_special(tmp_path):
@@ -445,14 +520,13 @@ class TestSeedsAndThreads:
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        import cpcodes.cli
-        from cpcodes import evaluation
+        from cpcodes import design, evaluation
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
         for module, name in ((evaluation, "ThreadPoolExecutor"), (evaluation, "substream"),
-                             (cpcodes.cli, "design_common_composition")):
+                             (design, "design_common_composition")):
             monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--threads", "0"),

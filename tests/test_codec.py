@@ -624,3 +624,21 @@ class TestSerialization:
         assert decoded.tobytes() == W.tobytes()
         text = "".join(",".join(repr(v) for v in row) + "\n" for row in decoded.tolist())
         assert text == (DATA / f"{book}_decoded.csv").read_text()
+
+    def test_every_cut_of_golden_stream_fails_or_keeps_a_prefix(self):
+        """A stream cut at any byte either raises StreamError or reads back the
+        first records unchanged; no cut yields a record that was not written."""
+        code = load_code(DATA / "golden_v1.json")
+        data = (DATA / "golden_v1.cpc").read_bytes()
+        spheres, ranks = read_stream(io.BytesIO(data), code)
+        prefixes = 0
+        for cut in range(len(data)):
+            try:
+                got_spheres, got_ranks = read_stream(io.BytesIO(data[:cut]), code)
+            except StreamError:
+                continue
+            k = len(got_spheres)
+            assert k < len(spheres)
+            assert np.array_equal(got_spheres, spheres[:k]) and np.array_equal(got_ranks, ranks[:k])
+            prefixes += 1
+        assert prefixes > 0

@@ -149,6 +149,25 @@ class TestEmptyCellReseed:
         assert len(set(res.code.subcodes)) == 3
 
 
+class TestCellMeans:
+    def test_bit_identical_to_masked_mean(self):
+        """Each cell mean rounds as ``points[assign == j].mean(axis=0)``, for
+        one column (pairwise) and for two to sixteen (row by row)."""
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            K = int(rng.integers(1, 17))
+            m = int(rng.choice([int(rng.integers(2, 500)), int(rng.integers(500, 200_001))]))
+            J = int(rng.integers(1, 5))
+            cells = [rng.standard_normal((m, K)) * rng.uniform(0.1, 10.0) for _ in range(J)]
+            assign = rng.integers(0, J, size=m)
+            assign[:J] = np.arange(J)  # no empty cell
+            means, empty = design._cell_means(cells, assign, np.zeros(m))
+            assert empty == 0
+            for j, (points, mean) in enumerate(zip(cells, means)):
+                want = points.take(np.flatnonzero(assign == j), axis=0).mean(axis=0)
+                assert [float(v).hex() for v in mean] == [float(v).hex() for v in want], (K, m)
+
+
 class TestLloydGeneral:
     def test_j1_converges_to_group_means(self):
         t = gaussian_order_stats(5)
