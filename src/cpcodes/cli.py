@@ -186,14 +186,13 @@ def run():
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
-@click.option("--g-lambda", default="scalar", show_default=True, help="Lattice second moment: scalar, lambda24, or a float.")
+@click.option("--g-lambda", default="scalar", show_default=True, help="Lattice second moment (wsc-var): scalar, lambda24, or a float.")
 @click.option("--no-conjecture-filter", is_flag=True, help="Search all compositions, not just the monotone-pattern subset.")
 @click.option("--out", type=click.Path(), default="codebook.json", show_default=True)
 @_recorded(((RuntimeError, ValueError), 3, "design infeasible: "))
 def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, sigma,
                g_lambda, no_conjecture_filter, out):
     """Design a codebook and write it with a run manifest."""
-    from . import wsc
     from .codec import save_code
     from .design import DesignConfig, design_common_composition, lloyd_general
     from .order_stats import gaussian_order_stats
@@ -207,12 +206,6 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         raise click.UsageError("mode common needs exactly one --composition")
     if mode == "general" and not compositions:
         raise click.UsageError("mode general needs --composition (one per sphere, or one shared)")
-    g_lambda_value = wsc.LATTICE_SECOND_MOMENTS.get(g_lambda)
-    if g_lambda_value is None:
-        try:
-            g_lambda_value = float(g_lambda)
-        except ValueError:
-            raise click.UsageError(f"unknown --g-lambda {g_lambda!r}")
     cfg = DesignConfig(J=j_spheres, variant=variant, sample_count=samples, rng_seed=seed)
     design_block: dict = {"mode": mode, "config": {
         "J": j_spheres, "variant": variant, "samples": samples, "seed": seed, "sigma": sigma,
@@ -231,10 +224,22 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         design_block.update(iterations=result.iterations, empirical_D=result.distortion,
                             converged=result.converged)
     else:
+        from . import evaluation, wsc
+
+        try:
+            evaluation.threads_from_env()  # the designer's evaluation pass reads it
+        except ValueError as exc:
+            raise click.UsageError(f"bad CPC_THREADS: {exc}")
         designer = wsc.design_variable_rate if mode == "wsc-var" else wsc.design_fixed_rate
         kwargs = {"sigma": sigma, "filt": "none" if no_conjecture_filter else None}
         if mode == "wsc-var":
-            kwargs["g_lambda"] = g_lambda_value
+            try:
+                value = wsc.LATTICE_SECOND_MOMENTS.get(g_lambda) or float(g_lambda)
+            except ValueError:
+                raise click.UsageError(f"unknown --g-lambda {g_lambda!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise click.UsageError(f"--g-lambda must be positive and finite, got {g_lambda}")
+            kwargs["g_lambda"] = value
         result = designer(n, rate, cfg, **kwargs)
         design_block.update(iterations=result.lloyd.iterations, empirical_D=result.distortion,
                             report=result.report)

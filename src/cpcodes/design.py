@@ -226,25 +226,15 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
 
     Only meaningful when every subcode shares one composition.  Returns
     ``(direct, decomposed)`` per-sample distortions; the two agree up to
-    floating-point roundoff.
+    floating-point roundoff.  An independent reference for the check that
+    :func:`design_common_composition` makes with its own quantities.
     """
-    s = sort_by_variant(np.asarray(x, dtype=float), code.variant)
-    return _decomposition(code, s, _nearest_sorted(s, code)[1])
-
-
-def _nearest_sorted(s: np.ndarray, code: ConcentricCode):
-    """The encoder's and the evaluator's ``(assign, mind)`` for the sorted rows ``s``."""
-    return nearest_subcode(sorted_distances(np.ascontiguousarray(s.T), code))
-
-
-def _decomposition(code: ConcentricCode, s: np.ndarray, mind: np.ndarray):
-    """:func:`distortion_decomposition` of the sorted samples ``s``, whose
-    nearest-subcode distances ``mind`` are already known."""
     c = code.subcodes[0].composition
     if any(cw.composition != c for cw in code.subcodes):
         raise ValueError("decomposition requires a common composition")
     n = code.n
-    direct = float(mind.mean()) / n
+    s = sort_by_variant(np.asarray(x, dtype=float), code.variant)
+    direct = float(_nearest_sorted(s, code)[1].mean()) / n
 
     proj = grouped_projection(s, c)
     points = np.stack(
@@ -258,36 +248,29 @@ def _decomposition(code: ConcentricCode, s: np.ndarray, mind: np.ndarray):
     return direct, (reduced + energy - shrink) / n
 
 
-def _lloyd_result(s, parts, levels, cfg, rounds, reduced=None) -> LloydResult:
+def _nearest_sorted(s: np.ndarray, code: ConcentricCode):
+    """The encoder's and the evaluator's ``(assign, mind)`` for the sorted rows ``s``."""
+    return nearest_subcode(sorted_distances(np.ascontiguousarray(s.T), code))
+
+
+def _lloyd_result(s, parts, levels, cfg, rounds) -> LloydResult:
     """The codebook with ``parts[j]`` and ``levels[j]`` on sphere j, and its
     training distortion and sphere probabilities under the encoder's rule.
 
-    ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.  The
-    reduced designer passes its final centroids as ``reduced``; unless levels
-    merged, its distortion is then checked against the reduced-space
-    decomposition.
+    ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.
     """
     history, events, converged = rounds
     built = [_codeword_from_levels(p, lv, cfg.variant) for p, lv in zip(parts, levels)]
     subcodes = tuple(cw for cw, _ in built)
-    merged_any = any(merged for _, merged in built)
     assign, mind = _nearest_sorted(s, ConcentricCode(subcodes))
-    code = ConcentricCode(subcodes, probs=tuple(np.bincount(assign, minlength=cfg.J) / len(s)))
-    if reduced is not None and not merged_any:
-        direct, decomposed = _decomposition(code, s, mind)
-        if abs(direct - decomposed) > 1e-9 * max(abs(direct), 1e-300):
-            raise AssertionError(
-                f"distortion decomposition mismatch: {direct} vs {decomposed}"
-            )
     return LloydResult(
-        code=code,
+        code=ConcentricCode(subcodes, probs=tuple(np.bincount(assign, minlength=cfg.J) / len(s))),
         distortion=float(mind.mean()) / s.shape[1],
         distortion_history=history,
         iterations=len(history),
         converged=converged,
         empty_cell_events=events,
-        merged_levels=merged_any,
-        reduced=None if reduced is None else ReducedVQ(reduced),
+        merged_levels=any(merged for _, merged in built),
     )
 
 
@@ -319,8 +302,20 @@ def design_common_composition(
 
     means, *rounds = _lloyd([proj] * cfg.J, proj[init_rows], distances, c.n, energy)
     centroids = np.stack(means)
-    levels = centroids / np.sqrt(np.asarray(c.parts, dtype=float))
-    return _lloyd_result(s, [c.parts] * cfg.J, levels, cfg, rounds, reduced=centroids)
+    scale = np.sqrt(np.asarray(c.parts, dtype=float))
+    result = _lloyd_result(s, [c.parts] * cfg.J, centroids / scale, cfg, rounds)
+    if not result.merged_levels:
+        # encoder distortion = reduced distortion + energy - projected energy,
+        # the reduced one at the final points (variant II levels are clamped at 0)
+        points = np.array([cw.levels for cw in result.code.subcodes]) * scale
+        reduced = float(distances(points).min(axis=0).mean())
+        decomposed = (reduced + energy[0] - energy[1]) / c.n
+        if abs(result.distortion - decomposed) > 1e-9 * max(abs(result.distortion), 1e-300):
+            raise AssertionError(
+                f"distortion decomposition mismatch: {result.distortion} vs {decomposed}"
+            )
+    result.reduced = ReducedVQ(centroids)
+    return result
 
 
 def lloyd_general(

@@ -130,12 +130,8 @@ def empirical_distortions(
         return parts
 
     jobs = list(enumerate(min(SHARD_VECTORS, samples - lo) for lo in range(0, samples, SHARD_VECTORS)))
-    workers = threads_from_env(threads)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_shard, jobs))
-    else:
-        results = [run_shard(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads_from_env(threads)) as pool:
+        results = list(pool.map(run_shard, jobs))
 
     out = []
     for i, code in enumerate(codes):
@@ -277,7 +273,9 @@ def _uniform_quantizer_curve(steps, sigma: float, optimal_codewords: bool, metho
     # cells are [(k-1/2)step, (k+1/2)step); the center cell straddles 0 so the
     # step -> inf limit is a single cell with rate 0 and distortion sigma^2.
     # Cell k's upper edge is cell k+1's lower edge, so each edge appears once.
-    steps = [float(s) for s in _checked(steps)]
+    steps = [float(s) for s in steps]
+    if any(s <= 0 for s in steps):
+        raise ValueError("quantizer steps must be positive")
     if not steps:
         return []
     grids = []
@@ -328,13 +326,6 @@ def ecusq_curve(steps, sigma: float = 1.0) -> list[RDPoint]:
 def ecsq_curve(steps, sigma: float = 1.0) -> list[RDPoint]:
     """Uniform thresholds with conditional-mean codewords."""
     return _uniform_quantizer_curve(steps, sigma, True, "ecsq")
-
-
-def _checked(steps):
-    steps = list(steps)
-    if any(s <= 0 for s in steps):
-        raise ValueError("quantizer steps must be positive")
-    return steps
 
 
 DEFAULT_BASELINE_STEPS = tuple(np.geomspace(0.05, 20.0, 48))

@@ -154,7 +154,8 @@ def _unit_table(n: int):
     return tuple(_freeze(a) for a in (mean_xi, second_xi, mean_eta, second_eta))
 
 
-def _build_table(n: int, sigma: float) -> OrderStatTable:
+def gaussian_order_stats(n: int, sigma: float = 1.0) -> OrderStatTable:
+    """Order-statistic moment table for n i.i.d. N(0, sigma^2) variates."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (math.isfinite(sigma) and sigma > 0):
@@ -162,15 +163,10 @@ def _build_table(n: int, sigma: float) -> OrderStatTable:
     return OrderStatTable(n=n, sigma=float(sigma))
 
 
-def gaussian_order_stats(n: int, sigma: float = 1.0) -> OrderStatTable:
-    """Order-statistic moment table for n i.i.d. N(0, sigma^2) variates."""
-    return _build_table(n, sigma)
-
-
 def folded_order_stats(n: int, sigma: float = 1.0) -> OrderStatTable:
     """The same table as :func:`gaussian_order_stats`, which holds the magnitude
     (eta) moments too; kept as a name for callers that read those."""
-    return _build_table(n, sigma)
+    return gaussian_order_stats(n, sigma)
 
 
 def grouped_projection(x_sorted: np.ndarray, c: Composition) -> np.ndarray:

@@ -104,6 +104,16 @@ class TestDesign:
         assert "--rate must be positive and finite" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
+    def test_g_lambda_not_finite_and_positive_is_usage_error(self, runner, tmp_path, value):
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["design", "--n", "6", "--j", "2", "--mode", "wsc-var",
+                                   "--rate", "1.5", "--g-lambda", value, "--samples", "10000",
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "--g-lambda must be positive and finite" in res.output
+        assert not out.exists()
+
     def test_too_low_rate_exits_3(self, runner, tmp_path):
         res = runner.invoke(main, ["design", "--n", "6", "--j", "2", "--mode", "wsc-var",
                                    "--rate", "0.01", "--samples", "10000",
@@ -360,7 +370,8 @@ _DESIGN_MODULES = ("cpcodes.design", "cpcodes.wsc", "cpcodes.evaluation", "cpcod
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """encode and decode load the codec but no designer, evaluator or
-    order-statistic module; ratepoints loads not even the codec."""
+    order-statistic module; ratepoints loads not even the codec; a
+    common-composition design loads neither the wsc designer nor the evaluator."""
     stream = str(tmp_path / "x.cpc")
     encode = ["encode", "--codebook", str(DATA / "golden_v1.json"),
               "--input", str(DATA / "golden_vectors.csv"), "--output", stream]
@@ -372,6 +383,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
                   "--output", str(tmp_path / "r.csv")]
     assert _loaded_after(_RUN_ARGVS, _DESIGN_MODULES + ("cpcodes.codec",),
                          json.dumps([ratepoints])) == []
+    design = design_args(str(tmp_path / "cb.json"))
+    assert _loaded_after(_RUN_ARGVS, ("cpcodes.wsc", "cpcodes.evaluation"),
+                         json.dumps([design])) == []
     assert Path(stream).read_bytes() == (DATA / "golden_v1.cpc").read_bytes()
     assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
 
@@ -526,7 +540,7 @@ class TestSeedsAndThreads:
             raise AssertionError("work started")
 
         for module, name in ((evaluation, "ThreadPoolExecutor"), (evaluation, "substream"),
-                             (design, "design_common_composition")):
+                             (design, "design_common_composition"), (design, "substream")):
             monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--threads", "0"),
@@ -546,6 +560,16 @@ class TestSeedsAndThreads:
                                    "--output", str(out)], env={"CPC_THREADS": value})
         assert res.exit_code == 2, res.output
         assert "Invalid value for '--threads'" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["wsc-var", "wsc-fixed"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_design_environment(self, runner, tmp_path, mode, value):
+        out = tmp_path / "cb.json"
+        args = design_args(str(out), **{"--mode": mode, "--composition": None, "--rate": "1.5"})
+        res = runner.invoke(main, args, env={"CPC_THREADS": value})
+        assert res.exit_code == 2, res.output
+        assert "bad CPC_THREADS" in res.output
         assert not out.exists()
 
     def test_design_seed(self, runner, tmp_path):

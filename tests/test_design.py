@@ -117,6 +117,16 @@ class TestCommonCompositionDesign:
         direct, decomposed = distortion_decomposition(res.code, rng.standard_normal((20_000, 7)))
         assert abs(direct - decomposed) <= 1e-9 * abs(direct)
 
+    def test_designer_checks_decomposition(self, monkeypatch):
+        """The designer checks the encoder's distortion against the reduced-space
+        decomposition: a clean run passes, a distance rule off by 1e-3 raises."""
+        args = (Composition((2, 3, 2)), small_cfg(2, seed=5), gaussian_order_stats(7))
+        assert not design_common_composition(*args).merged_levels
+        exact = design.sorted_distances
+        monkeypatch.setattr(design, "sorted_distances", lambda sT, code: exact(sT, code) + 1e-3)
+        with pytest.raises(AssertionError, match="distortion decomposition mismatch"):
+            design_common_composition(*args)
+
     def test_variant2_levels_nonnegative(self):
         t = folded_order_stats(6)
         res = design_common_composition(
