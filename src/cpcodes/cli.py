@@ -4,11 +4,12 @@ Every command writes its outputs plus a JSON run manifest sufficient to
 replay the run byte-for-byte with ``cpc replay``: the replay ``argv``, the
 working directory ``cwd`` that its relative paths resolve against, the
 ``parameters`` (click's parsed values keyed by parameter name), seed,
-versions, output paths and wall time.
+versions, output paths, wall time and the process's peak memory.
 
 Exit codes: 0 success, 2 bad usage, 3 design infeasible, 4 bad input
 (dimension mismatch, non-finite value or unreadable codebook), 5 corrupt
-stream, 6 resource guard exceeded.
+stream, 6 resource guard exceeded (an enumeration bound or a failed
+allocation).
 
 Each command imports the modules it runs inside its own body: ``encode`` and
 ``decode`` load the codec, ``ratepoints`` the combinatorics alone.  ``cpc``
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -41,13 +43,15 @@ class BadInputError(Exception):
 def _exits():
     """The ``(exception types, exit code, stderr prefix)`` rows every command
     shares.  The first match wins, so ResourceLimitError, a RuntimeError, comes
-    before any wider net.  Built only when a command fails, so that a command
-    that never touches a stream does not load the codec for its StreamError.
+    before any wider net; a failed allocation is a resource guard too.  Built
+    only when a command fails, so that a command that never touches a stream
+    does not load the codec for its StreamError.
     """
     from .codec import StreamError
 
     return (
         (ResourceLimitError, 6, "resource guard: "),
+        (MemoryError, 6, "resource guard: "),
         (StreamError, 5, "corrupt stream: "),
         (BadInputError, 4, ""),
     )
@@ -78,6 +82,13 @@ def _replay_argv(command: click.Command, params: dict) -> list[str]:
     return argv
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB (``ru_maxrss`` is in
+    kB on Linux and in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: float):
     doc = {
         "command": command.name,
@@ -89,6 +100,7 @@ def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: 
         "versions": _versions(),
         "outputs": [str(p) for p in outputs],
         "wall_time_s": wall_time_s,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     with open(params["manifest"], "w", newline="\n") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
@@ -198,7 +210,17 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
     from .order_stats import gaussian_order_stats
 
     variant = int(variant)
-    if mode in ("wsc-var", "wsc-fixed") and rate is None:
+    wsc_mode = mode in ("wsc-var", "wsc-fixed")
+    unread = {  # a non-default value of an option this mode never reads
+        "--rate": rate is not None and not wsc_mode,
+        "--composition": bool(compositions) and wsc_mode,
+        "--g-lambda": g_lambda != "scalar" and mode != "wsc-var",
+        "--no-conjecture-filter": no_conjecture_filter and not wsc_mode,
+    }
+    if any(unread.values()):
+        given = ", ".join(opt for opt, set_ in unread.items() if set_)
+        raise click.UsageError(f"mode {mode} does not read {given}")
+    if wsc_mode and rate is None:
         raise click.UsageError(f"--rate is required for mode {mode}")
     if rate is not None and not (math.isfinite(rate) and rate > 0):
         raise click.UsageError(f"--rate must be positive and finite, got {rate}")

@@ -8,7 +8,8 @@ censusing distinct rate points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -182,15 +183,24 @@ def distinct_multinomials(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RatePointCensus:
-    """Distinct fixed-rate codeword totals reachable with ``J`` subcodebooks."""
+    """Distinct fixed-rate codeword totals reachable with ``J`` subcodebooks.
+
+    ``sums`` holds every multiset sum, sorted and read-only; ``count`` is
+    taken from it without boxing a value, and ``distinct_sums``, as Python
+    ints, is built on first read.  The sums are a function of ``(n, J)``, so
+    a census compares and hashes by ``(n, J, count)``.
+    """
 
     n: int
     J: int
-    distinct_sums: tuple[int, ...]
+    count: int
+    sums: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def count(self) -> int:
-        return len(self.distinct_sums)
+    @cached_property
+    def distinct_sums(self) -> tuple[int, ...]:
+        keep = np.ones(len(self.sums), dtype=bool)
+        keep[1:] = self.sums[1:] != self.sums[:-1]
+        return tuple(self.sums[keep].tolist())
 
 
 def rate_point_census(n: int, J: int, limit: int = 50_000_000) -> RatePointCensus:
@@ -198,7 +208,8 @@ def rate_point_census(n: int, J: int, limit: int = 50_000_000) -> RatePointCensu
 
     The sizes are drawn with replacement from :func:`distinct_multinomials`.
     Raises :class:`ResourceLimitError` when the multiset-choose bound on the
-    enumeration exceeds ``limit``.
+    enumeration exceeds ``limit``.  Besides the sorted sums, counting holds
+    the previous step of :func:`_multiset_sums` and then one boolean per sum.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -214,9 +225,9 @@ def rate_point_census(n: int, J: int, limit: int = 50_000_000) -> RatePointCensu
         )
     sums = _multiset_sums(sizes, J)
     sums.sort()
-    keep = np.ones(len(sums), dtype=bool)
-    keep[1:] = sums[1:] != sums[:-1]
-    return RatePointCensus(n=n, J=J, distinct_sums=tuple(sums[keep].tolist()))
+    sums.flags.writeable = False
+    count = 1 + int(np.count_nonzero(sums[1:] != sums[:-1]))
+    return RatePointCensus(n=n, J=J, count=count, sums=sums)
 
 
 def _multiset_sums(sizes: tuple[int, ...], J: int) -> np.ndarray:
@@ -224,17 +235,24 @@ def _multiset_sums(sizes: tuple[int, ...], J: int) -> np.ndarray:
 
     The J-tuples of nondecreasing indices are built one length at a time and
     kept grouped by their first index, so those that start at index ``i`` or
-    later are a suffix ``flat[offs[i]:]``.  The array has exactly
-    ``comb(len(sizes) + J - 1, J)`` entries.  It is int64 while every sum fits
-    and holds Python ints otherwise, through the same arithmetic.
+    later are a suffix ``flat[offs[i]:]``.  Each length is written group by
+    group into one array, which at the last length has exactly
+    ``comb(len(sizes) + J - 1, J)`` entries.  It is int64 while every sum
+    fits and holds Python ints otherwise, through the same arithmetic.
     """
     dtype = np.int64 if J * sizes[-1] < 2**63 else object
     first = np.array(sizes, dtype=dtype)
     flat, offs = first, range(len(sizes))
     for _ in range(J - 1):
-        groups = [first[i] + flat[offs[i]:] for i in range(len(sizes))]
-        offs = np.cumsum([0] + [len(g) for g in groups[:-1]])
-        flat = np.concatenate(groups)
+        out = np.empty(sum(len(flat) - o for o in offs), dtype=dtype)
+        starts = []
+        lo = 0
+        for size, o in zip(first, offs):
+            starts.append(lo)
+            hi = lo + len(flat) - o
+            np.add(size, flat[o:], out=out[lo:hi])
+            lo = hi
+        flat, offs = out, starts
     return flat
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .combinatorics import Composition, group_starts, index_groups
 from .codec import (
+    SORT_ROWS,
     VARIANT_I,
     VARIANT_II,
     ConcentricCode,
@@ -121,11 +122,23 @@ def pc_distortion_exact(cw: InitialCodeword, table: OrderStatTable) -> float:
 
 
 def _draw_training(cfg: DesignConfig, n: int, sigma: float):
-    """The sorted training rows (magnitudes for variant II) and J start rows."""
+    """The sorted training rows (magnitudes for variant II) and J start rows.
+
+    The rows are drawn, scaled and sorted ``SORT_ROWS`` at a time into one
+    preallocated array, so no unsorted copy of the whole set is ever held.
+    Consecutive draws continue one stream and rows sort independently, so
+    the result equals ``sort_by_variant(rng.standard_normal((m, n)) * sigma,
+    variant)`` bit for bit, and the start rows are drawn after it as before.
+    """
     rng = substream(cfg.rng_seed, "design")
-    x = rng.standard_normal((cfg.sample_count, n)) * sigma
-    init_rows = rng.choice(cfg.sample_count, size=cfg.J, replace=False)
-    return sort_by_variant(x, cfg.variant), init_rows
+    m = cfg.sample_count
+    s = np.empty((m, n))
+    for lo in range(0, m, SORT_ROWS):
+        block = rng.standard_normal((min(SORT_ROWS, m - lo), n))
+        block *= sigma
+        s[lo : lo + len(block)] = sort_by_variant(block, cfg.variant)
+    init_rows = rng.choice(m, size=cfg.J, replace=False)
+    return s, init_rows
 
 
 def _settled(history: list[float]) -> bool:
@@ -249,8 +262,19 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
 
 
 def _nearest_sorted(s: np.ndarray, code: ConcentricCode):
-    """The encoder's and the evaluator's ``(assign, mind)`` for the sorted rows ``s``."""
-    return nearest_subcode(sorted_distances(np.ascontiguousarray(s.T), code))
+    """The encoder's and the evaluator's ``(assign, mind)`` for the sorted rows ``s``.
+
+    Both rules work column by column, so scoring ``SORT_ROWS`` rows at a time
+    gives the same bits while holding one transposed block, not all of ``s.T``.
+    """
+    m = len(s)
+    assign = np.empty(m, dtype=np.intp)
+    mind = np.empty(m)
+    for lo in range(0, m, SORT_ROWS):
+        hi = min(lo + SORT_ROWS, m)
+        sT = np.ascontiguousarray(s[lo:hi].T)
+        assign[lo:hi], mind[lo:hi] = nearest_subcode(sorted_distances(sT, code))
+    return assign, mind
 
 
 def _lloyd_result(s, parts, levels, cfg, rounds) -> LloydResult:

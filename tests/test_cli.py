@@ -51,6 +51,7 @@ class TestDesign:
         assert manifest["command"] == "design"
         assert manifest["outputs"] == [out]
         assert manifest["parameters"]["seed"] == 7
+        assert 0 < manifest["peak_rss_mb"] < 10_000
 
     def test_wsc_fixed_profile(self, runner, tmp_path):
         out = str(tmp_path / "cb.json")
@@ -86,6 +87,47 @@ class TestDesign:
             main, ["design", "--n", "7", "--mode", "wsc-var", "--out", str(tmp_path / "x.json")]
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("mode,extra,unread", [
+        ("common", ["--rate", "3"], "--rate"),
+        ("general", ["--rate", "3"], "--rate"),
+        ("wsc-var", ["--composition", "2,2,2"], "--composition"),
+        ("wsc-fixed", ["--composition", "2,2,2"], "--composition"),
+        ("common", ["--g-lambda", "lambda24"], "--g-lambda"),
+        ("wsc-fixed", ["--g-lambda", "lambda24"], "--g-lambda"),
+        ("common", ["--no-conjecture-filter"], "--no-conjecture-filter"),
+        ("general", ["--no-conjecture-filter"], "--no-conjecture-filter"),
+        ("common", ["--g-lambda", "bogus", "--rate", "3", "--no-conjecture-filter"],
+         "--rate, --g-lambda, --no-conjecture-filter"),
+    ])
+    def test_option_of_another_mode_is_usage_error(self, runner, tmp_path, mode, extra, unread):
+        out = tmp_path / "x.json"
+        wsc = {"--composition": None, "--rate": "1.5"} if mode.startswith("wsc") else {}
+        args = design_args(str(out), **{"--mode": mode, **wsc}) + extra
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert f"mode {mode} does not read {unread}" in res.output
+        assert not out.exists()
+
+    def test_default_g_lambda_is_not_an_unread_option(self, runner, tmp_path):
+        """A replay argv carries ``--g-lambda scalar`` in every mode."""
+        out = str(tmp_path / "cb.json")
+        res = runner.invoke(main, design_args(out) + ["--g-lambda", "scalar"])
+        assert res.exit_code == 0, res.output
+        argv = json.loads(open(out + ".manifest.json").read())["argv"]
+        assert argv[argv.index("--g-lambda") + 1] == "scalar"
+
+    def test_memory_error_exits_6(self, runner, tmp_path, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.43 GiB")
+
+        monkeypatch.setattr("cpcodes.design._draw_training", no_memory)
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, design_args(str(out)))
+        assert res.exit_code == 6, res.output
+        assert "resource guard: Unable to allocate 1.43 GiB" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
 
     def test_infeasible_rate_exits_3(self, runner, tmp_path):
         res = runner.invoke(
@@ -686,7 +728,7 @@ class TestReplay:
         out = str(tmp_path / f"{command}.out")
         argv = {
             "design": design_args(out, **{"--mode": "general", "--variant": "2"})
-            + ["--composition", "1,2,3", "--no-conjecture-filter"],
+            + ["--composition", "1,2,3"],
             "encode": ["encode", "--codebook", codebook, "--input", vecs, "--output", out],
             "decode": ["decode", "--codebook", codebook, "--input", stream, "--output", out],
             "eval": ["eval", "--codebook", codebook, "--codebook", codebook, "--samples", "20000",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -181,7 +182,9 @@ class TestRatePointCensus:
     @pytest.mark.parametrize("n", range(2, 12))
     @pytest.mark.parametrize("J", [1, 2, 3, 4])
     def test_matches_enumeration(self, n, J):
-        assert rate_point_census(n, J).distinct_sums == enumerated_census(n, J)
+        census = rate_point_census(n, J)
+        assert census.distinct_sums == enumerated_census(n, J)
+        assert census.count == len(census.distinct_sums)
 
     @pytest.mark.parametrize("J", [1, 2])
     def test_sums_past_int64(self, J):
@@ -190,6 +193,25 @@ class TestRatePointCensus:
         census = rate_point_census(21, J)
         assert census.distinct_sums == enumerated_census(21, J)
         assert all(type(s) is int for s in census.distinct_sums)
+
+    def test_hashable_and_comparable(self):
+        a, b = rate_point_census(6, 3), rate_point_census(6, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != rate_point_census(6, 2)
+        assert len({a, b, rate_point_census(7, 3)}) == 2
+
+    def test_counts_without_boxing(self):
+        """The census peaks at the sorted sums plus the last step's input and
+        one boolean per sum; numpy registers its buffers with tracemalloc."""
+        entries = math.comb(len(distinct_multinomials(13)) + 3, 4)
+        tracemalloc.start()
+        try:
+            census = rate_point_census(13, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert census.count > 0
+        assert peak <= 1.6 * 8 * entries, peak / (8 * entries)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):

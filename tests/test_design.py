@@ -1,11 +1,21 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cpcodes import design
-from cpcodes.codec import VARIANT_I, VARIANT_II, ConcentricCode, InitialCodeword
+from cpcodes.codec import (
+    SORT_ROWS,
+    VARIANT_I,
+    VARIANT_II,
+    ConcentricCode,
+    InitialCodeword,
+    nearest_subcode,
+    sort_by_variant,
+    sorted_distances,
+)
 from cpcodes.combinatorics import Composition
 from cpcodes.design import (
     DesignConfig,
@@ -22,6 +32,7 @@ from cpcodes.design import (
 )
 from cpcodes.evaluation import empirical_distortion
 from cpcodes.order_stats import folded_order_stats, gaussian_order_stats
+from cpcodes.streams import substream
 
 
 def small_cfg(J, variant=VARIANT_I, seed=0, samples=40_000):
@@ -309,3 +320,44 @@ class TestDesignConfig:
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
             DesignConfig(J=1, variant=3)
+
+
+class TestBoundedMemory:
+    """The training draw and the finishing pass work ``SORT_ROWS`` rows at a
+    time and give the bits of the whole-set computation."""
+
+    m = 2 * SORT_ROWS + 1811  # past MIN_TRAINING_SAMPLES, not a multiple of the block
+
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_blocked_draw_equals_one_shot(self, variant):
+        cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=5)
+        s, init_rows = design._draw_training(cfg, 7, 1.7)
+        rng = substream(5, "design")
+        x = rng.standard_normal((self.m, 7)) * 1.7
+        assert np.array_equal(s, sort_by_variant(x, variant))
+        assert np.array_equal(init_rows, rng.choice(self.m, size=3, replace=False))
+
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_blocked_finishing_pass_equals_whole_set(self, variant):
+        cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=6)
+        s, _ = design._draw_training(cfg, 6, 1.0)
+        levels = [(1.5, 0.5, 0.25), (0.9, 0.3, 0.0), (0.4, 0.2, 0.1)]
+        code = ConcentricCode(tuple(
+            InitialCodeword(Composition((1, 2, 3)), lv, variant) for lv in levels
+        ))
+        assign, mind = design._nearest_sorted(s, code)
+        want_assign, want_mind = nearest_subcode(sorted_distances(np.ascontiguousarray(s.T), code))
+        assert np.array_equal(assign, want_assign)
+        assert np.array_equal(mind, want_mind)
+
+    def test_draw_holds_one_block_beyond_the_set(self):
+        """numpy registers its buffers with tracemalloc, so the peak shows what
+        the draw held besides the sorted set: one block, not whole-set copies."""
+        cfg = DesignConfig(J=3, sample_count=200_000, rng_seed=1)
+        tracemalloc.start()
+        try:
+            s, _ = design._draw_training(cfg, 16, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * s.nbytes, peak / s.nbytes

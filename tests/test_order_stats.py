@@ -156,6 +156,25 @@ class TestGroupedProjection:
         with pytest.raises(ValueError):
             grouped_projection(np.array([1.0, 2.0, 0.0]), Composition((1, 2)))
 
+    @pytest.mark.parametrize("row,ok", [
+        ([math.inf, 1.0, -math.inf], True),
+        ([math.inf, math.inf, 0.0], True),
+        ([1e308, -1e308, -1e308], True),
+        ([-math.inf, 1.0, 0.0], False),
+        ([-1e308, 1e308, 0.0], False),
+        ([5e-324, 1e-323, 0.0], False),
+        ([1.0, math.nan, 2.0], True),  # a NaN compares false either way, as in np.diff(x) > 0
+    ])
+    def test_order_check_matches_diff(self, row, ok):
+        x = np.array([row, [3.0, 2.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):  # np.diff of inf - inf, 1e308 + 1e308
+            assert (not np.any(np.diff(x, axis=-1) > 0)) == ok
+            if ok:
+                grouped_projection(x, Composition((1, 2)))
+            else:
+                with pytest.raises(ValueError, match="sorted in descending order"):
+                    grouped_projection(x, Composition((1, 2)))
+
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             grouped_projection(np.array([2.0, 1.0]), Composition((1, 2)))
