@@ -263,7 +263,7 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
                 raise click.UsageError(f"--g-lambda must be positive and finite, got {g_lambda}")
             kwargs["g_lambda"] = value
         result = designer(n, rate, cfg, **kwargs)
-        design_block.update(iterations=result.lloyd.iterations, empirical_D=result.distortion,
+        design_block.update(iterations=result.iterations, empirical_D=result.distortion,
                             report=result.report)
     save_code(out, result.code, extra={"design": design_block})
     click.echo(f"wrote {out}")

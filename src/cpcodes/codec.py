@@ -48,7 +48,6 @@ VARIANT_II = 2
 _MAGIC = b"CPC1"
 
 # cache-sized blocks, the best measured on a 2-core Xeon with 2 MiB of L2 per core
-SORT_ROWS = 4096  # rows that sorted_columns sorts and transposes at a time
 DISTANCE_COLUMNS = 16384  # columns of a sorted block that sorted_distances takes at a time
 
 
@@ -360,19 +359,9 @@ def sort_by_variant(x: np.ndarray, variant: int) -> np.ndarray:
     return keys
 
 
-def sorted_columns(x: np.ndarray, variant: int) -> np.ndarray:
-    """``sort_by_variant(x, variant).T``, contiguous, built ``SORT_ROWS`` rows
-    at a time: besides ``x`` and the result only one small chunk is held."""
-    m, n = x.shape
-    sT = np.empty((n, m))
-    for lo in range(0, m, SORT_ROWS):
-        sT[:, lo : lo + SORT_ROWS] = sort_by_variant(x[lo : lo + SORT_ROWS], variant).T
-    return sT
-
-
 def sorted_distances(sT: np.ndarray, code: ConcentricCode) -> np.ndarray:
     """``(J, m)`` squared distances from the columns of the sorted block
-    ``sT`` (``(n, m)``, as :func:`sorted_columns` builds it) to each
+    ``sT`` (``(n, m)``, ``sort_by_variant(x, variant).T``) to each
     subcode's best codeword: ``sum_p (sT[p] - v_j[p])**2``, added left to
     right over p.  Sums of squares, so never negative and never -0.0."""
     levels = code._tables.vectors.T[:, :, None]  # (n, J, 1): each subcode's level at p

@@ -8,6 +8,9 @@ per-sphere compositions each sphere keeps its own group sums.  The two
 distance rules stay separate: one matrix product and a matrix-vector product
 per sphere round differently, and the golden designs pin both.  Both record
 their distortion trajectory and are reproducible from (seed, sample_count).
+The shape-gain designers measure their code on fresh samples, so they run
+the per-sphere rounds alone (:func:`lloyd_general_code`) on the row
+energies and group sums, reduced as the training rows are drawn.
 """
 
 from __future__ import annotations
@@ -21,18 +24,16 @@ import numpy as np
 
 from .combinatorics import Composition, group_starts, index_groups
 from .codec import (
-    SORT_ROWS,
     VARIANT_I,
     VARIANT_II,
     ConcentricCode,
     InitialCodeword,
     nearest_subcode,
     sort_by_variant,
-    sorted_columns,
     sorted_distances,
 )
 from .order_stats import OrderStatTable, grouped_projection
-from .streams import MIN_TRAINING_SAMPLES, substream
+from .streams import CHUNK_ROWS, MIN_TRAINING_SAMPLES, normal_blocks, substream
 
 
 class DesignInfeasibleError(RuntimeError):
@@ -121,24 +122,55 @@ def pc_distortion_exact(cw: InitialCodeword, table: OrderStatTable) -> float:
     return total / cw.n
 
 
-def _draw_training(cfg: DesignConfig, n: int, sigma: float):
-    """The sorted training rows (magnitudes for variant II) and J start rows.
+def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarray:
+    """Draw the training rows ``CHUNK_ROWS`` at a time, hand each block,
+    sorted (magnitudes for variant II), to ``take(lo, block)``, and return
+    the J start rows drawn after the last block.
 
-    The rows are drawn, scaled and sorted ``SORT_ROWS`` at a time into one
-    preallocated array, so no unsorted copy of the whole set is ever held.
-    Consecutive draws continue one stream and rows sort independently, so
-    the result equals ``sort_by_variant(rng.standard_normal((m, n)) * sigma,
-    variant)`` bit for bit, and the start rows are drawn after it as before.
+    The blocks are bit for bit the rows of ``sort_by_variant(rng.standard_normal((m,
+    n)) * sigma, variant)``: consecutive draws continue one stream and rows
+    sort independently.
     """
     rng = substream(cfg.rng_seed, "design")
+    for lo, x in normal_blocks(rng, cfg.sample_count, n, sigma):
+        take(lo, sort_by_variant(x, cfg.variant))
+    return rng.choice(cfg.sample_count, size=cfg.J, replace=False)
+
+
+def _draw_training(cfg: DesignConfig, n: int, sigma: float):
+    """The sorted training rows (magnitudes for variant II) and J start rows,
+    filled block by block into one preallocated array, so no unsorted copy
+    of the whole set is ever held."""
+    s = np.empty((cfg.sample_count, n))
+
+    def keep(lo, block):
+        s[lo : lo + len(block)] = block
+
+    return s, _training_blocks(cfg, n, sigma, keep)
+
+
+def _row_reductions(s: np.ndarray, compositions):
+    """The energy of each sorted row and its group sums under each distinct
+    composition; both work row by row, so a block gives its rows' bits."""
+    x2 = np.einsum("ij,ij->i", s, s)
+    return x2, {c: np.add.reduceat(s, group_starts(c), axis=1) for c in compositions}
+
+
+def _reduced_training(compositions, cfg: DesignConfig, sigma: float):
+    """:func:`_row_reductions` of the rows :func:`_draw_training` would
+    return, and its start rows, taken block by block: nothing of size
+    ``samples x n`` is held."""
     m = cfg.sample_count
-    s = np.empty((m, n))
-    for lo in range(0, m, SORT_ROWS):
-        block = rng.standard_normal((min(SORT_ROWS, m - lo), n))
-        block *= sigma
-        s[lo : lo + len(block)] = sort_by_variant(block, cfg.variant)
-    init_rows = rng.choice(m, size=cfg.J, replace=False)
-    return s, init_rows
+    x2 = np.empty(m)
+    sums = {c: np.empty((m, c.num_levels)) for c in compositions}
+
+    def reduce(lo, block):
+        hi = lo + len(block)
+        x2[lo:hi], block_sums = _row_reductions(block, sums)
+        for c, part in block_sums.items():
+            sums[c][lo:hi] = part
+
+    return x2, sums, _training_blocks(cfg, compositions[0].n, sigma, reduce)
 
 
 def _settled(history: list[float]) -> bool:
@@ -264,14 +296,14 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
 def _nearest_sorted(s: np.ndarray, code: ConcentricCode):
     """The encoder's and the evaluator's ``(assign, mind)`` for the sorted rows ``s``.
 
-    Both rules work column by column, so scoring ``SORT_ROWS`` rows at a time
+    Both rules work column by column, so scoring ``CHUNK_ROWS`` rows at a time
     gives the same bits while holding one transposed block, not all of ``s.T``.
     """
     m = len(s)
     assign = np.empty(m, dtype=np.intp)
     mind = np.empty(m)
-    for lo in range(0, m, SORT_ROWS):
-        hi = min(lo + SORT_ROWS, m)
+    for lo in range(0, m, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, m)
         sT = np.ascontiguousarray(s[lo:hi].T)
         assign[lo:hi], mind[lo:hi] = nearest_subcode(sorted_distances(sT, code))
     return assign, mind
@@ -342,30 +374,22 @@ def design_common_composition(
     return result
 
 
-def lloyd_general(
-    compositions: Sequence[Composition], cfg: DesignConfig, table: OrderStatTable
-) -> LloydResult:
-    """Full-dimension alternation for possibly different per-sphere compositions.
-
-    Each round classifies every sorted training vector to its nearest subcode
-    and resets each level to the conditional mean of its group sum.  An empty
-    region is reseeded at the worst-quantized training vector.
-    """
+def _check_compositions(compositions: Sequence[Composition], cfg: DesignConfig) -> int:
+    """The shared dimension of one composition per sphere."""
     if len(compositions) != cfg.J:
         raise ValueError(f"{len(compositions)} compositions for J={cfg.J}")
     n = compositions[0].n
     if any(c.n != n for c in compositions):
         raise ValueError("compositions must share the dimension")
-    if table.n != n:
-        raise ValueError(f"table is for n={table.n}, compositions need n={n}")
+    return n
 
-    s, init_rows = _draw_training(cfg, n, table.sigma)
-    x2 = np.einsum("ij,ij->i", s, s)
 
-    by_composition = {c: np.add.reduceat(s, group_starts(c), axis=1) for c in compositions}
+def _general_rounds(compositions, x2, by_composition, init_rows):
+    """Lloyd rounds over per-sphere group sums: sphere j's levels and
+    :func:`_lloyd`'s ``(history, events, converged)``."""
     group_sums = [by_composition[c] for c in compositions]
     parts_arr = [np.asarray(c.parts, dtype=float) for c in compositions]
-    dists = np.empty((cfg.J, len(s)), dtype=float)
+    dists = np.empty((len(compositions), len(x2)), dtype=float)
 
     def distances(means):
         # x2 - 2*(G_j @ mu) + parts @ mu^2 per sphere, rounded as written
@@ -378,9 +402,46 @@ def lloyd_general(
         return dists
 
     starts = [sums[row] for sums, row in zip(group_sums, init_rows)]
-    means, *rounds = _lloyd(group_sums, starts, distances, n)
-    levels = [mean / parts for mean, parts in zip(means, parts_arr)]
+    means, *rounds = _lloyd(group_sums, starts, distances, compositions[0].n)
+    return [mean / parts for mean, parts in zip(means, parts_arr)], rounds
+
+
+def lloyd_general(
+    compositions: Sequence[Composition], cfg: DesignConfig, table: OrderStatTable
+) -> LloydResult:
+    """Full-dimension alternation for possibly different per-sphere compositions.
+
+    Each round classifies every sorted training vector to its nearest subcode
+    and resets each level to the conditional mean of its group sum.  An empty
+    region is reseeded at the worst-quantized training vector.
+    """
+    n = _check_compositions(compositions, cfg)
+    if table.n != n:
+        raise ValueError(f"table is for n={table.n}, compositions need n={n}")
+    s, init_rows = _draw_training(cfg, n, table.sigma)
+    levels, rounds = _general_rounds(compositions, *_row_reductions(s, compositions), init_rows)
     return _lloyd_result(s, [c.parts for c in compositions], levels, cfg, rounds)
+
+
+def lloyd_general_code(
+    compositions: Sequence[Composition], cfg: DesignConfig, sigma: float
+) -> tuple[ConcentricCode, int]:
+    """The codebook of :func:`lloyd_general` and its number of Lloyd rounds,
+    without its finishing pass.
+
+    The rounds read only each training row's energy and group sums, so the
+    rows are reduced to those as they are drawn and no ``samples x n`` array
+    is held.  For a caller that measures the code on fresh samples, which
+    :func:`lloyd_general`'s training probabilities and distortion would not
+    serve.
+    """
+    _check_compositions(compositions, cfg)
+    x2, sums, init_rows = _reduced_training(compositions, cfg, sigma)
+    levels, (history, _, _) = _general_rounds(compositions, x2, sums, init_rows)
+    subcodes = tuple(
+        _codeword_from_levels(c.parts, lv, cfg.variant)[0] for c, lv in zip(compositions, levels)
+    )
+    return ConcentricCode(subcodes), len(history)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +504,13 @@ def estimate_zeta_split(
     if q <= r:
         raise ValueError(f"groups m={m} need n_m > n_m+1, got {q} <= {r}")
     left = sum(c.parts[: m - 1])
-    rng = substream(seed, "zeta")
-    eta = sort_by_variant(rng.standard_normal((samples, c.n)) * sigma, VARIANT_II)
-    first = eta[:, left : left + r].sum(axis=1) / r
-    middle = eta[:, left + r : left + q].sum(axis=1) * (2.0 / (q - r))
-    last = eta[:, left + q : left + q + r].sum(axis=1) / r
-    zeta = first - middle + last
+    zeta = np.empty(samples)
+    for lo, x in normal_blocks(substream(seed, "zeta"), samples, c.n, sigma):
+        eta = sort_by_variant(x, VARIANT_II)
+        first = eta[:, left : left + r].sum(axis=1) / r
+        middle = eta[:, left + r : left + q].sum(axis=1) * (2.0 / (q - r))
+        last = eta[:, left + q : left + q + r].sum(axis=1) / r
+        zeta[lo : lo + len(x)] = first - middle + last
     plus = float(np.maximum(zeta, 0.0).mean())
     minus = float(np.maximum(-zeta, 0.0).mean())
     return plus, minus
@@ -509,10 +571,13 @@ def swap_improvement_test(
         tuple(InitialCodeword(swapped, lv, VARIANT_II) for lv in new_levels)
     )
 
+    d_before = np.empty(cfg.sample_count)
+    d_after = np.empty(cfg.sample_count)
     rng = substream(cfg.rng_seed, "swap-eval")
-    sT = sorted_columns(rng.standard_normal((cfg.sample_count, c.n)) * table.sigma, VARIANT_II)
-    d_before = nearest_subcode(sorted_distances(sT, before))[1] / c.n
-    d_after = nearest_subcode(sorted_distances(sT, after))[1] / c.n
+    for lo, x in normal_blocks(rng, cfg.sample_count, c.n, table.sigma):
+        sT = np.ascontiguousarray(sort_by_variant(x, VARIANT_II).T)
+        for code, d in ((before, d_before), (after, d_after)):
+            np.divide(nearest_subcode(sorted_distances(sT, code))[1], c.n, out=d[lo : lo + len(x)])
     diff = d_after - d_before
     stderr = float(diff.std(ddof=1) / math.sqrt(len(diff)))
     return SwapReport(

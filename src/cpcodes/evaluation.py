@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ConcentricCode, nearest_subcode, sorted_columns, sorted_distances
-from .streams import SHARD_VECTORS, substream
+from .codec import ConcentricCode, nearest_subcode, sort_by_variant, sorted_distances
+from .streams import SHARD_VECTORS, normal_blocks, substream
 
 MIN_SAMPLES = 1000  # fewest Monte Carlo samples a codebook is measured from
 PARETO_RATE_BIN = 1e-3  # bits/sample; pareto_filter keeps one point per bin
@@ -99,10 +99,13 @@ def empirical_distortions(
     """:func:`empirical_distortion` of every code, in order, from one pass
     over the shards.
 
-    Each shard is drawn once per distinct dimension and sorted once per
-    variant into one coordinate-major block (:func:`codec.sorted_columns`),
-    and every code of that dimension and variant reads the same block, so
-    each result equals the one-code call.
+    Each shard is drawn from its substream once per distinct dimension,
+    ``CHUNK_ROWS`` rows at a time (:func:`streams.normal_blocks`).  Each chunk
+    is sorted once per variant into one coordinate-major block, and every
+    code of that dimension and variant scores the same block.  The shard
+    keeps each code's per-row distances and sums them whole, as one block of
+    ``SHARD_VECTORS`` rows would, so each result equals the one-code call and
+    a worker's working set is one chunk plus one distance vector per code.
     """
     codes = list(codes)
     if not codes:
@@ -115,19 +118,17 @@ def empirical_distortions(
 
     def run_shard(args):
         shard, size = args
-        parts = [None] * len(codes)
+        dists = [np.empty(size) for _ in codes]
+        hits = [np.zeros(code.J, dtype=np.int64) for code in codes]
         for n, by_variant in groups.items():
-            x = substream(seed, "eval", shard).standard_normal((size, n))
-            x *= sigma
-            for variant, members in by_variant.items():
-                sT = sorted_columns(x, variant)
-                for i in members:
-                    assign, mind = nearest_subcode(sorted_distances(sT, codes[i]))
-                    mind /= n
-                    hits = np.bincount(assign, minlength=codes[i].J)
-                    parts[i] = (float(mind.sum()), float((mind * mind).sum()), hits)
-                del sT  # one sorted block per worker at a time
-        return parts
+            for lo, x in normal_blocks(substream(seed, "eval", shard), size, n, sigma):
+                for variant, members in by_variant.items():
+                    sT = np.ascontiguousarray(sort_by_variant(x, variant).T)
+                    for i in members:
+                        assign, mind = nearest_subcode(sorted_distances(sT, codes[i]))
+                        np.divide(mind, n, out=dists[i][lo : lo + len(mind)])
+                        hits[i] += np.bincount(assign, minlength=codes[i].J)
+        return [(float(d.sum()), float((d * d).sum()), h) for d, h in zip(dists, hits)]
 
     jobs = list(enumerate(min(SHARD_VECTORS, samples - lo) for lo in range(0, samples, SHARD_VECTORS)))
     with ThreadPoolExecutor(max_workers=threads_from_env(threads)) as pool:

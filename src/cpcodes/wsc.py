@@ -27,7 +27,7 @@ from .combinatorics import (
     partitions,
 )
 from .codec import VARIANT_I, VARIANT_II, ConcentricCode
-from .design import DesignConfig, DesignInfeasibleError, LloydResult, lloyd_general
+from .design import DesignConfig, DesignInfeasibleError, lloyd_general_code
 from .order_stats import gaussian_order_stats
 
 LATTICE_SECOND_MOMENTS = {
@@ -316,7 +316,7 @@ def allocate_compositions(
 @dataclass
 class WscDesignResult:
     code: ConcentricCode
-    lloyd: LloydResult
+    iterations: int  # Lloyd rounds of the level design
     rate: float
     distortion: float
     report: dict
@@ -326,11 +326,11 @@ def _finish_design(R, cfg, table, gc, targets, filt, fixed_rate, extra_report):
     """Compositions for the size ``targets``, their Lloyd levels, and the
     measured rate and distortion of the resulting code."""
     comps = allocate_compositions(table.n, targets, cfg.variant, filt)
-    lloyd = lloyd_general(comps, cfg, table)
+    designed, iterations = lloyd_general_code(comps, cfg, table.sigma)
     measured = evaluation.empirical_distortion(
-        lloyd.code, cfg.sample_count, cfg.rng_seed, sigma=table.sigma
+        designed, cfg.sample_count, cfg.rng_seed, sigma=table.sigma
     )
-    code = ConcentricCode(lloyd.code.subcodes, probs=measured.probs)
+    code = ConcentricCode(designed.subcodes, probs=measured.probs)
     if fixed_rate:
         rate = evaluation.rate_fixed(code)
     else:
@@ -352,7 +352,7 @@ def _finish_design(R, cfg, table, gc, targets, filt, fixed_rate, extra_report):
         report["rate_deviation"] = rate - R
     return WscDesignResult(
         code=code,
-        lloyd=lloyd,
+        iterations=iterations,
         rate=rate,
         distortion=measured.distortion,
         report=report,

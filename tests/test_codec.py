@@ -23,7 +23,6 @@ from cpcodes.codec import (
     rank_codeword,
     read_stream,
     sort_by_variant,
-    sorted_columns,
     sorted_distances,
     unrank_codeword,
     write_stream,
@@ -38,6 +37,11 @@ from helpers import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def sorted_block(x, variant):
+    """The coordinate-major sorted block that ``sorted_distances`` takes."""
+    return np.ascontiguousarray(sort_by_variant(x, variant).T)
 
 
 def nearest_pc(x, cw):
@@ -195,7 +199,7 @@ class TestEncodeCPC:
         for variant in (VARIANT_I, VARIANT_II):
             code = self._code(rng, variant, [(2, 2), (1, 1, 2)])
             x = rng.standard_normal((64, 4))
-            assign, mind = nearest_subcode(sorted_distances(sorted_columns(x, variant), code))
+            assign, mind = nearest_subcode(sorted_distances(sorted_block(x, variant), code))
             for row, xi in enumerate(x):
                 (sphere, _), w = encode_cpc(xi, code)
                 assert sphere == assign[row]
@@ -206,7 +210,7 @@ class TestEncodeCPC:
             code = load_code(DATA / f"{book}.json")
             x = rng.standard_normal((20_000, code.n))
             spheres, _, W = encode_batch(x, code)
-            assign, mind = nearest_subcode(sorted_distances(sorted_columns(x, code.variant), code))
+            assign, mind = nearest_subcode(sorted_distances(sorted_block(x, code.variant), code))
             assert np.array_equal(spheres, assign)
             assert mind.tobytes() == sorted_order_distances(x, W, code.variant).tobytes()
 
@@ -247,7 +251,7 @@ class TestSortedSampleRules:
                 InitialCodeword(Composition(c), random_decreasing_levels(rng, len(c), variant), variant)
                 for c in comps
             )
-            sT = sorted_columns(rng.standard_normal((300, 6)), variant)
+            sT = sorted_block(rng.standard_normal((300, 6)), variant)
             d = sorted_distances(sT, ConcentricCode(subs))
             for j, cw in enumerate(subs):
                 alone = sorted_distances(sT, ConcentricCode((cw,)))[0]
@@ -263,7 +267,7 @@ class TestSortedSampleRules:
                 for c in [(2, 1, 3, 1), (7,), (1, 1, 1, 1, 1, 1, 1)]
             )
             x = 3.0 * rng.standard_normal((40, 7))
-            sT = sorted_columns(x, variant)
+            sT = sorted_block(x, variant)
             d = sorted_distances(sT, ConcentricCode(subs))
             assert d.shape == (3, 40)
             for j, cw in enumerate(subs):
@@ -274,19 +278,6 @@ class TestSortedSampleRules:
                         diff = float(sT[p, r]) - level
                         total += diff * diff
                     assert float(d[j, r]).hex() == total.hex()
-
-    @pytest.mark.parametrize(
-        "rows", [0, 1, codec.SORT_ROWS - 1, codec.SORT_ROWS + 1, codec.SHARD_VECTORS + 1]
-    )
-    def test_sorted_columns_chunks_match_one_sort(self, rows):
-        rng = np.random.default_rng(rows)
-        x = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0], size=(rows, 5))
-        x[::3] = rng.standard_normal((len(x[::3]), 5))
-        for variant in (VARIANT_I, VARIANT_II):
-            got = sorted_columns(x, variant)
-            want = sort_by_variant(x, variant).T
-            assert got.shape == (5, rows) and got.flags.c_contiguous
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite
@@ -347,7 +338,7 @@ def assert_one_rule(code, X):
     to its codeword, summed over the sorted coordinates, the evaluator's
     ``mind``, bit for bit, on every row of ``X``."""
     spheres, _, W = encode_batch(X, code)
-    assign, mind = nearest_subcode(sorted_distances(sorted_columns(X, code.variant), code))
+    assign, mind = nearest_subcode(sorted_distances(sorted_block(X, code.variant), code))
     assert np.array_equal(spheres, assign)
     assert mind.tobytes() == sorted_order_distances(X, W, code.variant).tobytes()
 
@@ -382,7 +373,7 @@ class TestOneRule:
         # another sphere on some of them
         unsorted = np.stack([((X - encode_batch(X, ConcentricCode((cw,)))[2]) ** 2).sum(axis=1)
                              for cw in subs])
-        assign = nearest_subcode(sorted_distances(sorted_columns(X, variant), ConcentricCode(subs)))[0]
+        assign = nearest_subcode(sorted_distances(sorted_block(X, variant), ConcentricCode(subs)))[0]
         assert (nearest_subcode(unsorted)[0] != assign).any()
 
     @pytest.mark.parametrize("book", ["golden_v1", "golden_v2"])

@@ -7,7 +7,6 @@ import pytest
 
 from cpcodes import design
 from cpcodes.codec import (
-    SORT_ROWS,
     VARIANT_I,
     VARIANT_II,
     ConcentricCode,
@@ -32,7 +31,7 @@ from cpcodes.design import (
 )
 from cpcodes.evaluation import empirical_distortion
 from cpcodes.order_stats import folded_order_stats, gaussian_order_stats
-from cpcodes.streams import substream
+from cpcodes.streams import CHUNK_ROWS, substream
 
 
 def small_cfg(J, variant=VARIANT_I, seed=0, samples=40_000):
@@ -323,10 +322,10 @@ class TestDesignConfig:
 
 
 class TestBoundedMemory:
-    """The training draw and the finishing pass work ``SORT_ROWS`` rows at a
+    """The training draw and the finishing pass work ``CHUNK_ROWS`` rows at a
     time and give the bits of the whole-set computation."""
 
-    m = 2 * SORT_ROWS + 1811  # past MIN_TRAINING_SAMPLES, not a multiple of the block
+    m = 2 * CHUNK_ROWS + 1811  # past MIN_TRAINING_SAMPLES, not a multiple of the block
 
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_blocked_draw_equals_one_shot(self, variant):
@@ -361,3 +360,47 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * s.nbytes, peak / s.nbytes
+
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_code_from_group_sums_equals_lloyd_general(self, variant):
+        """Reduced to energies and group sums as drawn, the rounds give
+        lloyd_general's codebook and round count bit for bit."""
+        comps = [Composition((1, 2, 3)), Composition((2, 4)), Composition((1, 2, 3))]
+        cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=8)
+        full = lloyd_general(comps, cfg, gaussian_order_stats(6, 1.3))
+        code, iterations = design.lloyd_general_code(comps, cfg, 1.3)
+        assert code.probs is None
+        assert iterations == full.iterations
+        for got, want in zip(code.subcodes, full.code.subcodes):
+            assert got.composition == want.composition
+            assert [v.hex() for v in got.levels] == [v.hex() for v in want.levels]
+
+    def test_zeta_split_equals_whole_set_formula(self):
+        c, m, samples, seed, sigma = Composition((1, 5, 2)), 2, 2 * CHUNK_ROWS + 777, 3, 1.3
+        plus, minus = estimate_zeta_split(c, m, samples, seed, sigma)
+        x = substream(seed, "zeta").standard_normal((samples, c.n)) * sigma
+        eta = sort_by_variant(x, VARIANT_II)
+        # q = 5, r = 2 and one position before group m
+        zeta = (eta[:, 1:3].sum(axis=1) / 2 - eta[:, 3:6].sum(axis=1) * (2.0 / 3)
+                + eta[:, 6:8].sum(axis=1) / 2)
+        assert plus.hex() == float(np.maximum(zeta, 0.0).mean()).hex()
+        assert minus.hex() == float(np.maximum(-zeta, 0.0).mean()).hex()
+
+    def test_swap_report_equals_whole_set_formula(self):
+        c, m = Composition((3, 2, 1)), 1
+        cfg = DesignConfig(J=2, variant=VARIANT_II, sample_count=self.m, rng_seed=4)
+        levels = [(2.0, 1.0, 0.25), (1.5, 0.6, 0.1)]
+        report = swap_improvement_test(levels, c, m, cfg, folded_order_stats(6, 1.2))
+        before = ConcentricCode(tuple(InitialCodeword(c, lv, VARIANT_II) for lv in levels))
+        after = ConcentricCode(tuple(InitialCodeword(swap_composition(c, m), lv, VARIANT_II)
+                                     for lv in swap_levels(levels, c, m)))
+        x = substream(4, "swap-eval").standard_normal((self.m, 6)) * 1.2
+        sT = np.ascontiguousarray(sort_by_variant(x, VARIANT_II).T)
+        d_before = nearest_subcode(sorted_distances(sT, before))[1] / 6
+        d_after = nearest_subcode(sorted_distances(sT, after))[1] / 6
+        diff = d_after - d_before
+        assert report.d_before.hex() == float(d_before.mean()).hex()
+        assert report.d_after.hex() == float(d_after.mean()).hex()
+        assert report.stderr_diff.hex() == float(diff.std(ddof=1) / math.sqrt(len(diff))).hex()
+        zeta_plus, zeta_minus = estimate_zeta_split(c, m, self.m, 4, 1.2)
+        assert (report.zeta_plus, report.zeta_minus) == (zeta_plus, zeta_minus)

@@ -1,14 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpcodes import evaluation
-from cpcodes.codec import VARIANT_I, VARIANT_II, ConcentricCode, InitialCodeword
+from cpcodes.codec import (
+    VARIANT_I,
+    VARIANT_II,
+    ConcentricCode,
+    InitialCodeword,
+    nearest_subcode,
+    sort_by_variant,
+    sorted_distances,
+)
 from cpcodes.combinatorics import Composition
 from cpcodes.design import optimal_levels_single, pc_distortion_exact
 from cpcodes.evaluation import (
+    MIN_SAMPLES,
     RDPoint,
     ecsq_curve,
     ecusq_curve,
@@ -22,7 +32,7 @@ from cpcodes.evaluation import (
     shannon_bound,
 )
 from cpcodes.order_stats import gaussian_order_stats
-from cpcodes.streams import SHARD_VECTORS
+from cpcodes.streams import CHUNK_ROWS, SHARD_VECTORS, normal_blocks, substream
 
 from helpers import random_decreasing_levels
 
@@ -124,6 +134,62 @@ class TestEmpiricalDistortions:
         empirical_distortions(mixed_codes(), self.SAMPLES, seed=3, threads=threads)
         # three shards, each drawn once for n=5 and once for n=7
         assert sorted(calls) == sorted([(3, "eval", shard) for shard in range(3)] * 2)
+
+
+class TestChunkedShards:
+    """A shard is drawn, sorted and scored ``CHUNK_ROWS`` rows at a time and
+    gives the bits of one whole-shard computation."""
+
+    @pytest.mark.parametrize("rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS + 1, SHARD_VECTORS + 1])
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_blocks_sorted_one_by_one_equal_one_sort(self, rows, sigma):
+        blocks = [(lo, x.copy()) for lo, x in normal_blocks(substream(4, "eval", 1), rows, 5, sigma)]
+        assert [lo for lo, _ in blocks] == list(range(0, rows, CHUNK_ROWS))
+        x = substream(4, "eval", 1).standard_normal((rows, 5)) * sigma
+        drawn = np.concatenate([np.empty((0, 5))] + [b for _, b in blocks])
+        assert np.array_equal(drawn.view(np.int64), x.view(np.int64))
+        x[::3, 1] = x[::3, 2]  # ties
+        x[::7, 0] = -x[::7, 4]  # ties of magnitude
+        x[::5, 3] = -0.0
+        for variant in (VARIANT_I, VARIANT_II):
+            got = np.concatenate([np.empty((0, 5))]
+                                 + [sort_by_variant(x[lo : lo + len(b)], variant) for lo, b in blocks])
+            assert np.array_equal(got.view(np.int64), sort_by_variant(x, variant).view(np.int64))
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_shard_equals_whole_shard_formula(self, sigma):
+        samples = 2 * CHUNK_ROWS + 1234  # one partial shard
+        code = mixed_codes()[1]
+        got = empirical_distortion(code, samples, seed=6, sigma=sigma)
+        x = substream(6, "eval", 0).standard_normal((samples, code.n)) * sigma
+        assign, mind = nearest_subcode(sorted_distances(
+            np.ascontiguousarray(sort_by_variant(x, code.variant).T), code))
+        mind /= code.n
+        mean = float(mind.sum()) / samples
+        var = max(float((mind * mind).sum()) / samples - mean * mean, 0.0) * samples / (samples - 1)
+        assert got.distortion.hex() == mean.hex()
+        assert got.stderr.hex() == math.sqrt(var / samples).hex()
+        assert got.probs == tuple(np.bincount(assign, minlength=code.J) / samples)
+
+    def test_worker_holds_chunks_not_shards(self):
+        """numpy registers its buffers with tracemalloc: over three shards one
+        worker holds less than one ``SHARD_VECTORS x n`` draw."""
+        n = 16
+        codes = [
+            ConcentricCode(tuple(InitialCodeword(Composition(c), lv, variant) for c, lv in books))
+            for variant, books in (
+                (VARIANT_I, [((4, 4, 4, 4), (1.2, 0.4, -0.4, -1.2)), ((2, 6, 6, 2), (2.0, 0.6, -0.6, -2.0))]),
+                (VARIANT_II, [((8, 8), (1.3, 0.4)), ((4, 8, 4), (2.0, 1.0, 0.3))]),
+            )
+        ]
+        empirical_distortions(codes, MIN_SAMPLES, seed=1, threads=1)  # the pool's first start
+        tracemalloc.start()
+        try:
+            empirical_distortions(codes, 3 * SHARD_VECTORS, seed=1, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < SHARD_VECTORS * n * 8, peak / (SHARD_VECTORS * n * 8)
 
 
 class TestRates:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,3 +351,23 @@ class TestEndToEndDesigns:
         cfg = DesignConfig(J=2, variant=VARIANT_I, sample_count=20_000, rng_seed=3)
         with pytest.raises(RateTooLowError):
             design_variable_rate(7, 0.01, cfg)
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("J, variant, rate", [(3, VARIANT_II, 1.75), (1, VARIANT_II, 1.0)])
+    def test_design_holds_group_sums_not_rows(self, J, variant, rate):
+        """numpy registers its buffers with tracemalloc.  The rounds need one
+        energy, the group sums of each distinct composition and J distances
+        per training row; beyond those the design holds less than half of a
+        ``samples x n`` array, and no training array at all."""
+        m, n = 200_000, 16
+        design_fixed_rate(n, rate, DesignConfig(J=J, variant=variant, sample_count=10_000))  # imports
+        tracemalloc.start()
+        try:
+            res = design_fixed_rate(n, rate, DesignConfig(J=J, variant=variant, sample_count=m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        levels = sum(len(c) for c in {tuple(c) for c in res.report["chosen_compositions"]})
+        state = 8 * m * (1 + levels + J)
+        assert peak - state < 0.5 * m * n * 8, (peak / (m * n * 8), state / (m * n * 8))
