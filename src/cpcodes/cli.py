@@ -57,13 +57,28 @@ def _exits():
     )
 
 
-def _versions() -> dict:
-    import scipy
+def _scipy_version() -> str | None:
+    """``scipy.__version__``, read from the ``version.py`` that scipy's
+    package imports it from, without running the package ``__init__``: no
+    command imports scipy, and that import alone costs about 20 ms.  None when
+    scipy is not installed."""
+    import importlib.util
 
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    path = os.path.join(spec.submodule_search_locations[0], "version.py")
+    namespace: dict = {}
+    with open(path) as fp:
+        exec(compile(fp.read(), path, "exec"), namespace)
+    return namespace["version"]
+
+
+def _versions() -> dict:
     return {
         "cpcodes": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "python": platform.python_version(),
     }
 

@@ -1,12 +1,12 @@
 """Empirical rate/distortion measurement, scalar-quantizer baselines, and
 rate-distortion curve assembly.
 
-The scalar-quantizer baselines evaluate the normal CDF with a port of Cephes
-``ndtr`` (S. L. Moshier, *Methods and Programs for Mathematical Functions*,
-1989), the routine behind ``scipy.special.ndtr``. It reproduces that routine
-bit for bit: the rational polynomials run as numpy multiplies and adds, which
-round as the C Horner loop does, and exp goes through libm's ``math.exp``.
-Baseline rows are therefore the bytes scipy would give, without importing it.
+The scalar-quantizer baselines evaluate the normal CDF with
+:func:`cephes.ndtr`, bit for bit the Cephes routine behind
+``scipy.special.ndtr``: the rational polynomials run as numpy multiplies and
+adds, which round as the C Horner loop does, and exp goes through libm's
+``math.exp``.  Baseline rows are therefore the bytes scipy would give,
+without importing it.
 
 Monte Carlo evaluation is sharded into fixed-size blocks, each with its own
 counter-based substream, and the per-shard accumulators are merged in shard
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cephes import ndtr
 from .codec import ConcentricCode, nearest_subcode, sort_by_variant, sorted_distances
 from .streams import SHARD_VECTORS, normal_blocks, substream
 
@@ -190,84 +191,6 @@ def _phi(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-# Cephes ndtr.c coefficient tables: erfc(x) = exp(-x^2) P(x)/Q(x) for
-# 1 <= x < 8 and exp(-x^2) R(x)/S(x) beyond; erf(x) = x T(x^2)/U(x^2) for
-# |x| <= 1.  Q, S and U are monic, their leading 1 implied.
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
-_SQRT1_2 = math.sqrt(0.5)
-
-
-def _horner(x, coefs, monic: bool):
-    """Cephes ``polevl`` (``monic=False``) or ``p1evl`` (``monic=True``):
-    one rounded multiply and one rounded add per step, as the C loop does."""
-    if monic:
-        acc = x + coefs[0]
-        rest = coefs[1:]
-    else:
-        acc = coefs[0] * x + coefs[1]
-        rest = coefs[2:]
-    for c in rest:
-        acc *= x
-        acc += c
-    return acc
-
-
-def _erf_small(x):
-    """Cephes ``erf`` for ``|x| <= 1``."""
-    z = x * x
-    return x * _horner(z, _ERF_T, False) / _horner(z, _ERF_U, True)
-
-
-def _erfc_tail(z):
-    """Cephes ``erfc`` for ``z >= sqrt(1/2)`` (or NaN)."""
-    out = np.zeros_like(z)  # exp(-z*z) underflows: Cephes returns 0
-    mid = z < 1.0
-    out[mid] = 1.0 - _erf_small(z[mid])
-    with np.errstate(over="ignore"):
-        nz = -z * z
-    live = ~(mid | (nz < -_MAXLOG))
-    zl = z[live]
-    # exp through libm, as the compiled Cephes calls it; numpy's vectorised
-    # exp differs from libm in the last bit for some arguments
-    e = np.array([math.exp(v) for v in nz[live].tolist()])
-    near = zl < 8.0
-    y = np.empty_like(zl)
-    for sel, num, den in ((near, _ERFC_P, _ERFC_Q), (~near, _ERFC_R, _ERFC_S)):  # NaN goes far
-        if sel.any():
-            x = zl[sel]
-            y[sel] = e[sel] * _horner(x, num, False) / _horner(x, den, True)
-    out[live] = y
-    return out
-
-
-def _ndtr(a):
-    """Standard normal CDF of every element of ``a``, bit for bit the
-    Cephes ``ndtr`` that ``scipy.special.ndtr`` evaluates."""
-    x = np.asarray(a, dtype=float) * _SQRT1_2
-    z = np.abs(x)
-    small = z < _SQRT1_2
-    out = np.empty_like(x)
-    out[small] = 0.5 + 0.5 * _erf_small(x[small])
-    big = ~small
-    y = 0.5 * _erfc_tail(z[big])
-    out[big] = np.where(x[big] > 0, 1.0 - y, y)
-    return out
-
-
 def _uniform_quantizer_curve(steps, sigma: float, optimal_codewords: bool, method: str) -> list[RDPoint]:
     """One point per step; the normal CDF of every step's cell edges is
     evaluated in one vectorised call."""
@@ -286,7 +209,7 @@ def _uniform_quantizer_curve(steps, sigma: float, optimal_codewords: bool, metho
         edges[0] = -np.inf
         edges[-1] = np.inf
         grids.append(edges)
-    cdfs = np.split(_ndtr(np.concatenate(grids)), np.cumsum([e.size for e in grids])[:-1])
+    cdfs = np.split(ndtr(np.concatenate(grids)), np.cumsum([e.size for e in grids])[:-1])
     return [
         _uniform_quantizer_point(step, sigma, edges, cdf, optimal_codewords, method)
         for step, edges, cdf in zip(steps, grids, cdfs)

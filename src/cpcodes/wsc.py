@@ -7,6 +7,10 @@ coding.  The resulting real-valued size targets pick the compositions of the
 concentric permutation code, whose levels are then optimized by the general
 Lloyd design.  All constants are evaluated in the log-gamma domain so large
 block lengths do not overflow.
+
+The chi law's CDF, its inverse, log-gamma and digamma come from
+:mod:`cpcodes.cephes`, bit for bit the ``scipy.special`` routines, so a wsc
+design writes the bytes scipy would give without importing it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import evaluation
+from . import cephes, evaluation
 from .combinatorics import (
     Composition,
     ResourceLimitError,
@@ -85,24 +89,20 @@ class RateSplit:
     gain_rate: float
 
 
-def _chi_cdf(r, k: int):
-    """CDF at ``r >= 0`` of the chi distribution with ``k`` degrees of freedom."""
-    from scipy import special
+def _chi_cdf(r: np.ndarray, k: int) -> np.ndarray:
+    """CDF at each ``r >= 0`` of the chi distribution with ``k`` degrees of freedom."""
+    a = 0.5 * k
+    return np.array([cephes.igam(a, 0.5 * (v * v)) for v in r.tolist()])
 
-    return special.gammainc(0.5 * k, 0.5 * r**2)
 
-
-def _chi_ppf(q, k: int):
-    """Inverse of :func:`_chi_cdf` for ``q`` in [0, 1]."""
-    from scipy import special
-
-    return np.sqrt(2 * special.gammaincinv(0.5 * k, q))
+def _chi_ppf(q: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of :func:`_chi_cdf` at each ``q`` in [0, 1]."""
+    a = 0.5 * k
+    return np.sqrt(2 * np.array([cephes.igami(a, p) for p in q.tolist()]))
 
 
 def _chi_mean(n: int) -> float:
-    from scipy import special
-
-    return math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0))
+    return math.sqrt(2.0) * math.exp(cephes.lgam((n + 1) / 2.0) - cephes.lgam(n / 2.0))
 
 
 def gain_codebook(J: int, n: int, sigma: float = 1.0) -> GainCodebook:
@@ -121,15 +121,12 @@ def gain_codebook(J: int, n: int, sigma: float = 1.0) -> GainCodebook:
         return GainCodebook((mean * sigma,), (1.0,))
 
     def cond_means(bounds):
-        hi = _chi_cdf(bounds[1:], n)
-        lo = _chi_cdf(bounds[:-1], n)
-        hi1 = _chi_cdf(bounds[1:], n + 1)
-        lo1 = _chi_cdf(bounds[:-1], n + 1)
-        mass = hi - lo
+        # each CDF once at all J+1 bounds; a cell's mass is the difference of its two
+        mass = np.diff(_chi_cdf(bounds, n))
         if np.any(mass <= 0):
             raise RuntimeError("empty gain cell; J too large for this dimension")
         # r * f_n(r) integrates to the chi mean times the (n+1)-dof CDF increment
-        return mean * (hi1 - lo1) / mass, mass
+        return mean * np.diff(_chi_cdf(bounds, n + 1)) / mass, mass
 
     bounds = _chi_ppf(np.linspace(0.0, 1.0, J + 1), n)
     for _ in range(_GAIN_MAX_ITERS):
@@ -149,18 +146,16 @@ def wsc_constants(n: int, g_lambda: float, sigma: float = 1.0) -> WscConstants:
         raise ValueError("n must be >= 2")
     if not all(math.isfinite(v) and v > 0 for v in (g_lambda, sigma)):
         raise ValueError(f"g_lambda and sigma must be positive and finite, got {g_lambda} and {sigma}")
-    from scipy import special
-
-    log_sphere_area = math.log(2.0) + (n / 2.0) * math.log(math.pi) - special.gammaln(n / 2.0)
+    log_sphere_area = math.log(2.0) + (n / 2.0) * math.log(math.pi) - cephes.lgam(n / 2.0)
     log_c = math.log((n - 1.0) / n) + math.log(g_lambda) + (2.0 / (n - 1.0)) * log_sphere_area
     c = math.exp(log_c)
-    c_s = c * 2.0 * sigma * sigma * math.exp(special.digamma(n / 2.0))
+    c_s = c * 2.0 * sigma * sigma * math.exp(cephes.psi(n / 2.0))
     log_c_g = (
         2.0 * math.log(sigma)
         + (n / 2.0) * math.log(3.0)
-        + 3.0 * special.gammaln((n + 2.0) / 6.0)
+        + 3.0 * cephes.lgam((n + 2.0) / 6.0)
         - math.log(8.0 * n)
-        - special.gammaln(n / 2.0)
+        - cephes.lgam(n / 2.0)
     )
     return WscConstants(n=n, g_lambda=g_lambda, sigma=sigma, c=c, c_s=c_s, c_g=math.exp(log_c_g))
 
@@ -226,9 +221,7 @@ def snr_improvement_db(n: int) -> float:
     """SNR gained by letting the shape codebook size depend on the gain (dB)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    from scipy import special
-
-    return -10.0 * (1.0 - 1.0 / n) * math.log10(2.0 * math.exp(special.digamma(n / 2.0)) / n)
+    return -10.0 * (1.0 - 1.0 / n) * math.log10(2.0 * math.exp(cephes.psi(n / 2.0)) / n)
 
 
 def gain_distortion(gc: GainCodebook, n: int, sigma: float = 1.0) -> float:

@@ -52,6 +52,7 @@ class TestDesign:
         assert manifest["outputs"] == [out]
         assert manifest["parameters"]["seed"] == 7
         assert 0 < manifest["peak_rss_mb"] < 10_000
+        assert manifest["versions"]["scipy"] == pytest.importorskip("scipy").__version__
 
     def test_wsc_fixed_profile(self, runner, tmp_path):
         out = str(tmp_path / "cb.json")
@@ -392,8 +393,9 @@ def test_import_skips_scipy_stats():
 
 
 def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
-    """encode, decode, ratepoints and a common-composition design never
-    evaluate a special function, so they leave scipy.special unloaded."""
+    """No command loads any scipy module: encode, decode, ratepoints, eval and
+    the designs of all four modes, the wsc ones with their chi-law gain
+    quantizer and special-function constants, and every manifest's versions."""
     stream = str(tmp_path / "x.cpc")
     runs = [
         ["encode", "--codebook", str(DATA / "golden_v1.json"),
@@ -402,9 +404,17 @@ def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
          "--output", str(tmp_path / "x.csv")],
         ["ratepoints", "--n-range", "2:4", "--j-range", "1:2", "--output", str(tmp_path / "r.csv")],
         design_args(str(tmp_path / "cb.json")),
+        design_args(str(tmp_path / "general.json"), **{"--mode": "general"}),
+        ["eval", "--codebook", str(DATA / "golden_v1.json"), "--samples", "2000",
+         "--baselines", "ecsq,ecusq,bound", "--output", str(tmp_path / "rd.csv")],
     ]
-    assert _loaded_after(_RUN_ARGVS, ("scipy.special",), json.dumps(runs)) == []
+    runs += [["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
+              "--out", str(tmp_path / f"{name}.json")] for name in ("wsc_fixed_v2", "wsc_var_v2")]
+    assert _loaded_after(_RUN_ARGVS, ("scipy",), json.dumps(runs)) == []
     assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
+    for name in ("wsc_fixed_v2", "wsc_var_v2"):
+        assert (tmp_path / f"{name}.json").read_bytes() == \
+            (DATA / f"golden_design_{name}.json").read_bytes()
 
 
 _DESIGN_MODULES = ("cpcodes.design", "cpcodes.wsc", "cpcodes.evaluation", "cpcodes.order_stats")
