@@ -1,16 +1,20 @@
 """Level and composition optimization for single- and multi-sphere codebooks.
 
-Both designers run one Lloyd loop (:func:`_lloyd`) and one finishing pass
-(:func:`_lloyd_result`) in two coordinate systems.  With one shared
-composition the search collapses to a J-point vector quantizer on the scaled
-group sums of the sorted source (dimension K instead of n); with arbitrary
-per-sphere compositions each sphere keeps its own group sums.  The two
-distance rules stay separate: one matrix product and a matrix-vector product
-per sphere round differently, and the golden designs pin both.  Both record
-their distortion trajectory and are reproducible from (seed, sample_count).
-The shape-gain designers measure their code on fresh samples, so they run
-the per-sphere rounds alone (:func:`lloyd_general_code`) on the row
-energies and group sums, reduced as the training rows are drawn.
+A Lloyd round reads only each sorted training row's energy and group sums,
+so every designer reduces the rows to those as they are drawn
+(:func:`_reduced_training`) and no ``samples x n`` array is held.  Both
+designers run one Lloyd loop (:func:`_lloyd`) in two coordinate systems.
+With one shared composition the search collapses to a J-point vector
+quantizer on the scaled group sums of the sorted source (dimension K instead
+of n); with arbitrary per-sphere compositions each sphere keeps its own
+group sums.  The two distance rules stay separate: one matrix product and a
+matrix-vector product per sphere round differently, and the golden designs
+pin both.  The finishing pass (:func:`_lloyd_result`) draws the training
+rows again from the same substream and scores them with the encoder's rule.
+Both record their distortion trajectory and are reproducible from (seed,
+sample_count).  The shape-gain designers measure their code on fresh
+samples, so they run the per-sphere rounds alone (:func:`lloyd_general_code`)
+and skip the finishing pass.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .codec import (
     sorted_distances,
 )
 from .order_stats import OrderStatTable, grouped_projection
-from .streams import CHUNK_ROWS, MIN_TRAINING_SAMPLES, normal_blocks, substream
+from .streams import MIN_TRAINING_SAMPLES, normal_blocks, substream
 
 
 class DesignInfeasibleError(RuntimeError):
@@ -137,38 +141,20 @@ def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarra
     return rng.choice(cfg.sample_count, size=cfg.J, replace=False)
 
 
-def _draw_training(cfg: DesignConfig, n: int, sigma: float):
-    """The sorted training rows (magnitudes for variant II) and J start rows,
-    filled block by block into one preallocated array, so no unsorted copy
-    of the whole set is ever held."""
-    s = np.empty((cfg.sample_count, n))
-
-    def keep(lo, block):
-        s[lo : lo + len(block)] = block
-
-    return s, _training_blocks(cfg, n, sigma, keep)
-
-
-def _row_reductions(s: np.ndarray, compositions):
-    """The energy of each sorted row and its group sums under each distinct
-    composition; both work row by row, so a block gives its rows' bits."""
-    x2 = np.einsum("ij,ij->i", s, s)
-    return x2, {c: np.add.reduceat(s, group_starts(c), axis=1) for c in compositions}
-
-
 def _reduced_training(compositions, cfg: DesignConfig, sigma: float):
-    """:func:`_row_reductions` of the rows :func:`_draw_training` would
-    return, and its start rows, taken block by block: nothing of size
-    ``samples x n`` is held."""
+    """The energy of each sorted training row and its group sums under each
+    distinct composition, and the J start rows, reduced block by block as
+    the rows are drawn: nothing of size ``samples x n`` is held.  Both
+    reductions work row by row, so a block gives its rows' bits."""
     m = cfg.sample_count
     x2 = np.empty(m)
     sums = {c: np.empty((m, c.num_levels)) for c in compositions}
 
     def reduce(lo, block):
         hi = lo + len(block)
-        x2[lo:hi], block_sums = _row_reductions(block, sums)
-        for c, part in block_sums.items():
-            sums[c][lo:hi] = part
+        x2[lo:hi] = np.einsum("ij,ij->i", block, block)
+        for c, part in sums.items():
+            part[lo:hi] = np.add.reduceat(block, group_starts(c), axis=1)
 
     return x2, sums, _training_blocks(cfg, compositions[0].n, sigma, reduce)
 
@@ -192,9 +178,9 @@ def _cell_means(cells: Sequence[np.ndarray], assign: np.ndarray, mind: np.ndarra
     ``take`` gathers the rows a boolean mask would, in the same order, so each
     mean rounds as ``points[assign == j].mean(axis=0)`` does.  Over two or
     more columns that mean adds the rows one after another, and so does the
-    ``einsum`` that replaces it, at a quarter of the cost; numpy sums a
-    one-column cell pairwise, so that cell keeps ``mean``.  A weighted
-    bincount per column would round differently.
+    ``einsum`` that replaces it, at a quarter of the cost; a weighted
+    bincount per column adds them in row order too and gives the same bits.
+    numpy sums a one-column cell pairwise, so that cell keeps ``mean``.
     """
     means = []
     empty = 0
@@ -279,7 +265,8 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
         raise ValueError("decomposition requires a common composition")
     n = code.n
     s = sort_by_variant(np.asarray(x, dtype=float), code.variant)
-    direct = float(_nearest_sorted(s, code)[1].mean()) / n
+    sT = np.ascontiguousarray(s.T)
+    direct = float(nearest_subcode(sorted_distances(sT, code))[1].mean()) / n
 
     proj = grouped_projection(s, c)
     points = np.stack(
@@ -293,35 +280,30 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
     return direct, (reduced + energy - shrink) / n
 
 
-def _nearest_sorted(s: np.ndarray, code: ConcentricCode):
-    """The encoder's and the evaluator's ``(assign, mind)`` for the sorted rows ``s``.
-
-    Both rules work column by column, so scoring ``CHUNK_ROWS`` rows at a time
-    gives the same bits while holding one transposed block, not all of ``s.T``.
-    """
-    m = len(s)
-    assign = np.empty(m, dtype=np.intp)
-    mind = np.empty(m)
-    for lo in range(0, m, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, m)
-        sT = np.ascontiguousarray(s[lo:hi].T)
-        assign[lo:hi], mind[lo:hi] = nearest_subcode(sorted_distances(sT, code))
-    return assign, mind
-
-
-def _lloyd_result(s, parts, levels, cfg, rounds) -> LloydResult:
+def _lloyd_result(parts, levels, cfg, sigma, rounds) -> LloydResult:
     """The codebook with ``parts[j]`` and ``levels[j]`` on sphere j, and its
     training distortion and sphere probabilities under the encoder's rule.
 
-    ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.
+    ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.  The
+    training rows are drawn again, block by block, from the same substream:
+    each block is bit for bit the one the rounds were reduced from, and each
+    column is scored on its own, so the whole set is never held.
     """
     history, events, converged = rounds
     built = [_codeword_from_levels(p, lv, cfg.variant) for p, lv in zip(parts, levels)]
-    subcodes = tuple(cw for cw, _ in built)
-    assign, mind = _nearest_sorted(s, ConcentricCode(subcodes))
+    code = ConcentricCode(tuple(cw for cw, _ in built))
+    counts = np.zeros(cfg.J, dtype=np.intp)
+    mind = np.empty(cfg.sample_count)
+
+    def score(lo, block):
+        sT = np.ascontiguousarray(block.T)
+        assign, mind[lo : lo + len(block)] = nearest_subcode(sorted_distances(sT, code))
+        counts[:] += np.bincount(assign, minlength=cfg.J)
+
+    _training_blocks(cfg, code.n, sigma, score)
     return LloydResult(
-        code=ConcentricCode(subcodes, probs=tuple(np.bincount(assign, minlength=cfg.J) / len(s))),
-        distortion=float(mind.mean()) / s.shape[1],
+        code=ConcentricCode(code.subcodes, probs=tuple(counts / cfg.sample_count)),
+        distortion=float(mind.mean()) / code.n,
         distortion_history=history,
         iterations=len(history),
         converged=converged,
@@ -341,12 +323,13 @@ def design_common_composition(
     """
     if table.n != c.n:
         raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
-    s, init_rows = _draw_training(cfg, c.n, table.sigma)
-    proj = grouped_projection(s, c)
+    x2, sums, init_rows = _reduced_training([c], cfg, table.sigma)
+    scale = np.sqrt(np.asarray(c.parts, dtype=float))
+    proj = sums.pop(c) / scale  # grouped_projection's scaled sums; the unscaled ones go
     p2 = np.einsum("ij,ij->i", proj, proj)
-    energy = (float(np.einsum("ij,ij->i", s, s).mean()), float(p2.mean()))
+    energy = (float(x2.mean()), float(p2.mean()))
     projT = np.ascontiguousarray(proj.T)  # so that a round's distances come out (J, m)
-    dists = np.empty((cfg.J, len(s)), dtype=float)
+    dists = np.empty((cfg.J, cfg.sample_count), dtype=float)
 
     def distances(means):
         # p2 - 2*(C @ projT) + |C|^2, rounded as written, in one buffer for every round
@@ -358,8 +341,7 @@ def design_common_composition(
 
     means, *rounds = _lloyd([proj] * cfg.J, proj[init_rows], distances, c.n, energy)
     centroids = np.stack(means)
-    scale = np.sqrt(np.asarray(c.parts, dtype=float))
-    result = _lloyd_result(s, [c.parts] * cfg.J, centroids / scale, cfg, rounds)
+    result = _lloyd_result([c.parts] * cfg.J, centroids / scale, cfg, table.sigma, rounds)
     if not result.merged_levels:
         # encoder distortion = reduced distortion + energy - projected energy,
         # the reduced one at the final points (variant II levels are clamped at 0)
@@ -384,9 +366,11 @@ def _check_compositions(compositions: Sequence[Composition], cfg: DesignConfig) 
     return n
 
 
-def _general_rounds(compositions, x2, by_composition, init_rows):
-    """Lloyd rounds over per-sphere group sums: sphere j's levels and
-    :func:`_lloyd`'s ``(history, events, converged)``."""
+def _general_rounds(compositions, cfg, sigma):
+    """Lloyd rounds over per-sphere group sums of the training rows, reduced
+    as they are drawn: sphere j's levels and :func:`_lloyd`'s ``(history,
+    events, converged)``."""
+    x2, by_composition, init_rows = _reduced_training(compositions, cfg, sigma)
     group_sums = [by_composition[c] for c in compositions]
     parts_arr = [np.asarray(c.parts, dtype=float) for c in compositions]
     dists = np.empty((len(compositions), len(x2)), dtype=float)
@@ -418,26 +402,20 @@ def lloyd_general(
     n = _check_compositions(compositions, cfg)
     if table.n != n:
         raise ValueError(f"table is for n={table.n}, compositions need n={n}")
-    s, init_rows = _draw_training(cfg, n, table.sigma)
-    levels, rounds = _general_rounds(compositions, *_row_reductions(s, compositions), init_rows)
-    return _lloyd_result(s, [c.parts for c in compositions], levels, cfg, rounds)
+    levels, rounds = _general_rounds(compositions, cfg, table.sigma)
+    return _lloyd_result([c.parts for c in compositions], levels, cfg, table.sigma, rounds)
 
 
 def lloyd_general_code(
     compositions: Sequence[Composition], cfg: DesignConfig, sigma: float
 ) -> tuple[ConcentricCode, int]:
     """The codebook of :func:`lloyd_general` and its number of Lloyd rounds,
-    without its finishing pass.
-
-    The rounds read only each training row's energy and group sums, so the
-    rows are reduced to those as they are drawn and no ``samples x n`` array
-    is held.  For a caller that measures the code on fresh samples, which
-    :func:`lloyd_general`'s training probabilities and distortion would not
-    serve.
+    without its finishing pass: for a caller that measures the code on fresh
+    samples, which :func:`lloyd_general`'s training probabilities and
+    distortion would not serve.
     """
     _check_compositions(compositions, cfg)
-    x2, sums, init_rows = _reduced_training(compositions, cfg, sigma)
-    levels, (history, _, _) = _general_rounds(compositions, x2, sums, init_rows)
+    levels, (history, _, _) = _general_rounds(compositions, cfg, sigma)
     subcodes = tuple(
         _codeword_from_levels(c.parts, lv, cfg.variant)[0] for c, lv in zip(compositions, levels)
     )

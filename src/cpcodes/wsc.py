@@ -32,7 +32,6 @@ from .combinatorics import (
 )
 from .codec import VARIANT_I, VARIANT_II, ConcentricCode
 from .design import DesignConfig, DesignInfeasibleError, lloyd_general_code
-from .order_stats import gaussian_order_stats
 
 LATTICE_SECOND_MOMENTS = {
     "scalar": 1.0 / 12.0,
@@ -116,6 +115,8 @@ def gain_codebook(J: int, n: int, sigma: float = 1.0) -> GainCodebook:
         raise ValueError("J must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     mean = _chi_mean(n)
     if J == 1:
         return GainCodebook((mean * sigma,), (1.0,))
@@ -315,13 +316,13 @@ class WscDesignResult:
     report: dict
 
 
-def _finish_design(R, cfg, table, gc, targets, filt, fixed_rate, extra_report):
+def _finish_design(R, cfg, n, sigma, gc, targets, filt, fixed_rate, extra_report):
     """Compositions for the size ``targets``, their Lloyd levels, and the
     measured rate and distortion of the resulting code."""
-    comps = allocate_compositions(table.n, targets, cfg.variant, filt)
-    designed, iterations = lloyd_general_code(comps, cfg, table.sigma)
+    comps = allocate_compositions(n, targets, cfg.variant, filt)
+    designed, iterations = lloyd_general_code(comps, cfg, sigma)
     measured = evaluation.empirical_distortion(
-        designed, cfg.sample_count, cfg.rng_seed, sigma=table.sigma
+        designed, cfg.sample_count, cfg.rng_seed, sigma=sigma
     )
     code = ConcentricCode(designed.subcodes, probs=measured.probs)
     if fixed_rate:
@@ -329,8 +330,7 @@ def _finish_design(R, cfg, table, gc, targets, filt, fixed_rate, extra_report):
     else:
         rate = evaluation.rate_variable(code, measured.probs)
     report = {
-        "inputs": {"n": table.n, "J": cfg.J, "rate": R, "variant": cfg.variant,
-                   "sigma": table.sigma},
+        "inputs": {"n": n, "J": cfg.J, "rate": R, "variant": cfg.variant, "sigma": float(sigma)},
         "gains": list(gc.gains),
         "probs": list(gc.probs),
         "M_targets": [float(t) for t in targets],
@@ -362,13 +362,12 @@ def design_variable_rate(
 ) -> WscDesignResult:
     """Variable-rate design of ``cfg.J`` spheres at ``R`` bits/sample: rate
     split, size targets, compositions, Lloyd."""
-    table = gaussian_order_stats(n, sigma)
-    consts = wsc_constants(n, g_lambda, sigma)
     gc = gain_codebook(cfg.J, n, sigma)
+    consts = wsc_constants(n, g_lambda, sigma)
     split = optimal_rate_split(R, consts)
     targets = sizes_variable_rate(split, gc, n)
     extra = {"shape_rate": split.shape_rate, "gain_rate": split.gain_rate, "g_lambda": g_lambda}
-    return _finish_design(R, cfg, table, gc, targets, filt, False, extra)
+    return _finish_design(R, cfg, n, sigma, gc, targets, filt, False, extra)
 
 
 def design_fixed_rate(
@@ -380,7 +379,6 @@ def design_fixed_rate(
 ) -> WscDesignResult:
     """Fixed-rate design of ``cfg.J`` spheres at ``R`` bits/sample: size
     targets straight from the gain codebook."""
-    table = gaussian_order_stats(n, sigma)
     gc = gain_codebook(cfg.J, n, sigma)
     targets = sizes_fixed_rate(R, gc, n)
-    return _finish_design(R, cfg, table, gc, targets, filt, True, {})
+    return _finish_design(R, cfg, n, sigma, gc, targets, filt, True, {})

@@ -122,7 +122,7 @@ class TestDesign:
         def no_memory(*args):
             raise MemoryError("Unable to allocate 1.43 GiB")
 
-        monkeypatch.setattr("cpcodes.design._draw_training", no_memory)
+        monkeypatch.setattr("cpcodes.design._training_blocks", no_memory)
         out = tmp_path / "x.json"
         res = runner.invoke(main, design_args(str(out)))
         assert res.exit_code == 6, res.output

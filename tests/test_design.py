@@ -151,13 +151,13 @@ class TestEmptyCellReseed:
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_shared_start_is_reseeded(self, monkeypatch, designer, variant):
         # every sphere starts at one training row, so all but one cell empty at once
-        draw = design._draw_training
+        draw = design._training_blocks
 
-        def shared_start(cfg, n, sigma):
-            x, rows = draw(cfg, n, sigma)
-            return x, np.full_like(rows, rows[0])
+        def shared_start(*args):
+            rows = draw(*args)
+            return np.full_like(rows, rows[0])
 
-        monkeypatch.setattr(design, "_draw_training", shared_start)
+        monkeypatch.setattr(design, "_training_blocks", shared_start)
         c = Composition((2, 2, 2))
         cfg = small_cfg(3, variant, seed=9)
         t = gaussian_order_stats(6)
@@ -329,37 +329,61 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_blocked_draw_equals_one_shot(self, variant):
+        comps = [Composition((3, 2, 2)), Composition((1, 6)), Composition((3, 2, 2))]
         cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=5)
-        s, init_rows = design._draw_training(cfg, 7, 1.7)
+        x2, sums, init_rows = design._reduced_training(comps, cfg, 1.7)
         rng = substream(5, "design")
-        x = rng.standard_normal((self.m, 7)) * 1.7
-        assert np.array_equal(s, sort_by_variant(x, variant))
+        s = sort_by_variant(rng.standard_normal((self.m, 7)) * 1.7, variant)
+        assert np.array_equal(x2, np.einsum("ij,ij->i", s, s))
+        assert list(sums) == comps[:2]
+        for c, got in sums.items():
+            assert np.array_equal(got, np.add.reduceat(s, [0, *np.cumsum(c.parts)[:-1]], axis=1))
         assert np.array_equal(init_rows, rng.choice(self.m, size=3, replace=False))
 
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_blocked_finishing_pass_equals_whole_set(self, variant):
+        """The rows drawn again and scored block by block give the
+        distortion and probabilities of the whole sorted set."""
         cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=6)
-        s, _ = design._draw_training(cfg, 6, 1.0)
+        parts = [(1, 2, 3)] * 3
         levels = [(1.5, 0.5, 0.25), (0.9, 0.3, 0.0), (0.4, 0.2, 0.1)]
+        res = design._lloyd_result(parts, levels, cfg, 1.2, ([1.0], 0, True))
         code = ConcentricCode(tuple(
-            InitialCodeword(Composition((1, 2, 3)), lv, variant) for lv in levels
+            InitialCodeword(Composition(p), lv, variant) for p, lv in zip(parts, levels)
         ))
-        assign, mind = design._nearest_sorted(s, code)
-        want_assign, want_mind = nearest_subcode(sorted_distances(np.ascontiguousarray(s.T), code))
-        assert np.array_equal(assign, want_assign)
-        assert np.array_equal(mind, want_mind)
+        x = substream(6, "design").standard_normal((self.m, 6)) * 1.2
+        sT = np.ascontiguousarray(sort_by_variant(x, variant).T)
+        assign, mind = nearest_subcode(sorted_distances(sT, code))
+        assert res.code.subcodes == code.subcodes
+        assert res.distortion.hex() == (float(mind.mean()) / 6).hex()
+        want = np.bincount(assign, minlength=3) / self.m
+        assert [p.hex() for p in res.code.probs] == [float(p).hex() for p in want]
 
-    def test_draw_holds_one_block_beyond_the_set(self):
-        """numpy registers its buffers with tracemalloc, so the peak shows what
-        the draw held besides the sorted set: one block, not whole-set copies."""
-        cfg = DesignConfig(J=3, sample_count=200_000, rng_seed=1)
+    @pytest.mark.parametrize("designer", ["common", "general"])
+    def test_design_holds_group_sums_not_rows(self, designer):
+        """numpy registers its buffers with tracemalloc.  The rounds need,
+        per training row, one energy, the (scaled) group sums of each
+        distinct composition (twice over for the common designer, row- and
+        coordinate-major, with their energy) and J distances; beyond those
+        the design holds less than half of a ``samples x n`` array."""
+        m, n, J = 200_000, 16, 3
+        if designer == "common":
+            c = Composition((4, 4, 4, 4))
+            run = lambda cfg: design_common_composition(c, cfg, gaussian_order_stats(n))
+            floats = 1 + 2 * c.num_levels + 1 + J
+        else:
+            comps = [Composition((4, 4, 4, 4)), Composition((2, 6, 8)), Composition((8, 8))]
+            run = lambda cfg: lloyd_general(comps, cfg, gaussian_order_stats(n))
+            floats = 1 + sum(c.num_levels for c in comps) + J
+        run(DesignConfig(J=J, sample_count=10_000))  # imports
         tracemalloc.start()
         try:
-            s, _ = design._draw_training(cfg, 16, 1.0)
+            run(DesignConfig(J=J, sample_count=m, rng_seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * s.nbytes, peak / s.nbytes
+        state = 8 * m * floats
+        assert peak - state < 0.5 * m * n * 8, ((peak - state) / (m * n * 8), state / (m * n * 8))
 
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_code_from_group_sums_equals_lloyd_general(self, variant):

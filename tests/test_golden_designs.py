@@ -48,21 +48,21 @@ def run_case(name):
     comps = [Composition(c) for c in comps]
     cfg = DesignConfig(J=J, variant=variant, sample_count=SAMPLES, rng_seed=seed)
     table = gaussian_order_stats(comps[0].n)
-    draw = design._draw_training
+    draw = design._training_blocks
     if shared_start:
         # every sphere starts at one training row, so all but one cell empty at once
-        def shared(cfg, n, sigma):
-            x, rows = draw(cfg, n, sigma)
-            return x, np.full_like(rows, rows[0])
+        def shared(*args):
+            rows = draw(*args)
+            return np.full_like(rows, rows[0])
 
-        design._draw_training = shared
+        design._training_blocks = shared
     try:
         if designer == "common":
             res = design_common_composition(comps[0], cfg, table)
         else:
             res = lloyd_general(comps, cfg, table)
     finally:
-        design._draw_training = draw
+        design._training_blocks = draw
     return {
         "subcodes": [
             {"parts": list(cw.composition.parts), "levels": _hex(cw.levels)}
