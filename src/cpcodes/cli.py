@@ -104,7 +104,8 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
-def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: float):
+def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: float,
+                    memory_estimate_mb: float | None):
     doc = {
         "command": command.name,
         "argv": _replay_argv(command, params),
@@ -116,6 +117,7 @@ def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: 
         "outputs": [str(p) for p in outputs],
         "wall_time_s": wall_time_s,
         "peak_rss_mb": _peak_rss_mb(),
+        "memory_estimate_mb": memory_estimate_mb,
     }
     with open(params["manifest"], "w", newline="\n") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
@@ -127,7 +129,9 @@ def _recorded(*exits):
 
     Adds the ``--manifest`` option, times the run, maps the body's expected
     exceptions to exit codes through :func:`_exits` and then ``exits``, and writes
-    the manifest, by default to ``<first output>.manifest.json``.
+    the manifest, by default to ``<first output>.manifest.json``.  A body that
+    estimates its memory leaves the estimate in the click context's
+    ``meta["memory_estimate_mb"]``.
     """
     def decorate(body):
         @functools.wraps(body)
@@ -143,7 +147,8 @@ def _recorded(*exits):
                 raise
             ctx = click.get_current_context()
             params = {**ctx.params, "manifest": manifest or f"{outputs[0]}.manifest.json"}
-            _write_manifest(ctx.command, params, outputs, time.monotonic() - started)
+            _write_manifest(ctx.command, params, outputs, time.monotonic() - started,
+                            ctx.meta.get("memory_estimate_mb"))
 
         return click.option("--manifest", type=click.Path(), default=None,
                             help="Manifest path (default FIRST_OUTPUT.manifest.json).")(command)
@@ -221,7 +226,7 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
                g_lambda, no_conjecture_filter, out):
     """Design a codebook and write it with a run manifest."""
     from .codec import save_code
-    from .design import DesignConfig, design_common_composition, lloyd_general
+    from .design import DesignConfig, design_common_composition, lloyd_general, training_memory_bytes
     from .order_stats import gaussian_order_stats
 
     variant = int(variant)
@@ -258,6 +263,7 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
             if len(comps) != j_spheres:
                 raise click.UsageError(f"{len(comps)} compositions for J={j_spheres}")
             result = lloyd_general(comps, cfg, table)
+        trained = comps
         design_block.update(iterations=result.iterations, empirical_D=result.distortion,
                             converged=result.converged)
     else:
@@ -278,8 +284,10 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
                 raise click.UsageError(f"--g-lambda must be positive and finite, got {g_lambda}")
             kwargs["g_lambda"] = value
         result = designer(n, rate, cfg, **kwargs)
+        trained = [Composition(tuple(p)) for p in result.report["chosen_compositions"]]
         design_block.update(iterations=result.iterations, empirical_D=result.distortion,
                             report=result.report)
+    click.get_current_context().meta["memory_estimate_mb"] = training_memory_bytes(trained, cfg) / 2**20
     save_code(out, result.code, extra={"design": design_block})
     click.echo(f"wrote {out}")
     return [out]

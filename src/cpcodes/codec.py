@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .combinatorics import Composition, multinomial_size, variant2_size
+from .combinatorics import Composition, multinomial_size
 from .streams import SHARD_VECTORS
 
 VARIANT_I = 1
@@ -79,11 +79,13 @@ class InitialCodeword:
         if self.variant == VARIANT_II and self.levels[-1] < 0:
             raise ValueError("sign-carrying codebooks need nonnegative levels")
 
-    @property
+    # Read on every rank and unrank, so each is computed once per codeword.
+
+    @cached_property
     def n(self) -> int:
         return self.composition.n
 
-    @property
+    @cached_property
     def sign_bits(self) -> int:
         """Number of free sign positions: n, or n - n_K when the last level is 0."""
         if self.variant == VARIANT_I:
@@ -92,11 +94,19 @@ class InitialCodeword:
             return self.n - self.composition.parts[-1]
         return self.n
 
-    @property
+    @cached_property
+    def perms(self) -> int:
+        """Number of distinct arrangements of the initial codeword."""
+        return multinomial_size(self.composition)
+
+    @cached_property
     def size(self) -> int:
-        if self.variant == VARIANT_I:
-            return multinomial_size(self.composition)
-        return variant2_size(self.composition, self.sign_bits)
+        return self.perms << self.sign_bits
+
+    @cached_property
+    def _symbol_of(self) -> dict:
+        """Level index of each level value."""
+        return {lv: i for i, lv in enumerate(self.levels)}
 
     def initial_vector(self) -> np.ndarray:
         """The level values expanded by multiplicity (descending)."""
@@ -159,7 +169,7 @@ class ConcentricCode:
     def _tables(self) -> _Tables:
         comps = [cw.composition for cw in self.subcodes]
         K = max(c.num_levels for c in comps)
-        perms = [multinomial_size(c) for c in comps]
+        perms = [cw.perms for cw in self.subcodes]
         # rank arithmetic multiplies an arrangement count by at most n
         fits = max(perms) * self.n < 2**63 and max(self.sizes) < 2**63
         dtype = np.int64 if fits else object
@@ -343,48 +353,58 @@ def _apply_signs(values, bits) -> list:
     return out
 
 
-def sort_by_variant(x: np.ndarray, variant: int) -> np.ndarray:
+def sort_by_variant(x: np.ndarray, variant: int, out: np.ndarray | None = None) -> np.ndarray:
     """Descending sort along the last axis, of magnitudes for variant II.
 
-    Bit for bit ``-np.sort(-keys)``, with one temporary: the negated keys are
-    sorted and negated back in place.  ``x`` is left unchanged.
+    Bit for bit ``-np.sort(-keys)``, in one array: the negated keys are
+    sorted and negated back in place, in ``out`` when it is given (the shape
+    of ``x``; it may be ``x`` itself).  Otherwise ``x`` is left unchanged.
     """
     if variant == VARIANT_II:
-        keys = np.abs(x)
+        keys = np.abs(x, out=out)
         np.negative(keys, out=keys)
     else:
-        keys = np.negative(x)
+        keys = np.negative(x, out=out)
     keys.sort(axis=-1)
     np.negative(keys, out=keys)
     return keys
 
 
-def sorted_distances(sT: np.ndarray, code: ConcentricCode) -> np.ndarray:
+def sorted_distances(sT: np.ndarray, code: ConcentricCode, out: np.ndarray | None = None) -> np.ndarray:
     """``(J, m)`` squared distances from the columns of the sorted block
     ``sT`` (``(n, m)``, ``sort_by_variant(x, variant).T``) to each
     subcode's best codeword: ``sum_p (sT[p] - v_j[p])**2``, added left to
-    right over p.  Sums of squares, so never negative and never -0.0."""
+    right over p, in ``out`` when it is given.  Sums of squares, so never
+    negative and never -0.0."""
     levels = code._tables.vectors.T[:, :, None]  # (n, J, 1): each subcode's level at p
-    d = np.zeros((code.J, sT.shape[1]))
-    for lo in range(0, sT.shape[1], DISTANCE_COLUMNS):
+    m = sT.shape[1]
+    d = np.empty((code.J, m)) if out is None else out
+    d.fill(0.0)
+    t = np.empty((code.J, min(m, DISTANCE_COLUMNS)))
+    for lo in range(0, m, DISTANCE_COLUMNS):
         block = d[:, lo : lo + DISTANCE_COLUMNS]
-        t = np.empty_like(block)
+        tb = t[:, : block.shape[1]]
         for s, level in zip(sT[:, lo : lo + DISTANCE_COLUMNS], levels):
-            np.subtract(s, level, out=t)
-            np.multiply(t, t, out=t)
-            block += t
+            np.subtract(s, level, out=tb)
+            np.multiply(tb, tb, out=tb)
+            block += tb
     return d
 
 
-def nearest_subcode(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest_subcode(d: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None):
     """The row of the smallest entry in each column of the ``(J, m)`` ``d``,
     and that entry; a tie goes to the smaller row, as with ``np.argmin``.
+    ``out`` is an ``(assign, mind)`` pair of ``(m,)`` intp and float arrays
+    to write them into.
 
     Branch-free: for finite entries that are never -0.0, ``np.minimum`` is
     the strict-``<`` update, and the winning row index only grows.
     """
-    assign = np.zeros(d.shape[1], dtype=np.intp)
-    mind = d[0].copy()
+    if out is None:
+        out = np.empty(d.shape[1], dtype=np.intp), np.empty(d.shape[1])
+    assign, mind = out
+    assign.fill(0)
+    np.copyto(mind, d[0])
     better = np.empty(d.shape[1], dtype=bool)
     for j in range(1, d.shape[0]):
         np.less(d[j], mind, out=better)
@@ -417,20 +437,20 @@ def rank_codeword(w: np.ndarray, cw: InitialCodeword) -> int:
     if w.shape != (cw.n,):
         raise ValueError(f"expected a vector of length {cw.n}")
     values = w.tolist()
-    lookup = {lv: i for i, lv in enumerate(cw.levels)}
+    lookup = cw._symbol_of
     symbols = []
     for v in values:
         i = lookup.get(abs(v) if cw.variant == VARIANT_II else v)
         if i is None:
             raise ValueError(f"component {v!r} matches no level of {cw.levels}")
         symbols.append(i)
-    counts = [symbols.count(i) for i in range(len(cw.levels))]
-    if counts != list(cw.composition.parts):
+    counts = tuple(symbols.count(i) for i in range(len(cw.levels)))
+    if counts != cw.composition.parts:
         raise ValueError(
             f"level multiplicities {counts} do not match composition {cw.composition}"
         )
     signed = values if cw.variant == VARIANT_II else None
-    return _rank(symbols, multinomial_size(cw.composition), signed)
+    return _rank(symbols, cw.perms, signed)
 
 
 def unrank_codeword(rank: int, cw: InitialCodeword) -> np.ndarray:
@@ -439,7 +459,7 @@ def unrank_codeword(rank: int, cw: InitialCodeword) -> np.ndarray:
         raise ValueError(f"rank {rank} out of range [0, {cw.size})")
     h = cw.sign_bits
     perm_rank = rank >> h
-    symbols = _unrank(perm_rank, cw.composition.parts, multinomial_size(cw.composition), cw.n)
+    symbols = _unrank(perm_rank, cw.composition.parts, cw.perms, cw.n)
     values = [cw.levels[s] for s in symbols]
     if cw.variant == VARIANT_II:
         values = _apply_signs(values, rank - (perm_rank << h))

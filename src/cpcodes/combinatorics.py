@@ -35,7 +35,7 @@ class Composition:
             raise ValueError(f"parts must be positive integers, got {self.parts}")
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.parts)
 

@@ -12,14 +12,20 @@ matrix-vector product per sphere round differently, and the golden designs
 pin both.  The finishing pass (:func:`_lloyd_result`) draws the training
 rows again from the same substream and scores them with the encoder's rule.
 Both record their distortion trajectory and are reproducible from (seed,
-sample_count).  The shape-gain designers measure their code on fresh
-samples, so they run the per-sphere rounds alone (:func:`lloyd_general_code`)
-and skip the finishing pass.
+sample_count).  A round scores ``CHUNK_ROWS`` rows at a time into scratch
+allocated once per design and writes one nearest sphere and one distance per
+row, and the cell sums are carried block by block, so a design holds its
+per-row state and scratch of fixed size: :func:`training_memory_bytes`,
+which each designer checks against the memory available before it draws.
+The shape-gain designers measure their code on fresh samples, so they run
+the per-sphere rounds alone (:func:`lloyd_general_code`) and skip the
+finishing pass.
 """
 
 from __future__ import annotations
 
 import math
+import resource
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,7 +43,7 @@ from .codec import (
     sorted_distances,
 )
 from .order_stats import OrderStatTable, grouped_projection
-from .streams import MIN_TRAINING_SAMPLES, normal_blocks, substream
+from .streams import CHUNK_ROWS, MIN_TRAINING_SAMPLES, normal_blocks, substream
 
 
 class DesignInfeasibleError(RuntimeError):
@@ -126,6 +132,56 @@ def pc_distortion_exact(cw: InitialCodeword, table: OrderStatTable) -> float:
     return total / cw.n
 
 
+def training_memory_bytes(compositions: Sequence[Composition], cfg: DesignConfig) -> int:
+    """Estimated bytes a design holds beyond the interpreter: ``samples x (1
+    + L + 2)`` float64 of per-row state, L the group sums per row (K summed
+    over the distinct ``compositions``), plus scratch of fixed size.
+
+    The state is one energy (the projected energy for ``common``), the group
+    sums, and a round's nearest sphere and distance.  A one-level
+    composition's cell is gathered whole for its mean, up to 9 more bytes
+    per row.  The scratch is what one ``CHUNK_ROWS`` block needs: the draw,
+    its transposed copy, the ``(J, CHUNK_ROWS)`` distances and their
+    summands, and a cell's gathered rows.
+    """
+    distinct = set(compositions)
+    levels = sum(c.num_levels for c in distinct)
+    per_row = 8 * (1 + levels + 2) + (9 if any(c.num_levels == 1 for c in distinct) else 0)
+    per_chunk_row = 8 * (2 * compositions[0].n + 2 * cfg.J + levels + 1)
+    return cfg.sample_count * per_row + CHUNK_ROWS * per_chunk_row
+
+
+def _available_bytes() -> int | None:
+    """What this process may still allocate: ``MemAvailable`` from
+    ``/proc/meminfo``, capped by an address-space limit (``ulimit -v``),
+    which the process cannot exceed whatever the machine has free; None
+    when neither is known."""
+    limits = []
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    try:
+        with open("/proc/meminfo") as fp:
+            for line in fp:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+    except (OSError, ValueError, IndexError):
+        pass
+    return min(limits) if limits else None
+
+
+def _guard_memory(compositions: Sequence[Composition], cfg: DesignConfig) -> None:
+    """Refuse, before any draw, a design that :func:`training_memory_bytes`
+    says would not fit in :func:`_available_bytes`."""
+    need = training_memory_bytes(compositions, cfg)
+    budget = _available_bytes()
+    if budget is not None and need > budget:
+        raise MemoryError(
+            f"the design needs an estimated {need / 2**20:.1f} MB, "
+            f"more than the {budget / 2**20:.1f} MB available"
+        )
+
+
 def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarray:
     """Draw the training rows ``CHUNK_ROWS`` at a time, hand each block,
     sorted (magnitudes for variant II), to ``take(lo, block)``, and return
@@ -133,11 +189,11 @@ def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarra
 
     The blocks are bit for bit the rows of ``sort_by_variant(rng.standard_normal((m,
     n)) * sigma, variant)``: consecutive draws continue one stream and rows
-    sort independently.
+    sort independently.  Each block is sorted in the draw's own buffer.
     """
     rng = substream(cfg.rng_seed, "design")
     for lo, x in normal_blocks(rng, cfg.sample_count, n, sigma):
-        take(lo, sort_by_variant(x, cfg.variant))
+        take(lo, sort_by_variant(x, cfg.variant, out=x))  # the next block redraws x
     return rng.choice(cfg.sample_count, size=cfg.J, replace=False)
 
 
@@ -145,18 +201,46 @@ def _reduced_training(compositions, cfg: DesignConfig, sigma: float):
     """The energy of each sorted training row and its group sums under each
     distinct composition, and the J start rows, reduced block by block as
     the rows are drawn: nothing of size ``samples x n`` is held.  Both
-    reductions work row by row, so a block gives its rows' bits."""
+    reductions work row by row, so a block gives its rows' bits.  A design
+    that would not fit is refused first (:func:`_guard_memory`)."""
     m = cfg.sample_count
+    _guard_memory(compositions, cfg)
     x2 = np.empty(m)
     sums = {c: np.empty((m, c.num_levels)) for c in compositions}
 
     def reduce(lo, block):
         hi = lo + len(block)
-        x2[lo:hi] = np.einsum("ij,ij->i", block, block)
+        np.einsum("ij,ij->i", block, block, out=x2[lo:hi])
         for c, part in sums.items():
-            part[lo:hi] = np.add.reduceat(block, group_starts(c), axis=1)
+            np.add.reduceat(block, group_starts(c), axis=1, out=part[lo:hi])
 
     return x2, sums, _training_blocks(cfg, compositions[0].n, sigma, reduce)
+
+
+def _projected_training(c: Composition, cfg: DesignConfig, sigma: float):
+    """The common designer's reduction, block by block as the rows are drawn:
+    the mean row energy, the scaled group sums (``grouped_projection``)
+    stored coordinate-major, ``(K, samples)``, their energies, and the J
+    start rows.  Each row rounds as in the whole-set computation."""
+    m = cfg.sample_count
+    _guard_memory([c], cfg)
+    scale = np.sqrt(np.asarray(c.parts, dtype=float))
+    x2 = np.empty(m)
+    p2 = np.empty(m)
+    projT = np.empty((c.num_levels, m))
+    proj = np.empty((min(CHUNK_ROWS, m), c.num_levels))
+
+    def reduce(lo, block):
+        hi = lo + len(block)
+        np.einsum("ij,ij->i", block, block, out=x2[lo:hi])
+        p = proj[: len(block)]
+        np.add.reduceat(block, group_starts(c), axis=1, out=p)
+        p /= scale
+        np.einsum("ij,ij->i", p, p, out=p2[lo:hi])
+        projT[:, lo:hi] = p.T
+
+    init_rows = _training_blocks(cfg, c.n, sigma, reduce)
+    return float(x2.mean()), p2, projT, init_rows
 
 
 def _settled(history: list[float]) -> bool:
@@ -166,58 +250,117 @@ def _settled(history: list[float]) -> bool:
     )
 
 
-def _cell_means(cells: Sequence[np.ndarray], assign: np.ndarray, mind: np.ndarray):
-    """One Lloyd centroid update: the mean of the rows of ``cells[j]`` that
-    ``assign`` puts in cell j, for each j.
+def _reseed(means, row_of, mind) -> int:
+    """Put each empty cell (a None in ``means``) at the worst-quantized row by
+    ``mind``, the next worst for each further empty cell, so reseeds stay
+    distinct; ``row_of(j, i)`` is row i of cell j's points.  That order is
+    sorted only when a cell is empty.  Returns the number of empty cells."""
+    empty = [j for j, mean in enumerate(means) if mean is None]
+    if empty:
+        worst = np.argsort(-mind)
+        for j, i in zip(empty, worst):
+            means[j] = row_of(j, int(i))
+    return len(empty)
 
-    An empty cell is reseeded at the worst-quantized row by ``mind``, the next
-    worst for each further empty cell, so reseeds stay distinct; that order is
-    sorted only when a cell is empty.  Returns the means and the number of
-    empty cells.
 
-    ``take`` gathers the rows a boolean mask would, in the same order, so each
-    mean rounds as ``points[assign == j].mean(axis=0)`` does.  Over two or
-    more columns that mean adds the rows one after another, and so does the
-    ``einsum`` that replaces it, at a quarter of the cost; a weighted
-    bincount per column adds them in row order too and gives the same bits.
-    numpy sums a one-column cell pairwise, so that cell keeps ``mean``.
+def _shared_cell_means(pointsT: np.ndarray, assign: np.ndarray, mind: np.ndarray, J: int):
+    """One Lloyd centroid update when every cell reads the same points,
+    stored coordinate-major (``(K, m)``): the mean of the columns that
+    ``assign`` puts in cell j, for each j, and the number of empty cells
+    (reseeded by :func:`_reseed`).
+
+    Each mean rounds as ``points[assign == j].mean(axis=0)`` does.  Over two
+    or more columns that mean adds the rows one after another, and so does a
+    weighted bincount, one per coordinate over all cells; numpy sums a
+    one-column cell pairwise, so that cell keeps ``mean``.
     """
+    counts = np.bincount(assign, minlength=J)
+    K = len(pointsT)
+    if K > 1:
+        sums = np.stack([np.bincount(assign, weights=row, minlength=J) for row in pointsT], axis=1)
     means = []
-    empty = 0
-    worst = None
-    for j, points in enumerate(cells):
-        rows = np.flatnonzero(assign == j)
+    for j, count in enumerate(counts):
+        if not count:
+            means.append(None)
+        elif K > 1:
+            means.append(sums[j] / count)
+        else:
+            means.append(pointsT[0][assign == j].mean(keepdims=True))
+    return means, _reseed(means, lambda j, i: pointsT[:, i].copy(), mind)
+
+
+def _gathered_mean(points: np.ndarray, assign: np.ndarray, j: int, buf: np.ndarray):
+    """The mean of the rows of ``points`` that ``assign`` puts in cell j, or
+    None for an empty cell, rounded as ``points[assign == j].mean(axis=0)``.
+
+    Over two or more columns that mean adds the rows one after another.  So
+    the rows are gathered ``CHUNK_ROWS`` at a time into ``buf`` (at least
+    ``(CHUNK_ROWS + 1) * K`` floats) behind the running sum, and summed with
+    it: the same additions in the same order, with no copy of the whole
+    cell.  numpy sums a one-column cell pairwise, so that cell keeps ``mean``.
+    """
+    K = points.shape[1]
+    if K == 1:
+        cell = points[:, 0][assign == j]
+        return cell.mean(keepdims=True) if len(cell) else None
+    total = np.zeros(K)
+    count = 0
+    for lo in range(0, len(assign), CHUNK_ROWS):
+        rows = np.flatnonzero(assign[lo : lo + CHUNK_ROWS] == j)
         if len(rows):
-            block = points.take(rows, axis=0)
-            if block.shape[1] > 1:
-                means.append(np.einsum("ij->j", block) / len(rows))
-            else:
-                means.append(block.mean(axis=0))
-            continue
-        if worst is None:
-            worst = iter(np.argsort(-mind))
-        empty += 1
-        means.append(points[int(next(worst))])
-    return means, empty
+            rows += lo
+            block = buf[: (len(rows) + 1) * K].reshape(len(rows) + 1, K)
+            block[0] = total
+            # mode="clip" gathers into ``block`` directly; "raise" would buffer it
+            np.take(points, rows, axis=0, out=block[1:], mode="clip")
+            np.einsum("ij->j", block, out=total)
+            count += len(rows)
+    return total / count if count else None
 
 
-def _lloyd(cells, means, distances, n, energy=(0.0, 0.0)):
-    """Lloyd rounds from the start ``means`` until :func:`_settled` or LLOYD_MAX_ITERS.
+def _cell_means(cells: Sequence[np.ndarray], assign: np.ndarray, mind: np.ndarray, buf: np.ndarray):
+    """One Lloyd centroid update when cell j reads its own points
+    ``cells[j]`` (``(m, K_j)``): each cell's :func:`_gathered_mean`, and the
+    number of empty cells (reseeded by :func:`_reseed`)."""
+    means = [_gathered_mean(points, assign, j, buf) for j, points in enumerate(cells)]
+    return means, _reseed(means, lambda j, i: cells[j][i], mind)
 
-    ``distances(means)`` is the designer's ``(J, m)`` distance rule and cell j
-    averages its rows of ``cells[j]``.  ``energy = (x2_mean, p2_mean)`` adds
-    back to each round's distortion what reduced coordinates leave out.
-    Returns the final means, the distortion history, the empty-cell count and
-    whether the loop converged.
+
+def _nearest_blocks(score, assign: np.ndarray, mind: np.ndarray) -> None:
+    """:func:`nearest_subcode` of each ``CHUNK_ROWS`` block of rows, written
+    into the whole-set ``assign`` and ``mind``; ``score(lo, hi)`` returns the
+    ``(J, hi - lo)`` distances of rows ``lo:hi``.
+
+    Blocks start at multiples of ``CHUNK_ROWS``, so a BLAS kernel sees the
+    rows of a block in the tiles it would give them in one whole-set call.
+    """
+    for lo in range(0, len(assign), CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, len(assign))
+        nearest_subcode(score(lo, hi), out=(assign[lo:hi], mind[lo:hi]))
+
+
+def _lloyd(means, distances, update, m, n, energy=(0.0, 0.0)):
+    """Lloyd rounds over ``m`` rows from the start ``means`` until
+    :func:`_settled` or LLOYD_MAX_ITERS.
+
+    ``distances(means)`` returns the designer's distance rule as a
+    ``score(lo, hi)`` for :func:`_nearest_blocks`, and ``update(assign,
+    mind)`` returns the new means and the number of empty cells.  Every
+    round writes one ``assign`` and one ``mind`` of m entries.  ``energy =
+    (x2_mean, p2_mean)`` adds back to each round's distortion what reduced
+    coordinates leave out.  Returns the final means, the distortion history,
+    the empty-cell count and whether the loop converged.
     """
     x2_mean, p2_mean = energy
+    assign = np.empty(m, dtype=np.intp)
+    mind = np.empty(m)
     history: list[float] = []
     events = 0
     for _ in range(LLOYD_MAX_ITERS):
-        assign, mind = nearest_subcode(distances(means))
+        _nearest_blocks(distances(means), assign, mind)
         np.maximum(mind, 0.0, out=mind)
         history.append((float(mind.mean()) + x2_mean - p2_mean) / n)
-        means, empty = _cell_means(cells, assign, mind)
+        means, empty = update(assign, mind)
         events += empty
         if _settled(history):
             return means, history, events, True
@@ -287,18 +430,25 @@ def _lloyd_result(parts, levels, cfg, sigma, rounds) -> LloydResult:
     ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.  The
     training rows are drawn again, block by block, from the same substream:
     each block is bit for bit the one the rounds were reduced from, and each
-    column is scored on its own, so the whole set is never held.
+    column is scored on its own, into buffers reused by every block, so the
+    whole set is never held.
     """
     history, events, converged = rounds
     built = [_codeword_from_levels(p, lv, cfg.variant) for p, lv in zip(parts, levels)]
     code = ConcentricCode(tuple(cw for cw, _ in built))
     counts = np.zeros(cfg.J, dtype=np.intp)
     mind = np.empty(cfg.sample_count)
+    rows = min(CHUNK_ROWS, cfg.sample_count)
+    sT = np.empty((code.n, rows))
+    dists = np.empty((cfg.J, rows))
+    assign = np.empty(rows, dtype=np.intp)
 
     def score(lo, block):
-        sT = np.ascontiguousarray(block.T)
-        assign, mind[lo : lo + len(block)] = nearest_subcode(sorted_distances(sT, code))
-        counts[:] += np.bincount(assign, minlength=cfg.J)
+        b = len(block)
+        np.copyto(sT[:, :b], block.T)
+        d = sorted_distances(sT[:, :b], code, out=dists[:, :b])
+        nearest_subcode(d, out=(assign[:b], mind[lo : lo + b]))
+        counts[:] += np.bincount(assign[:b], minlength=cfg.J)
 
     _training_blocks(cfg, code.n, sigma, score)
     return LloydResult(
@@ -312,6 +462,48 @@ def _lloyd_result(parts, levels, cfg, sigma, rounds) -> LloydResult:
     )
 
 
+def _common_rounds(c: Composition, cfg: DesignConfig, sigma: float):
+    """Lloyd rounds of the reduced K-dim quantizer over the scaled group sums
+    of the training rows, projected as they are drawn: the centroids,
+    :func:`_lloyd`'s ``(history, events, converged)``, and the encoder's
+    distortion as the decomposition gives it at the final levels (None when
+    levels merged): reduced distortion + energy - projected energy.  The
+    projections are freed on return, before the finishing pass draws."""
+    m = cfg.sample_count
+    x2_mean, p2, projT, init_rows = _projected_training(c, cfg, sigma)
+    scale = np.sqrt(np.asarray(c.parts, dtype=float))
+    energy = (x2_mean, float(p2.mean()))
+    dists = np.empty((cfg.J, min(CHUNK_ROWS, m)))
+
+    def distances(means):
+        # p2 - 2*(C @ projT) + |C|^2, rounded as written, block by block in one buffer
+        centroids = np.stack(means)
+        c2 = np.einsum("ij,ij->i", centroids, centroids)[:, None]
+
+        def score(lo, hi):
+            d = dists[:, : hi - lo]
+            np.matmul(centroids, projT[:, lo:hi], out=d)
+            np.multiply(d, -2.0, out=d)
+            np.add(d, p2[lo:hi], out=d)
+            return np.add(d, c2, out=d)
+
+        return score
+
+    def update(assign, mind):
+        return _shared_cell_means(projT, assign, mind, cfg.J)
+
+    means, *rounds = _lloyd(list(projT[:, init_rows].T), distances, update, m, c.n, energy)
+    centroids = np.stack(means)
+    built = [_codeword_from_levels(c.parts, lv, cfg.variant) for lv in centroids / scale]
+    if any(merged for _, merged in built):
+        return centroids, rounds, None
+    # the reduced distortion at the final points (variant II levels are clamped at 0)
+    points = np.array([cw.levels for cw, _ in built]) * scale
+    mind = np.empty(m)
+    _nearest_blocks(distances(points), np.empty(m, dtype=np.intp), mind)
+    return centroids, rounds, (float(mind.mean()) + energy[0] - energy[1]) / c.n
+
+
 def design_common_composition(
     c: Composition, cfg: DesignConfig, table: OrderStatTable
 ) -> LloydResult:
@@ -319,35 +511,15 @@ def design_common_composition(
 
     Training vectors are sorted (magnitudes for variant II), projected to
     scaled group sums, quantized with a J-point Lloyd iteration, and the
-    centroids mapped back to level values.
+    centroids mapped back to level values.  The encoder's distortion is
+    checked against the reduced-space decomposition.
     """
     if table.n != c.n:
         raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
-    x2, sums, init_rows = _reduced_training([c], cfg, table.sigma)
+    centroids, rounds, decomposed = _common_rounds(c, cfg, table.sigma)
     scale = np.sqrt(np.asarray(c.parts, dtype=float))
-    proj = sums.pop(c) / scale  # grouped_projection's scaled sums; the unscaled ones go
-    p2 = np.einsum("ij,ij->i", proj, proj)
-    energy = (float(x2.mean()), float(p2.mean()))
-    projT = np.ascontiguousarray(proj.T)  # so that a round's distances come out (J, m)
-    dists = np.empty((cfg.J, cfg.sample_count), dtype=float)
-
-    def distances(means):
-        # p2 - 2*(C @ projT) + |C|^2, rounded as written, in one buffer for every round
-        centroids = np.stack(means)
-        np.matmul(centroids, projT, out=dists)
-        np.multiply(dists, -2.0, out=dists)
-        np.add(dists, p2, out=dists)
-        return np.add(dists, np.einsum("ij,ij->i", centroids, centroids)[:, None], out=dists)
-
-    means, *rounds = _lloyd([proj] * cfg.J, proj[init_rows], distances, c.n, energy)
-    centroids = np.stack(means)
     result = _lloyd_result([c.parts] * cfg.J, centroids / scale, cfg, table.sigma, rounds)
-    if not result.merged_levels:
-        # encoder distortion = reduced distortion + energy - projected energy,
-        # the reduced one at the final points (variant II levels are clamped at 0)
-        points = np.array([cw.levels for cw in result.code.subcodes]) * scale
-        reduced = float(distances(points).min(axis=0).mean())
-        decomposed = (reduced + energy[0] - energy[1]) / c.n
+    if decomposed is not None:
         if abs(result.distortion - decomposed) > 1e-9 * max(abs(result.distortion), 1e-300):
             raise AssertionError(
                 f"distortion decomposition mismatch: {result.distortion} vs {decomposed}"
@@ -373,20 +545,31 @@ def _general_rounds(compositions, cfg, sigma):
     x2, by_composition, init_rows = _reduced_training(compositions, cfg, sigma)
     group_sums = [by_composition[c] for c in compositions]
     parts_arr = [np.asarray(c.parts, dtype=float) for c in compositions]
-    dists = np.empty((len(compositions), len(x2)), dtype=float)
+    rows = min(CHUNK_ROWS, len(x2))
+    dists = np.empty((len(compositions), rows))
+    gathered = np.empty((rows + 1) * max(c.num_levels for c in compositions))
 
     def distances(means):
         # x2 - 2*(G_j @ mu) + parts @ mu^2 per sphere, rounded as written
-        for j, (mean, parts) in enumerate(zip(means, parts_arr)):
-            mu = mean / parts
-            np.matmul(group_sums[j], mu, out=dists[j])
-            dists[j] *= -2.0
-            dists[j] += x2
-            dists[j] += float(parts @ (mu * mu))
-        return dists
+        mus = [mean / parts for mean, parts in zip(means, parts_arr)]
+        shifts = [float(parts @ (mu * mu)) for mu, parts in zip(mus, parts_arr)]
+
+        def score(lo, hi):
+            d = dists[:, : hi - lo]
+            for j, (sums, mu, shift) in enumerate(zip(group_sums, mus, shifts)):
+                np.matmul(sums[lo:hi], mu, out=d[j])
+                d[j] *= -2.0
+                d[j] += x2[lo:hi]
+                d[j] += shift
+            return d
+
+        return score
+
+    def update(assign, mind):
+        return _cell_means(group_sums, assign, mind, gathered)
 
     starts = [sums[row] for sums, row in zip(group_sums, init_rows)]
-    means, *rounds = _lloyd(group_sums, starts, distances, compositions[0].n)
+    means, *rounds = _lloyd(starts, distances, update, len(x2), compositions[0].n)
     return [mean / parts for mean, parts in zip(means, parts_arr)], rounds
 
 
@@ -551,11 +734,18 @@ def swap_improvement_test(
 
     d_before = np.empty(cfg.sample_count)
     d_after = np.empty(cfg.sample_count)
+    rows = min(CHUNK_ROWS, cfg.sample_count)
+    sT = np.empty((c.n, rows))
+    dists = np.empty((cfg.J, rows))
+    assign = np.empty(rows, dtype=np.intp)
     rng = substream(cfg.rng_seed, "swap-eval")
     for lo, x in normal_blocks(rng, cfg.sample_count, c.n, table.sigma):
-        sT = np.ascontiguousarray(sort_by_variant(x, VARIANT_II).T)
+        b = len(x)
+        np.copyto(sT[:, :b], sort_by_variant(x, VARIANT_II, out=x).T)
         for code, d in ((before, d_before), (after, d_after)):
-            np.divide(nearest_subcode(sorted_distances(sT, code))[1], c.n, out=d[lo : lo + len(x)])
+            mind = d[lo : lo + b]
+            nearest_subcode(sorted_distances(sT[:, :b], code, out=dists[:, :b]), out=(assign[:b], mind))
+            mind /= c.n
     diff = d_after - d_before
     stderr = float(diff.std(ddof=1) / math.sqrt(len(diff)))
     return SwapReport(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cephes import ndtr
 from .codec import ConcentricCode, nearest_subcode, sort_by_variant, sorted_distances
-from .streams import SHARD_VECTORS, normal_blocks, substream
+from .streams import CHUNK_ROWS, SHARD_VECTORS, normal_blocks, substream
 
 MIN_SAMPLES = 1000  # fewest Monte Carlo samples a codebook is measured from
 PARETO_RATE_BIN = 1e-3  # bits/sample; pareto_filter keeps one point per bin
@@ -107,6 +107,8 @@ def empirical_distortions(
     keeps each code's per-row distances and sums them whole, as one block of
     ``SHARD_VECTORS`` rows would, so each result equals the one-code call and
     a worker's working set is one chunk plus one distance vector per code.
+    Every chunk is sorted, transposed and scored into buffers allocated once
+    per shard.
     """
     codes = list(codes)
     if not codes:
@@ -121,15 +123,26 @@ def empirical_distortions(
         shard, size = args
         dists = [np.empty(size) for _ in codes]
         hits = [np.zeros(code.J, dtype=np.int64) for code in codes]
+        rows = min(CHUNK_ROWS, size)
+        d = np.empty((max(code.J for code in codes), rows))
+        assign = np.empty(rows, dtype=np.intp)
         for n, by_variant in groups.items():
+            keys = np.empty((rows, n))
+            sT = np.empty((n, rows))
             for lo, x in normal_blocks(substream(seed, "eval", shard), size, n, sigma):
+                b = len(x)
                 for variant, members in by_variant.items():
-                    sT = np.ascontiguousarray(sort_by_variant(x, variant).T)
+                    np.copyto(sT[:, :b], sort_by_variant(x, variant, out=keys[:b]).T)
                     for i in members:
-                        assign, mind = nearest_subcode(sorted_distances(sT, codes[i]))
-                        np.divide(mind, n, out=dists[i][lo : lo + len(mind)])
-                        hits[i] += np.bincount(assign, minlength=codes[i].J)
-        return [(float(d.sum()), float((d * d).sum()), h) for d, h in zip(dists, hits)]
+                        mind = dists[i][lo : lo + b]
+                        J = codes[i].J
+                        nearest_subcode(sorted_distances(sT[:, :b], codes[i], out=d[:J, :b]),
+                                        out=(assign[:b], mind))
+                        mind /= n
+                        hits[i] += np.bincount(assign[:b], minlength=J)
+        sq = np.empty(size)
+        return [(float(v.sum()), float(np.multiply(v, v, out=sq).sum()), h)
+                for v, h in zip(dists, hits)]
 
     jobs = list(enumerate(min(SHARD_VECTORS, samples - lo) for lo in range(0, samples, SHARD_VECTORS)))
     with ThreadPoolExecutor(max_workers=threads_from_env(threads)) as pool:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,9 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import cpcodes
+from cpcodes import design
 from cpcodes.cli import main
 from cpcodes.codec import encode_cpc, load_code
-from cpcodes.combinatorics import rate_point_census
+from cpcodes.combinatorics import Composition, rate_point_census
+from cpcodes.design import DesignConfig, training_memory_bytes
 
 
 @pytest.fixture
@@ -52,6 +55,8 @@ class TestDesign:
         assert manifest["outputs"] == [out]
         assert manifest["parameters"]["seed"] == 7
         assert 0 < manifest["peak_rss_mb"] < 10_000
+        cfg = DesignConfig(J=2, sample_count=20_000)
+        assert manifest["memory_estimate_mb"] == training_memory_bytes([Composition((2, 2, 2))], cfg) / 2**20
         assert manifest["versions"]["scipy"] == pytest.importorskip("scipy").__version__
 
     def test_wsc_fixed_profile(self, runner, tmp_path):
@@ -129,6 +134,48 @@ class TestDesign:
         assert "resource guard: Unable to allocate 1.43 GiB" in res.output
         assert "Traceback" not in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode, over", [
+        ("common", {}),
+        ("general", {"--composition": "1,2,3"}),
+        ("wsc-fixed", {"--composition": None, "--rate": "1.5"}),
+    ])
+    def test_memory_guard_refuses_before_any_draw(self, runner, tmp_path, monkeypatch, mode, over):
+        """A design whose estimate exceeds the memory available exits 6 with
+        the estimate, and draws nothing."""
+        def no_draw(*args):
+            raise AssertionError("a training row was drawn")
+
+        monkeypatch.setattr("cpcodes.design._available_bytes", lambda: 2**20)
+        monkeypatch.setattr("cpcodes.design._training_blocks", no_draw)
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, design_args(str(out), **{"--mode": mode, **over}))
+        assert res.exit_code == 6, res.output
+        assert re.search(r"resource guard: the design needs an estimated [0-9.]+ MB, "
+                         r"more than the 1\.0 MB available", res.output), res.output
+        if mode != "wsc-fixed":
+            comps = [Composition((1, 2, 3) if mode == "general" else (2, 2, 2))]
+            need = training_memory_bytes(comps, DesignConfig(J=2, sample_count=20_000))
+            assert f"an estimated {need / 2**20:.1f} MB" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    def test_memory_guard_skipped_when_nothing_is_known(self, monkeypatch):
+        cfg = DesignConfig(J=2, sample_count=10**12)
+        monkeypatch.setattr("cpcodes.design._available_bytes", lambda: None)
+        design._guard_memory([Composition((8, 8))], cfg)
+        monkeypatch.setattr("cpcodes.design._available_bytes", lambda: 10**12)
+        with pytest.raises(MemoryError, match="an estimated"):
+            design._guard_memory([Composition((8, 8))], cfg)
+
+    def test_address_space_limit_caps_the_budget(self):
+        """``ulimit -v`` caps what the guard takes as available."""
+        script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)); "
+                  "from cpcodes import design; print(design._available_bytes())")
+        env = {**os.environ, "PYTHONPATH": str(Path(cpcodes.__file__).parents[1])}
+        got = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert 0 < int(got) <= 2**32
 
     def test_infeasible_rate_exits_3(self, runner, tmp_path):
         res = runner.invoke(

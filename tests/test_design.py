@@ -133,7 +133,8 @@ class TestCommonCompositionDesign:
         args = (Composition((2, 3, 2)), small_cfg(2, seed=5), gaussian_order_stats(7))
         assert not design_common_composition(*args).merged_levels
         exact = design.sorted_distances
-        monkeypatch.setattr(design, "sorted_distances", lambda sT, code: exact(sT, code) + 1e-3)
+        monkeypatch.setattr(design, "sorted_distances",
+                            lambda sT, code, out=None: exact(sT, code, out) + 1e-3)
         with pytest.raises(AssertionError, match="distortion decomposition mismatch"):
             design_common_composition(*args)
 
@@ -172,20 +173,157 @@ class TestEmptyCellReseed:
 class TestCellMeans:
     def test_bit_identical_to_masked_mean(self):
         """Each cell mean rounds as ``points[assign == j].mean(axis=0)``, for
-        one column (pairwise) and for two to sixteen (row by row)."""
+        one column (pairwise) and for two to sixteen (row by row), whether
+        the rows are gathered block by block (``_cell_means``) or summed by
+        a weighted bincount over coordinate-major points
+        (``_shared_cell_means``)."""
         rng = np.random.default_rng(12)
         for _ in range(40):
             K = int(rng.integers(1, 17))
             m = int(rng.choice([int(rng.integers(2, 500)), int(rng.integers(500, 200_001))]))
             J = int(rng.integers(1, 5))
             cells = [rng.standard_normal((m, K)) * rng.uniform(0.1, 10.0) for _ in range(J)]
-            assign = rng.integers(0, J, size=m)
+            assign = rng.integers(0, J, size=m).astype(np.intp)
             assign[:J] = np.arange(J)  # no empty cell
-            means, empty = design._cell_means(cells, assign, np.zeros(m))
-            assert empty == 0
+            buf = np.full((CHUNK_ROWS + 1) * K, np.nan)
+            means, empty = design._cell_means(cells, assign, np.zeros(m), buf)
+            shared, shared_empty = design._shared_cell_means(
+                np.ascontiguousarray(cells[0].T), assign, np.zeros(m), J)
+            assert empty == shared_empty == 0
             for j, (points, mean) in enumerate(zip(cells, means)):
                 want = points.take(np.flatnonzero(assign == j), axis=0).mean(axis=0)
                 assert [float(v).hex() for v in mean] == [float(v).hex() for v in want], (K, m)
+                if j == 0:
+                    continue
+                want = cells[0].take(np.flatnonzero(assign == j), axis=0).mean(axis=0)
+                assert [float(v).hex() for v in shared[j]] == [float(v).hex() for v in want], (K, m)
+
+    def test_empty_cells_reseed_at_worst_rows(self):
+        """Both updates put the empty cells, in order, at the worst and the
+        next worst row by ``mind``."""
+        m, K = CHUNK_ROWS + 5, 3
+        points = np.random.default_rng(3).standard_normal((m, K))
+        assign = np.zeros(m, dtype=np.intp)
+        assign[::2] = 2
+        mind = np.arange(m, dtype=float)
+        mind[7], mind[11] = 2.0 * m, 3.0 * m
+        means, empty = design._cell_means([points] * 4, assign, mind, np.empty((CHUNK_ROWS + 1) * K))
+        shared, shared_empty = design._shared_cell_means(np.ascontiguousarray(points.T), assign, mind, 4)
+        assert empty == shared_empty == 2
+        for got in (means, shared):
+            assert np.array_equal(got[1], points[11]) and np.array_equal(got[3], points[7])
+
+
+def _whole_set_rounds(cells, starts, distances, n, energy=(0.0, 0.0)):
+    """Lloyd rounds as one whole-set computation: the ``(J, m)`` distances
+    at once, masked cell means, empty cells reseeded at the worst rows.
+    Returns each round's ``(assign, means)`` and the history."""
+    means, history, rounds = starts, [], []
+    for _ in range(design.LLOYD_MAX_ITERS):
+        assign, mind = nearest_subcode(distances(means))
+        np.maximum(mind, 0.0, out=mind)
+        history.append((float(mind.mean()) + energy[0] - energy[1]) / n)
+        worst = iter(np.argsort(-mind))
+        means = [points[assign == j].mean(axis=0) if (assign == j).any()
+                 else points[int(next(worst))] for j, points in enumerate(cells)]
+        rounds.append((assign, means))
+        if design._settled(history):
+            break
+    return rounds, history
+
+
+class TestBlockedRounds:
+    """Rounds scored ``CHUNK_ROWS`` rows at a time, with cell sums carried
+    block by block (general) or by bincount (common), give the bits of the
+    whole-set rounds: history, every round's assignment and means."""
+
+    m = 2 * CHUNK_ROWS + 1811  # not a multiple of the block
+
+    @staticmethod
+    def _recorded(monkeypatch, shared_start, run):
+        rounds = []
+        lloyd = design._lloyd
+
+        def recording(means, distances, update, *args):
+            def recorded(assign, mind):
+                out = update(assign, mind)
+                rounds.append((assign.copy(), [np.array(v) for v in out[0]]))
+                return out
+
+            return lloyd(means, distances, recorded, *args)
+
+        monkeypatch.setattr(design, "_lloyd", recording)
+        if shared_start:
+            draw = design._training_blocks
+            monkeypatch.setattr(design, "_training_blocks",
+                                lambda *args: np.full(args[0].J, draw(*args)[0]))
+        return run(), rounds
+
+    @staticmethod
+    def _training(cfg, n, sigma, shared_start):
+        rng = substream(cfg.rng_seed, "design")
+        s = sort_by_variant(rng.standard_normal((cfg.sample_count, n)) * sigma, cfg.variant)
+        rows = rng.choice(cfg.sample_count, size=cfg.J, replace=False)
+        return s, np.full_like(rows, rows[0]) if shared_start else rows
+
+    @staticmethod
+    def _assert_same(got, history, want, want_history):
+        assert [h.hex() for h in history] == [h.hex() for h in want_history]
+        assert len(got) == len(want)
+        for (assign, means), (want_assign, want_means) in zip(got, want):
+            assert np.array_equal(assign, want_assign)
+            assert [[float(v).hex() for v in mean] for mean in means] == [
+                [float(v).hex() for v in mean] for mean in want_means]
+
+    @pytest.mark.parametrize("parts, variant, shared_start", [
+        ((2, 2, 2), VARIANT_I, True),  # every sphere starts at one row: two empty cells
+        ((6,), VARIANT_II, False),  # one-column cells
+        ((1, 2, 3), VARIANT_II, False),
+    ])
+    def test_common_rounds_equal_whole_set(self, monkeypatch, parts, variant, shared_start):
+        c, sigma = Composition(parts), 1.3
+        cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=21)
+        res, got = self._recorded(monkeypatch, shared_start,
+                                  lambda: design_common_composition(c, cfg, gaussian_order_stats(6, sigma)))
+        s, rows = self._training(cfg, 6, sigma, shared_start)
+        proj = np.add.reduceat(s, [0, *np.cumsum(parts)[:-1]], axis=1) / np.sqrt(np.array(parts, float))
+        p2 = np.einsum("ij,ij->i", proj, proj)
+        projT = np.ascontiguousarray(proj.T)
+
+        def distances(means):
+            centroids = np.stack(means)
+            d = np.matmul(centroids, projT) * -2.0 + p2
+            return d + np.einsum("ij,ij->i", centroids, centroids)[:, None]
+
+        energy = (float(np.einsum("ij,ij->i", s, s).mean()), float(p2.mean()))
+        want, history = _whole_set_rounds([proj] * 3, list(proj[rows]), distances, 6, energy)
+        self._assert_same(got, res.distortion_history, want, history)
+        assert (res.empty_cell_events > 0) == shared_start
+
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_general_rounds_equal_whole_set(self, monkeypatch, variant):
+        # spheres 0 and 1 start at one row with one composition, so one cell
+        # is empty; sphere 2's one-level composition has one-column cells
+        comps = [Composition((2, 4)), Composition((2, 4)), Composition((6,))]
+        sigma = 0.8
+        cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=22)
+        res, got = self._recorded(monkeypatch, True,
+                                  lambda: lloyd_general(comps, cfg, gaussian_order_stats(6, sigma)))
+        s, rows = self._training(cfg, 6, sigma, True)
+        x2 = np.einsum("ij,ij->i", s, s)
+        cells = [np.add.reduceat(s, [0, *np.cumsum(c.parts)[:-1]], axis=1) for c in comps]
+        parts = [np.array(c.parts, float) for c in comps]
+
+        def distances(means):
+            d = np.empty((3, self.m))
+            for j, (points, mean, p) in enumerate(zip(cells, means, parts)):
+                mu = mean / p
+                d[j] = (points @ mu) * -2.0 + x2 + float(p @ (mu * mu))
+            return d
+
+        want, history = _whole_set_rounds(cells, [g[r] for g, r in zip(cells, rows)], distances, 6)
+        self._assert_same(got, res.distortion_history, want, history)
+        assert res.empty_cell_events > 0
 
 
 class TestLloydGeneral:
@@ -361,29 +499,35 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("designer", ["common", "general"])
     def test_design_holds_group_sums_not_rows(self, designer):
-        """numpy registers its buffers with tracemalloc.  The rounds need,
-        per training row, one energy, the (scaled) group sums of each
-        distinct composition (twice over for the common designer, row- and
-        coordinate-major, with their energy) and J distances; beyond those
-        the design holds less than half of a ``samples x n`` array."""
-        m, n, J = 200_000, 16, 3
+        """numpy registers its buffers with tracemalloc.  Per training row the
+        rounds hold one energy (the projected one for the common designer),
+        the group sums of each distinct composition, and one nearest sphere
+        and one distance; beyond that state the peak is scratch of fixed
+        size, the same at 200k and at 400k rows, and within the guard's
+        estimate."""
+        n, J = 16, 3
         if designer == "common":
-            c = Composition((4, 4, 4, 4))
-            run = lambda cfg: design_common_composition(c, cfg, gaussian_order_stats(n))
-            floats = 1 + 2 * c.num_levels + 1 + J
+            comps = [Composition((4, 4, 4, 4))]
+            run = lambda cfg: design_common_composition(comps[0], cfg, gaussian_order_stats(n))
         else:
             comps = [Composition((4, 4, 4, 4)), Composition((2, 6, 8)), Composition((8, 8))]
             run = lambda cfg: lloyd_general(comps, cfg, gaussian_order_stats(n))
-            floats = 1 + sum(c.num_levels for c in comps) + J
+        floats = 1 + sum(c.num_levels for c in comps) + 2
         run(DesignConfig(J=J, sample_count=10_000))  # imports
-        tracemalloc.start()
-        try:
-            run(DesignConfig(J=J, sample_count=m, rng_seed=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        state = 8 * m * floats
-        assert peak - state < 0.5 * m * n * 8, ((peak - state) / (m * n * 8), state / (m * n * 8))
+        excess = []
+        for m in (200_000, 400_000):
+            cfg = DesignConfig(J=J, sample_count=m, rng_seed=1)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= design.training_memory_bytes(comps, cfg), (m, peak)
+            excess.append(peak - 8 * m * floats)
+        # a per-row temporary of even one byte would add 200 kB
+        assert abs(excess[1] - excess[0]) < 50_000, excess
+        assert 0 < excess[0] < 2 * CHUNK_ROWS * n * 8, excess
 
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_code_from_group_sums_equals_lloyd_general(self, variant):
