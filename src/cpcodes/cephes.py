@@ -98,7 +98,7 @@ def _erf_small(x):
 
 
 def _erfc_tail(z):
-    """Cephes ``erfc`` for every element ``z >= sqrt(1/2)`` (or NaN) of an array."""
+    """Cephes ``erfc`` for every element ``z > -1`` (or NaN) of an array."""
     out = np.zeros_like(z)  # exp(-z*z) underflows: Cephes returns 0
     mid = z < 1.0
     out[mid] = 1.0 - _erf_small(z[mid])

@@ -10,7 +10,8 @@ order-statistic density, evaluated in the log domain so the binomial front
 factors never overflow.  Tables are cached per n at unit variance and
 rescaled, since the Gaussian family is closed under scaling.  A table
 computes its moments on first read, so a caller that needs only ``n`` and
-``sigma`` never loads ``scipy.special``.
+``sigma`` never runs the quadrature, nor loads the Cephes ports of
+:mod:`cpcodes.cephes` that it evaluates.
 """
 
 from __future__ import annotations
@@ -86,14 +87,11 @@ def _gl_rule(panels: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]
 
 def _descending_moments(n, x, w, log_cdf, log_sf, log_pdf):
     """Mean and second moment of the l-th largest of n, for all l at once."""
-    from scipy import special
+    from .cephes import lgam
 
     ranks = np.arange(1, n + 1)  # 1 = largest
-    log_front = (
-        special.gammaln(n + 1)
-        - special.gammaln(ranks)
-        - special.gammaln(n - ranks + 1)
-    )
+    lg = np.array([lgam(k) for k in range(1, n + 2)])  # lg[k - 1] = log((k - 1)!)
+    log_front = lg[n] - lg[ranks - 1] - lg[n - ranks]
     below = (n - ranks)[:, None].astype(float)
     above = (ranks - 1)[:, None].astype(float)
     # 0 * (-inf) at support edges must contribute 0, not nan
@@ -127,22 +125,34 @@ def _integrate(n, lo, hi, log_parts_fn):
     raise IntegrationError(worst, f"order-statistic quadrature did not reach tol={TOL}")
 
 
-def _gaussian_log_parts(x):
-    from scipy import special
+def _log_ndtr(x):
+    """log Phi(x): the log of ``ndtr`` below -1, where it keeps its relative
+    precision, and ``log1p(-erfc(x/sqrt(2))/2)`` from -1 up."""
+    from .cephes import _SQRT1_2, _erfc_tail, ndtr
 
+    out = np.empty_like(x)
+    low = x < -1.0
+    out[low] = np.log(ndtr(x[low]))
+    out[~low] = np.log1p(-_erfc_tail(x[~low] * _SQRT1_2) / 2)
+    return out
+
+
+def _gaussian_log_parts(x):
     log_pdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
-    return special.log_ndtr(x), special.log_ndtr(-x), log_pdf
+    return _log_ndtr(x), _log_ndtr(-x), log_pdf
 
 
 def _folded_log_parts(x):
     # parent is |Z| for standard normal Z: F(x) = erf(x/sqrt(2)), f(x) = 2*phi(x);
-    # the survival side goes through erfc to keep precision deep in the tail
-    from scipy import special
+    # the survival side goes through erfc to keep precision deep in the tail.
+    # Cephes erf(z) is its small-argument rational up to 1 and 1 - erfc(z) above
+    from .cephes import _erf_small, _erfc_tail
 
     z = x / math.sqrt(2.0)
+    erfc = _erfc_tail(z)
     with np.errstate(divide="ignore"):
-        log_cdf = np.log(special.erf(z))
-        log_sf = np.log(special.erfc(z))
+        log_cdf = np.log(np.where(z <= 1.0, _erf_small(z), 1.0 - erfc))
+        log_sf = np.log(erfc)
     log_pdf = math.log(2.0) - 0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
     return log_cdf, log_sf, log_pdf
 

@@ -57,7 +57,7 @@ class TestDesign:
         assert 0 < manifest["peak_rss_mb"] < 10_000
         cfg = DesignConfig(J=2, sample_count=20_000)
         assert manifest["memory_estimate_mb"] == training_memory_bytes([Composition((2, 2, 2))], cfg) / 2**20
-        assert manifest["versions"]["scipy"] == pytest.importorskip("scipy").__version__
+        assert "scipy" not in manifest["versions"]
 
     def test_wsc_fixed_profile(self, runner, tmp_path):
         out = str(tmp_path / "cb.json")
@@ -211,11 +211,12 @@ class TestDesign:
         assert res.exit_code == 3, res.output
         assert "design infeasible: rate 0.01 bits/sample is too low" in res.output
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("mode", ["common", "general", "wsc-var", "wsc-fixed"])
     def test_non_finite_sigma_exits_3(self, runner, tmp_path, monkeypatch, mode, sigma):
-        """A NaN, infinite or zero sigma is refused before any sample is drawn,
-        so no numpy RuntimeWarning is raised on the way."""
+        """A NaN, infinite, zero or negative sigma is bad usage, exit 2 as in
+        eval (the name predates that), refused before any sample is drawn, so
+        no numpy RuntimeWarning is raised on the way."""
         def no_draw(*args):
             raise AssertionError("training samples drawn for a bad sigma")
 
@@ -225,10 +226,31 @@ class TestDesign:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = runner.invoke(main, args)
-        assert res.exit_code == 3
-        assert "sigma must be positive and finite" in res.output
+        assert res.exit_code == 2, res.output
+        assert "--sigma must be positive and finite" in res.output
         assert "RuntimeWarning" not in res.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--composition", "2,2"], "composition 2,2 sums to 4, not --n 6"),
+        (["--mode", "general", "--composition", "2,2"], "composition 2,2 sums to 4, not --n 6"),
+        (["--mode", "general", "--composition", "2,2,2", "--composition", "3,2"],
+         "composition 3,2 sums to 5, not --n 6"),
+    ])
+    def test_composition_not_summing_to_n_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                                         argv, message):
+        """Checked before any order-statistic table is built or row drawn."""
+        def refuse(*args):
+            raise AssertionError("design work started for a bad composition")
+
+        monkeypatch.setattr("cpcodes.order_stats.gaussian_order_stats", refuse)
+        monkeypatch.setattr("cpcodes.design.substream", refuse)
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["design", "--n", "6", "--j", "2", "--samples", "20000",
+                                   "--out", str(out), *argv])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("option, value", [("--samples", "100"), ("--j", "0"), ("--n", "0")])
     def test_out_of_range_option_is_usage_error(self, runner, tmp_path, option, value):
@@ -439,10 +461,21 @@ def test_import_skips_scipy_stats():
     assert _loaded_after("import cpcodes.cli", ("scipy", "numpy.f2py")) == []
 
 
+_TABLE_READS = ("\nfrom cpcodes.combinatorics import Composition\n"
+                "from cpcodes.design import optimal_levels_single, pc_distortion_exact\n"
+                "from cpcodes.order_stats import gaussian_order_stats\n"
+                "for n in (1, 7, 16, 64):\n"
+                "    gaussian_order_stats(n).mean_xi, gaussian_order_stats(n).second_eta\n"
+                "table = gaussian_order_stats(7)\n"
+                "pc_distortion_exact(optimal_levels_single(Composition((3, 2, 2)), table), table)")
+
+
 def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
-    """No command loads any scipy module: encode, decode, ratepoints, eval and
-    the designs of all four modes, the wsc ones with their chi-law gain
-    quantizer and special-function constants, and every manifest's versions."""
+    """No command loads any scipy module: encode, decode, ratepoints, eval with
+    and without a codebook and the designs of all four modes, the wsc ones with
+    their chi-law gain quantizer and special-function constants, and every
+    manifest's versions.  Nor do the order-statistic moment tables and the
+    single-code level and distortion formulas read from them."""
     stream = str(tmp_path / "x.cpc")
     runs = [
         ["encode", "--codebook", str(DATA / "golden_v1.json"),
@@ -454,10 +487,11 @@ def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
         design_args(str(tmp_path / "general.json"), **{"--mode": "general"}),
         ["eval", "--codebook", str(DATA / "golden_v1.json"), "--samples", "2000",
          "--baselines", "ecsq,ecusq,bound", "--output", str(tmp_path / "rd.csv")],
+        ["eval", "--baselines", "ecsq,ecusq,bound", "--output", str(tmp_path / "baselines.csv")],
     ]
     runs += [["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
               "--out", str(tmp_path / f"{name}.json")] for name in ("wsc_fixed_v2", "wsc_var_v2")]
-    assert _loaded_after(_RUN_ARGVS, ("scipy",), json.dumps(runs)) == []
+    assert _loaded_after(_RUN_ARGVS + _TABLE_READS, ("scipy",), json.dumps(runs)) == []
     assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
     for name in ("wsc_fixed_v2", "wsc_var_v2"):
         assert (tmp_path / f"{name}.json").read_bytes() == \
@@ -520,19 +554,6 @@ class TestProcessEntry:
         before, after = [line.split()[1:] for line in run.stdout.splitlines()
                          if line.startswith("frozen:")]
         assert before == ["0"] and int(after[0]) > 0 and after[1] == "0"
-
-
-def test_eval_skips_scipy_special(tmp_path):
-    """eval evaluates its baselines' normal CDF without scipy.special, with
-    or without a codebook."""
-    out = str(tmp_path / "rd.csv")
-    runs = [
-        ["eval", "--codebook", str(DATA / "golden_v1.json"), "--samples", "2000",
-         "--baselines", "ecsq,ecusq,bound", "--output", str(tmp_path / "cb.csv")],
-        ["eval", "--baselines", "ecsq,ecusq,bound", "--output", out],
-    ]
-    assert _loaded_after(_RUN_ARGVS, ("scipy.special",), json.dumps(runs)) == []
-    assert Path(out).read_bytes() == (DATA / "golden_baselines.csv").read_bytes()
 
 
 class TestEval:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cpcodes import cephes, order_stats
 from cpcodes.combinatorics import Composition
 from cpcodes.order_stats import (
     _unit_table,
@@ -102,6 +103,43 @@ class TestLazyTable:
     def test_bad_arguments_raise_on_call(self, build, n, sigma):
         with pytest.raises(ValueError):
             build(n, sigma)
+
+
+def _scipy_unit_table(n, special):
+    """order_stats._unit_table as it was written on scipy.special: the same
+    quadrature, with gammaln for the binomial front, log_ndtr for the Gaussian
+    parent and erf/erfc for the folded one."""
+    def gaussian(x):
+        log_pdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+        return special.log_ndtr(x), special.log_ndtr(-x), log_pdf
+
+    def folded(x):
+        z = x / math.sqrt(2.0)
+        with np.errstate(divide="ignore"):
+            log_cdf, log_sf = np.log(special.erf(z)), np.log(special.erfc(z))
+        return log_cdf, log_sf, math.log(2.0) - 0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cephes, "lgam", special.gammaln)
+        mp.setattr(order_stats, "_gaussian_log_parts", gaussian)
+        mp.setattr(order_stats, "_folded_log_parts", folded)
+        return order_stats._unit_table.__wrapped__(n)
+
+
+def test_tables_match_scipy():
+    """Magnitude (eta) tables are scipy's bit for bit for n = 1..128 at sigma
+    1 and 2.5; the signed (xi) ones, whose log Phi is not scipy's in the last
+    bit, are within 1e-13."""
+    special = pytest.importorskip("scipy.special")
+    for n in range(1, 129):
+        unit = _scipy_unit_table(n, special)
+        for sigma in (1.0, 2.5):
+            t = gaussian_order_stats(n, sigma)
+            want = (unit[0] * sigma, unit[1] * sigma * sigma, unit[2] * sigma, unit[3] * sigma * sigma)
+            for got, ref in zip((t.mean_eta, t.second_eta), want[2:]):
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()], (n, sigma)
+            for got, ref in zip((t.mean_xi, t.second_xi), want[:2]):
+                assert np.max(np.abs(got - ref)) <= 1e-13, (n, sigma)
 
 
 @pytest.mark.slow

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import special
 
 from cpcodes.codec import VARIANT_I, VARIANT_II
 from cpcodes.combinatorics import Composition, ResourceLimitError
@@ -28,6 +27,7 @@ from cpcodes.wsc import (
 
 
 def chi_mean(n):
+    special = pytest.importorskip("scipy.special")
     return math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2) - special.gammaln(n / 2))
 
 
@@ -55,15 +55,13 @@ class TestGainCodebook:
         # nearest-neighbor condition: boundaries at midpoints reproduce the cells
         gains = np.asarray(gc.gains)
         bounds = np.concatenate(([0.0], (gains[:-1] + gains[1:]) / 2.0, [np.inf]))
-        from scipy import stats
-
+        stats = pytest.importorskip("scipy.stats")
+        quad = pytest.importorskip("scipy.integrate").quad
         masses = np.diff(stats.chi.cdf(bounds, n))
         assert np.allclose(masses, gc.probs, atol=1e-9)
         # centroid condition against direct numerical integration
         for j in range(J):
             lo, hi = bounds[j], bounds[j + 1]
-            from scipy.integrate import quad
-
             num = quad(lambda r: r * stats.chi.pdf(r, n), lo, min(hi, 60.0), limit=200)[0]
             assert num / gc.probs[j] == pytest.approx(gc.gains[j], abs=1e-6)
 
@@ -78,6 +76,7 @@ class TestGainCodebook:
 
 class TestConstants:
     def test_cs_over_c_factorization(self):
+        special = pytest.importorskip("scipy.special")
         for n in (2, 7, 25, 100):
             c = wsc_constants(n, 1.0 / 12.0, sigma=1.3)
             assert c.c_s / c.c == pytest.approx(
