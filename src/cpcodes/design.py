@@ -2,24 +2,25 @@
 
 A Lloyd round reads only each sorted training row's energy and group sums,
 so every designer reduces the rows to those as they are drawn
-(:func:`_reduced_training`) and no ``samples x n`` array is held.  Both
-designers run one Lloyd loop (:func:`_lloyd`) in two coordinate systems.
-With one shared composition the search collapses to a J-point vector
-quantizer on the scaled group sums of the sorted source (dimension K instead
-of n); with arbitrary per-sphere compositions each sphere keeps its own
-group sums.  The two distance rules stay separate: one matrix product and a
-matrix-vector product per sphere round differently, and the golden designs
-pin both.  The finishing pass (:func:`_lloyd_result`) draws the training
-rows again from the same substream and scores them with the encoder's rule.
-Both record their distortion trajectory and are reproducible from (seed,
+(:func:`_reduced_training`) and no ``samples x n`` array is held.  Every
+designer runs one Lloyd rule in one coordinate system: sphere j's levels
+against its own composition's group sums, stored coordinate-major.  With one
+shared composition every sphere reads the same sums, and the search is the
+paper's J-point vector quantizer in dimension K instead of n; that design is
+the general one on J equal compositions, bit for bit.  The distances are
+elementwise products added over the levels in a fixed order, and the cell
+sums are weighted bincounts, so a design's bits depend on no BLAS kernel,
+thread count or block size.  The finishing pass (:func:`_lloyd_result`)
+draws the training rows again from the same substream, scores them with the
+encoder's rule, and checks that distortion against the rounds' rule.  Both
+record their distortion trajectory and are reproducible from (seed,
 sample_count).  A round scores ``CHUNK_ROWS`` rows at a time into scratch
 allocated once per design and writes one nearest sphere and one distance per
-row, and the cell sums are carried block by block, so a design holds its
-per-row state and scratch of fixed size: :func:`training_memory_bytes`,
-which each designer checks against the memory available before it draws.
-The shape-gain designers measure their code on fresh samples, so they run
-the per-sphere rounds alone (:func:`lloyd_general_code`) and skip the
-finishing pass.
+row, so a design holds its per-row state and scratch of fixed size:
+:func:`training_memory_bytes`, which each designer checks against the memory
+available before it draws.  The shape-gain designers measure their code on
+fresh samples, so they run the rounds alone (:func:`lloyd_general_code`) and
+skip the finishing pass.
 """
 
 from __future__ import annotations
@@ -137,18 +138,14 @@ def training_memory_bytes(compositions: Sequence[Composition], cfg: DesignConfig
     + L + 2)`` float64 of per-row state, L the group sums per row (K summed
     over the distinct ``compositions``), plus scratch of fixed size.
 
-    The state is one energy (the projected energy for ``common``), the group
-    sums, and a round's nearest sphere and distance.  A one-level
-    composition's cell is gathered whole for its mean, up to 9 more bytes
-    per row.  The scratch is what one ``CHUNK_ROWS`` block needs: the draw,
-    its transposed copy, the ``(J, CHUNK_ROWS)`` distances and their
-    summands, and a cell's gathered rows.
+    The state is one energy, the group sums, and a round's nearest sphere
+    and distance.  The scratch is what one ``CHUNK_ROWS`` block needs: the
+    draw, its transposed copy, the ``(J, CHUNK_ROWS)`` distances and their
+    summands, and a block's group sums.
     """
-    distinct = set(compositions)
-    levels = sum(c.num_levels for c in distinct)
-    per_row = 8 * (1 + levels + 2) + (9 if any(c.num_levels == 1 for c in distinct) else 0)
+    levels = sum(c.num_levels for c in set(compositions))
     per_chunk_row = 8 * (2 * compositions[0].n + 2 * cfg.J + levels + 1)
-    return cfg.sample_count * per_row + CHUNK_ROWS * per_chunk_row
+    return cfg.sample_count * 8 * (1 + levels + 2) + CHUNK_ROWS * per_chunk_row
 
 
 def _available_bytes() -> int | None:
@@ -198,49 +195,24 @@ def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarra
 
 
 def _reduced_training(compositions, cfg: DesignConfig, sigma: float):
-    """The energy of each sorted training row and its group sums under each
-    distinct composition, and the J start rows, reduced block by block as
-    the rows are drawn: nothing of size ``samples x n`` is held.  Both
-    reductions work row by row, so a block gives its rows' bits.  A design
-    that would not fit is refused first (:func:`_guard_memory`)."""
+    """The energy of each sorted training row, its group sums under each
+    distinct composition, stored coordinate-major (``(K, samples)``), and
+    the J start rows, reduced block by block as the rows are drawn: nothing
+    of size ``samples x n`` is held.  Both reductions work row by row, so a
+    block gives its rows' bits.  A design that would not fit is refused
+    first (:func:`_guard_memory`)."""
     m = cfg.sample_count
     _guard_memory(compositions, cfg)
     x2 = np.empty(m)
-    sums = {c: np.empty((m, c.num_levels)) for c in compositions}
+    sums = {c: np.empty((c.num_levels, m)) for c in dict.fromkeys(compositions)}
 
     def reduce(lo, block):
         hi = lo + len(block)
         np.einsum("ij,ij->i", block, block, out=x2[lo:hi])
         for c, part in sums.items():
-            np.add.reduceat(block, group_starts(c), axis=1, out=part[lo:hi])
+            np.add.reduceat(block, group_starts(c), axis=1, out=part[:, lo:hi].T)
 
     return x2, sums, _training_blocks(cfg, compositions[0].n, sigma, reduce)
-
-
-def _projected_training(c: Composition, cfg: DesignConfig, sigma: float):
-    """The common designer's reduction, block by block as the rows are drawn:
-    the mean row energy, the scaled group sums (``grouped_projection``)
-    stored coordinate-major, ``(K, samples)``, their energies, and the J
-    start rows.  Each row rounds as in the whole-set computation."""
-    m = cfg.sample_count
-    _guard_memory([c], cfg)
-    scale = np.sqrt(np.asarray(c.parts, dtype=float))
-    x2 = np.empty(m)
-    p2 = np.empty(m)
-    projT = np.empty((c.num_levels, m))
-    proj = np.empty((min(CHUNK_ROWS, m), c.num_levels))
-
-    def reduce(lo, block):
-        hi = lo + len(block)
-        np.einsum("ij,ij->i", block, block, out=x2[lo:hi])
-        p = proj[: len(block)]
-        np.add.reduceat(block, group_starts(c), axis=1, out=p)
-        p /= scale
-        np.einsum("ij,ij->i", p, p, out=p2[lo:hi])
-        projT[:, lo:hi] = p.T
-
-    init_rows = _training_blocks(cfg, c.n, sigma, reduce)
-    return float(x2.mean()), p2, projT, init_rows
 
 
 def _settled(history: list[float]) -> bool:
@@ -250,121 +222,76 @@ def _settled(history: list[float]) -> bool:
     )
 
 
-def _reseed(means, row_of, mind) -> int:
-    """Put each empty cell (a None in ``means``) at the worst-quantized row by
-    ``mind``, the next worst for each further empty cell, so reseeds stay
-    distinct; ``row_of(j, i)`` is row i of cell j's points.  That order is
+def _reseed(levels, row_of, mind) -> int:
+    """Put each empty cell (a None in ``levels``) at the worst-quantized row
+    by ``mind``, the next worst for each further empty cell, so reseeds stay
+    distinct; ``row_of(j, i)`` is cell j's levels at row i.  That order is
     sorted only when a cell is empty.  Returns the number of empty cells."""
-    empty = [j for j, mean in enumerate(means) if mean is None]
+    empty = [j for j, lv in enumerate(levels) if lv is None]
     if empty:
         worst = np.argsort(-mind)
         for j, i in zip(empty, worst):
-            means[j] = row_of(j, int(i))
+            levels[j] = row_of(j, int(i))
     return len(empty)
 
 
-def _shared_cell_means(pointsT: np.ndarray, assign: np.ndarray, mind: np.ndarray, J: int):
-    """One Lloyd centroid update when every cell reads the same points,
-    stored coordinate-major (``(K, m)``): the mean of the columns that
-    ``assign`` puts in cell j, for each j, and the number of empty cells
+def _cell_levels(sums: dict, compositions: Sequence[Composition], assign: np.ndarray, mind: np.ndarray):
+    """One Lloyd update: sphere j's levels, the mean of its group sums
+    ``sums[compositions[j]]`` (``(K, m)``) over the rows that ``assign``
+    puts in cell j, divided by the parts, and the number of empty cells
     (reseeded by :func:`_reseed`).
 
-    Each mean rounds as ``points[assign == j].mean(axis=0)`` does.  Over two
-    or more columns that mean adds the rows one after another, and so does a
-    weighted bincount, one per coordinate over all cells; numpy sums a
-    one-column cell pairwise, so that cell keeps ``mean``.
+    One weighted bincount per coordinate of each distinct composition sums
+    every cell at once, adding its rows in index order: the same additions,
+    one column or many, whatever the block size.
     """
+    J = len(compositions)
     counts = np.bincount(assign, minlength=J)
-    K = len(pointsT)
-    if K > 1:
-        sums = np.stack([np.bincount(assign, weights=row, minlength=J) for row in pointsT], axis=1)
-    means = []
-    for j, count in enumerate(counts):
-        if not count:
-            means.append(None)
-        elif K > 1:
-            means.append(sums[j] / count)
-        else:
-            means.append(pointsT[0][assign == j].mean(keepdims=True))
-    return means, _reseed(means, lambda j, i: pointsT[:, i].copy(), mind)
-
-
-def _gathered_mean(points: np.ndarray, assign: np.ndarray, j: int, buf: np.ndarray):
-    """The mean of the rows of ``points`` that ``assign`` puts in cell j, or
-    None for an empty cell, rounded as ``points[assign == j].mean(axis=0)``.
-
-    Over two or more columns that mean adds the rows one after another.  So
-    the rows are gathered ``CHUNK_ROWS`` at a time into ``buf`` (at least
-    ``(CHUNK_ROWS + 1) * K`` floats) behind the running sum, and summed with
-    it: the same additions in the same order, with no copy of the whole
-    cell.  numpy sums a one-column cell pairwise, so that cell keeps ``mean``.
-    """
-    K = points.shape[1]
-    if K == 1:
-        cell = points[:, 0][assign == j]
-        return cell.mean(keepdims=True) if len(cell) else None
-    total = np.zeros(K)
-    count = 0
-    for lo in range(0, len(assign), CHUNK_ROWS):
-        rows = np.flatnonzero(assign[lo : lo + CHUNK_ROWS] == j)
-        if len(rows):
-            rows += lo
-            block = buf[: (len(rows) + 1) * K].reshape(len(rows) + 1, K)
-            block[0] = total
-            # mode="clip" gathers into ``block`` directly; "raise" would buffer it
-            np.take(points, rows, axis=0, out=block[1:], mode="clip")
-            np.einsum("ij->j", block, out=total)
-            count += len(rows)
-    return total / count if count else None
-
-
-def _cell_means(cells: Sequence[np.ndarray], assign: np.ndarray, mind: np.ndarray, buf: np.ndarray):
-    """One Lloyd centroid update when cell j reads its own points
-    ``cells[j]`` (``(m, K_j)``): each cell's :func:`_gathered_mean`, and the
-    number of empty cells (reseeded by :func:`_reseed`)."""
-    means = [_gathered_mean(points, assign, j, buf) for j, points in enumerate(cells)]
-    return means, _reseed(means, lambda j, i: cells[j][i], mind)
+    totals = {
+        c: np.stack([np.bincount(assign, weights=row, minlength=J) for row in part], axis=1)
+        for c, part in sums.items()
+    }
+    parts = [np.asarray(c.parts, dtype=float) for c in compositions]
+    levels = [
+        totals[c][j] / count / p if count else None
+        for j, (c, count, p) in enumerate(zip(compositions, counts, parts))
+    ]
+    return levels, _reseed(levels, lambda j, i: sums[compositions[j]][:, i] / parts[j], mind)
 
 
 def _nearest_blocks(score, assign: np.ndarray, mind: np.ndarray) -> None:
     """:func:`nearest_subcode` of each ``CHUNK_ROWS`` block of rows, written
     into the whole-set ``assign`` and ``mind``; ``score(lo, hi)`` returns the
-    ``(J, hi - lo)`` distances of rows ``lo:hi``.
-
-    Blocks start at multiples of ``CHUNK_ROWS``, so a BLAS kernel sees the
-    rows of a block in the tiles it would give them in one whole-set call.
-    """
+    ``(J, hi - lo)`` distances of rows ``lo:hi``."""
     for lo in range(0, len(assign), CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, len(assign))
         nearest_subcode(score(lo, hi), out=(assign[lo:hi], mind[lo:hi]))
 
 
-def _lloyd(means, distances, update, m, n, energy=(0.0, 0.0)):
-    """Lloyd rounds over ``m`` rows from the start ``means`` until
+def _lloyd(levels, distances, update, m, n):
+    """Lloyd rounds over ``m`` rows from the start ``levels`` until
     :func:`_settled` or LLOYD_MAX_ITERS.
 
-    ``distances(means)`` returns the designer's distance rule as a
-    ``score(lo, hi)`` for :func:`_nearest_blocks`, and ``update(assign,
-    mind)`` returns the new means and the number of empty cells.  Every
-    round writes one ``assign`` and one ``mind`` of m entries.  ``energy =
-    (x2_mean, p2_mean)`` adds back to each round's distortion what reduced
-    coordinates leave out.  Returns the final means, the distortion history,
-    the empty-cell count and whether the loop converged.
+    ``distances(levels)`` returns the distance rule as a ``score(lo, hi)``
+    for :func:`_nearest_blocks`, and ``update(assign, mind)`` returns the
+    new levels and the number of empty cells.  Every round writes one
+    ``assign`` and one ``mind`` of m entries.  Returns the final levels, the
+    per-sample distortion history, the empty-cell count and whether the loop
+    converged.
     """
-    x2_mean, p2_mean = energy
     assign = np.empty(m, dtype=np.intp)
     mind = np.empty(m)
     history: list[float] = []
     events = 0
     for _ in range(LLOYD_MAX_ITERS):
-        _nearest_blocks(distances(means), assign, mind)
+        _nearest_blocks(distances(levels), assign, mind)
         np.maximum(mind, 0.0, out=mind)
-        history.append((float(mind.mean()) + x2_mean - p2_mean) / n)
-        means, empty = update(assign, mind)
+        history.append(float(mind.mean()) / n)
+        levels, empty = update(assign, mind)
         events += empty
         if _settled(history):
-            return means, history, events, True
-    return means, history, events, False
+            return levels, history, events, True
+    return levels, history, events, False
 
 
 def _merge_nonincreasing(parts: Sequence[int], levels: Sequence[float]):
@@ -401,7 +328,7 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
     Only meaningful when every subcode shares one composition.  Returns
     ``(direct, decomposed)`` per-sample distortions; the two agree up to
     floating-point roundoff.  An independent reference for the check that
-    :func:`design_common_composition` makes with its own quantities.
+    every finishing pass makes with the rounds' own quantities.
     """
     c = code.subcodes[0].composition
     if any(cw.composition != c for cw in code.subcodes):
@@ -462,72 +389,6 @@ def _lloyd_result(parts, levels, cfg, sigma, rounds) -> LloydResult:
     )
 
 
-def _common_rounds(c: Composition, cfg: DesignConfig, sigma: float):
-    """Lloyd rounds of the reduced K-dim quantizer over the scaled group sums
-    of the training rows, projected as they are drawn: the centroids,
-    :func:`_lloyd`'s ``(history, events, converged)``, and the encoder's
-    distortion as the decomposition gives it at the final levels (None when
-    levels merged): reduced distortion + energy - projected energy.  The
-    projections are freed on return, before the finishing pass draws."""
-    m = cfg.sample_count
-    x2_mean, p2, projT, init_rows = _projected_training(c, cfg, sigma)
-    scale = np.sqrt(np.asarray(c.parts, dtype=float))
-    energy = (x2_mean, float(p2.mean()))
-    dists = np.empty((cfg.J, min(CHUNK_ROWS, m)))
-
-    def distances(means):
-        # p2 - 2*(C @ projT) + |C|^2, rounded as written, block by block in one buffer
-        centroids = np.stack(means)
-        c2 = np.einsum("ij,ij->i", centroids, centroids)[:, None]
-
-        def score(lo, hi):
-            d = dists[:, : hi - lo]
-            np.matmul(centroids, projT[:, lo:hi], out=d)
-            np.multiply(d, -2.0, out=d)
-            np.add(d, p2[lo:hi], out=d)
-            return np.add(d, c2, out=d)
-
-        return score
-
-    def update(assign, mind):
-        return _shared_cell_means(projT, assign, mind, cfg.J)
-
-    means, *rounds = _lloyd(list(projT[:, init_rows].T), distances, update, m, c.n, energy)
-    centroids = np.stack(means)
-    built = [_codeword_from_levels(c.parts, lv, cfg.variant) for lv in centroids / scale]
-    if any(merged for _, merged in built):
-        return centroids, rounds, None
-    # the reduced distortion at the final points (variant II levels are clamped at 0)
-    points = np.array([cw.levels for cw, _ in built]) * scale
-    mind = np.empty(m)
-    _nearest_blocks(distances(points), np.empty(m, dtype=np.intp), mind)
-    return centroids, rounds, (float(mind.mean()) + energy[0] - energy[1]) / c.n
-
-
-def design_common_composition(
-    c: Composition, cfg: DesignConfig, table: OrderStatTable
-) -> LloydResult:
-    """J-sphere design for one shared composition via the reduced K-dim quantizer.
-
-    Training vectors are sorted (magnitudes for variant II), projected to
-    scaled group sums, quantized with a J-point Lloyd iteration, and the
-    centroids mapped back to level values.  The encoder's distortion is
-    checked against the reduced-space decomposition.
-    """
-    if table.n != c.n:
-        raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
-    centroids, rounds, decomposed = _common_rounds(c, cfg, table.sigma)
-    scale = np.sqrt(np.asarray(c.parts, dtype=float))
-    result = _lloyd_result([c.parts] * cfg.J, centroids / scale, cfg, table.sigma, rounds)
-    if decomposed is not None:
-        if abs(result.distortion - decomposed) > 1e-9 * max(abs(result.distortion), 1e-300):
-            raise AssertionError(
-                f"distortion decomposition mismatch: {result.distortion} vs {decomposed}"
-            )
-    result.reduced = ReducedVQ(centroids)
-    return result
-
-
 def _check_compositions(compositions: Sequence[Composition], cfg: DesignConfig) -> int:
     """The shared dimension of one composition per sphere."""
     if len(compositions) != cfg.J:
@@ -538,39 +399,95 @@ def _check_compositions(compositions: Sequence[Composition], cfg: DesignConfig) 
     return n
 
 
-def _general_rounds(compositions, cfg, sigma):
+def _general_rounds(compositions, cfg, sigma, check=False):
     """Lloyd rounds over per-sphere group sums of the training rows, reduced
-    as they are drawn: sphere j's levels and :func:`_lloyd`'s ``(history,
-    events, converged)``."""
-    x2, by_composition, init_rows = _reduced_training(compositions, cfg, sigma)
-    group_sums = [by_composition[c] for c in compositions]
-    parts_arr = [np.asarray(c.parts, dtype=float) for c in compositions]
-    rows = min(CHUNK_ROWS, len(x2))
-    dists = np.empty((len(compositions), rows))
-    gathered = np.empty((rows + 1) * max(c.num_levels for c in compositions))
+    as they are drawn: sphere j's levels, :func:`_lloyd`'s ``(history,
+    events, converged)`` and, with ``check``, the per-sample distortion of
+    the final codewords (merged and clamped) under the rounds' own rule,
+    taken before the group sums are freed; None without ``check``.
 
-    def distances(means):
-        # x2 - 2*(G_j @ mu) + parts @ mu^2 per sphere, rounded as written
-        mus = [mean / parts for mean, parts in zip(means, parts_arr)]
-        shifts = [float(parts @ (mu * mu)) for mu, parts in zip(mus, parts_arr)]
+    Sphere j's distance is ``x2 - 2 sum_k G_k mu_k + sum_k n_k mu_k^2``,
+    each sum over the levels added left to right with a separate multiply
+    and add, in elementwise ufuncs and Python floats: no BLAS kernel picks
+    the order, and a row's bits do not depend on its block.
+    """
+    x2, sums, init_rows = _reduced_training(compositions, cfg, sigma)
+    m, n = len(x2), compositions[0].n
+    group_sums = [sums[c] for c in compositions]
+    rows = min(CHUNK_ROWS, m)
+    dists = np.empty((cfg.J, rows))
+    term = np.empty(rows)
+
+    def distances(levels):
+        # -2 mu_k is exact, so the sum of G_k (-2 mu_k) is -2 sum_k G_k mu_k
+        weights = [(-2.0 * mu).tolist() for mu in levels]
+        shifts = []
+        for c, mu in zip(compositions, levels):
+            shift = 0.0
+            for part, v in zip(c.parts, mu.tolist()):
+                shift += part * (v * v)
+            shifts.append(shift)
 
         def score(lo, hi):
-            d = dists[:, : hi - lo]
-            for j, (sums, mu, shift) in enumerate(zip(group_sums, mus, shifts)):
-                np.matmul(sums[lo:hi], mu, out=d[j])
-                d[j] *= -2.0
-                d[j] += x2[lo:hi]
-                d[j] += shift
+            d, t = dists[:, : hi - lo], term[: hi - lo]
+            for dj, g, w, shift in zip(d, group_sums, weights, shifts):
+                np.multiply(g[0, lo:hi], w[0], out=dj)
+                for row, wk in zip(g[1:], w[1:]):
+                    np.multiply(row[lo:hi], wk, out=t)
+                    dj += t
+                dj += x2[lo:hi]
+                dj += shift
             return d
 
         return score
 
     def update(assign, mind):
-        return _cell_means(group_sums, assign, mind, gathered)
+        return _cell_levels(sums, compositions, assign, mind)
 
-    starts = [sums[row] for sums, row in zip(group_sums, init_rows)]
-    means, *rounds = _lloyd(starts, distances, update, len(x2), compositions[0].n)
-    return [mean / parts for mean, parts in zip(means, parts_arr)], rounds
+    parts = [np.asarray(c.parts, dtype=float) for c in compositions]
+    starts = [g[:, row] / p for g, row, p in zip(group_sums, init_rows, parts)]
+    levels, *rounds = _lloyd(starts, distances, update, m, n)
+    if not check:
+        return levels, rounds, None
+    final = []
+    for c, lv in zip(compositions, levels):
+        cw, _ = _codeword_from_levels(c.parts, lv, cfg.variant)
+        final.append(cw.initial_vector()[group_starts(c)])  # a merged level on each group it covers
+    mind = np.empty(m)
+    _nearest_blocks(distances(final), np.empty(m, dtype=np.intp), mind)
+    return levels, rounds, float(mind.mean()) / n
+
+
+def _checked_design(compositions, cfg, sigma):
+    """:func:`_general_rounds` and :func:`_lloyd_result`, with the
+    finishing pass's distortion (the encoder's rule) checked against the
+    rounds' rule at the final codewords.  Returns the result and the
+    levels before merging and clamping."""
+    levels, rounds, decomposed = _general_rounds(compositions, cfg, sigma, check=True)
+    result = _lloyd_result([c.parts for c in compositions], levels, cfg, sigma, rounds)
+    if abs(result.distortion - decomposed) > 1e-9 * max(abs(result.distortion), 1e-300):
+        raise AssertionError(
+            f"distortion decomposition mismatch: {result.distortion} vs {decomposed}"
+        )
+    return result, levels
+
+
+def design_common_composition(
+    c: Composition, cfg: DesignConfig, table: OrderStatTable
+) -> LloydResult:
+    """J-sphere design for one shared composition via the reduced K-dim quantizer.
+
+    Every sphere reads the same group sums of the sorted training vectors
+    (magnitudes for variant II), so the rounds are :func:`lloyd_general`'s
+    on ``[c] * J``, bit for bit: a J-point Lloyd iteration in K dimensions.
+    ``reduced`` holds the final points in the scaled coordinates
+    ``sqrt(n_i) * mu_i``.
+    """
+    if table.n != c.n:
+        raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
+    result, levels = _checked_design([c] * cfg.J, cfg, table.sigma)
+    result.reduced = ReducedVQ(np.stack(levels) * np.sqrt(np.asarray(c.parts, dtype=float)))
+    return result
 
 
 def lloyd_general(
@@ -585,8 +502,7 @@ def lloyd_general(
     n = _check_compositions(compositions, cfg)
     if table.n != n:
         raise ValueError(f"table is for n={table.n}, compositions need n={n}")
-    levels, rounds = _general_rounds(compositions, cfg, table.sigma)
-    return _lloyd_result([c.parts for c in compositions], levels, cfg, table.sigma, rounds)
+    return _checked_design(compositions, cfg, table.sigma)[0]
 
 
 def lloyd_general_code(
@@ -598,7 +514,7 @@ def lloyd_general_code(
     distortion would not serve.
     """
     _check_compositions(compositions, cfg)
-    levels, (history, _, _) = _general_rounds(compositions, cfg, sigma)
+    levels, (history, _, _), _ = _general_rounds(compositions, cfg, sigma)
     subcodes = tuple(
         _codeword_from_levels(c.parts, lv, cfg.variant)[0] for c, lv in zip(compositions, levels)
     )

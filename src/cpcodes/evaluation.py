@@ -187,8 +187,10 @@ def rate_variable(code: ConcentricCode, probs=None) -> float:
     p = np.asarray(probs, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")
-    log_sizes = np.array([math.log2(m) for m in code.sizes])
-    return (entropy_bits(p) + float(p @ log_sizes)) / code.n
+    log_size_mean = 0.0  # added left to right, so no BLAS kernel picks the order
+    for pj, m in zip(p.tolist(), code.sizes):
+        log_size_mean += pj * math.log2(m)
+    return (entropy_bits(p) + log_size_mean) / code.n
 
 
 def rate_fixed(code: ConcentricCode) -> float:

@@ -188,10 +188,11 @@ def sizes_variable_rate(split: RateSplit, gc: GainCodebook, n: int) -> np.ndarra
     Sizes scale as gain^(n-1); the probability-weighted log2 sizes sum to
     n times the shape rate.
     """
-    gains = np.asarray(gc.gains)
-    probs = np.asarray(gc.probs)
-    log_gain_mean = float(probs @ np.log2(gains))
-    log_sizes = (n - 1.0) * np.log2(gains) + n * split.shape_rate - (n - 1.0) * log_gain_mean
+    log_gains = np.log2(np.asarray(gc.gains))
+    log_gain_mean = 0.0  # added left to right, so no BLAS kernel picks the order
+    for p, lg in zip(gc.probs, log_gains.tolist()):
+        log_gain_mean += p * lg
+    log_sizes = (n - 1.0) * log_gains + n * split.shape_rate - (n - 1.0) * log_gain_mean
     return np.exp2(log_sizes)
 
 

@@ -127,16 +127,22 @@ class TestCommonCompositionDesign:
         direct, decomposed = distortion_decomposition(res.code, rng.standard_normal((20_000, 7)))
         assert abs(direct - decomposed) <= 1e-9 * abs(direct)
 
-    def test_designer_checks_decomposition(self, monkeypatch):
-        """The designer checks the encoder's distortion against the reduced-space
-        decomposition: a clean run passes, a distance rule off by 1e-3 raises."""
-        args = (Composition((2, 3, 2)), small_cfg(2, seed=5), gaussian_order_stats(7))
-        assert not design_common_composition(*args).merged_levels
+    @pytest.mark.parametrize("designer", ["common", "general"])
+    def test_designer_checks_decomposition(self, monkeypatch, designer):
+        """Both designers check the encoder's distortion against the rounds'
+        rule at the final codewords: a clean run passes, a distance rule off
+        by 1e-3 raises."""
+        cfg, table = small_cfg(2, seed=5), gaussian_order_stats(7)
+        if designer == "common":
+            run = lambda: design_common_composition(Composition((2, 3, 2)), cfg, table)
+        else:
+            run = lambda: lloyd_general([Composition((2, 3, 2)), Composition((1, 4, 2))], cfg, table)
+        assert not run().merged_levels
         exact = design.sorted_distances
         monkeypatch.setattr(design, "sorted_distances",
                             lambda sT, code, out=None: exact(sT, code, out) + 1e-3)
         with pytest.raises(AssertionError, match="distortion decomposition mismatch"):
-            design_common_composition(*args)
+            run()
 
     def test_variant2_levels_nonnegative(self):
         t = folded_order_stats(6)
@@ -170,72 +176,93 @@ class TestEmptyCellReseed:
         assert len(set(res.code.subcodes)) == 3
 
 
+def _levels_in_row_order(points, assign, j, parts):
+    """Cell j's levels as the whole-set reference: the rows of ``points``
+    (``(m, K)``) that ``assign`` puts in cell j, added one after another
+    (``cumsum`` is sequential), over the count, over the parts."""
+    cell = points[assign == j]
+    return np.cumsum(cell, axis=0)[-1] / len(cell) / parts
+
+
 class TestCellMeans:
     def test_bit_identical_to_masked_mean(self):
-        """Each cell mean rounds as ``points[assign == j].mean(axis=0)``, for
-        one column (pairwise) and for two to sixteen (row by row), whether
-        the rows are gathered block by block (``_cell_means``) or summed by
-        a weighted bincount over coordinate-major points
-        (``_shared_cell_means``)."""
+        """Each cell's levels add its rows in index order, for one column and
+        for two to sixteen, for spheres that share a composition and for
+        spheres that do not."""
         rng = np.random.default_rng(12)
         for _ in range(40):
-            K = int(rng.integers(1, 17))
-            m = int(rng.choice([int(rng.integers(2, 500)), int(rng.integers(500, 200_001))]))
             J = int(rng.integers(1, 5))
-            cells = [rng.standard_normal((m, K)) * rng.uniform(0.1, 10.0) for _ in range(J)]
+            m = int(rng.choice([int(rng.integers(2, 500)), int(rng.integers(500, 200_001))]))
+            comps = [Composition(tuple(int(p) for p in rng.integers(1, 4, size=rng.integers(1, 17))))
+                     for _ in range(2)]
+            comps = [comps[int(i)] for i in rng.integers(0, 2, size=J)]
+            sums = {c: rng.standard_normal((c.num_levels, m)) * rng.uniform(0.1, 10.0) for c in comps}
             assign = rng.integers(0, J, size=m).astype(np.intp)
             assign[:J] = np.arange(J)  # no empty cell
-            buf = np.full((CHUNK_ROWS + 1) * K, np.nan)
-            means, empty = design._cell_means(cells, assign, np.zeros(m), buf)
-            shared, shared_empty = design._shared_cell_means(
-                np.ascontiguousarray(cells[0].T), assign, np.zeros(m), J)
-            assert empty == shared_empty == 0
-            for j, (points, mean) in enumerate(zip(cells, means)):
-                want = points.take(np.flatnonzero(assign == j), axis=0).mean(axis=0)
-                assert [float(v).hex() for v in mean] == [float(v).hex() for v in want], (K, m)
-                if j == 0:
-                    continue
-                want = cells[0].take(np.flatnonzero(assign == j), axis=0).mean(axis=0)
-                assert [float(v).hex() for v in shared[j]] == [float(v).hex() for v in want], (K, m)
+            levels, empty = design._cell_levels(sums, comps, assign, np.zeros(m))
+            assert empty == 0
+            for j, (c, lv) in enumerate(zip(comps, levels)):
+                want = _levels_in_row_order(sums[c].T, assign, j, np.array(c.parts, float))
+                assert [float(v).hex() for v in lv] == [float(v).hex() for v in want], (c, m)
 
     def test_empty_cells_reseed_at_worst_rows(self):
-        """Both updates put the empty cells, in order, at the worst and the
+        """The empty cells go, in order, to the levels of the worst and the
         next worst row by ``mind``."""
-        m, K = CHUNK_ROWS + 5, 3
-        points = np.random.default_rng(3).standard_normal((m, K))
+        m, c = CHUNK_ROWS + 5, Composition((1, 2, 4))
+        sums = {c: np.random.default_rng(3).standard_normal((3, m))}
         assign = np.zeros(m, dtype=np.intp)
         assign[::2] = 2
         mind = np.arange(m, dtype=float)
         mind[7], mind[11] = 2.0 * m, 3.0 * m
-        means, empty = design._cell_means([points] * 4, assign, mind, np.empty((CHUNK_ROWS + 1) * K))
-        shared, shared_empty = design._shared_cell_means(np.ascontiguousarray(points.T), assign, mind, 4)
-        assert empty == shared_empty == 2
-        for got in (means, shared):
-            assert np.array_equal(got[1], points[11]) and np.array_equal(got[3], points[7])
+        levels, empty = design._cell_levels(sums, [c] * 4, assign, mind)
+        assert empty == 2
+        parts = np.array(c.parts, float)
+        assert np.array_equal(levels[1], sums[c][:, 11] / parts)
+        assert np.array_equal(levels[3], sums[c][:, 7] / parts)
 
 
-def _whole_set_rounds(cells, starts, distances, n, energy=(0.0, 0.0)):
-    """Lloyd rounds as one whole-set computation: the ``(J, m)`` distances
-    at once, masked cell means, empty cells reseeded at the worst rows.
-    Returns each round's ``(assign, means)`` and the history."""
-    means, history, rounds = starts, [], []
+def _whole_set_rounds(s, comps, rows):
+    """Lloyd rounds as one whole-set computation over the sorted training
+    rows ``s``: the ``(J, m)`` distances at once, each sum over the levels
+    added left to right, levels from row-order cell sums, empty cells
+    reseeded at the worst rows.  Returns each round's ``(assign, levels)``
+    and the history."""
+    x2 = np.einsum("ij,ij->i", s, s)
+    cells = [np.add.reduceat(s, [0, *np.cumsum(c.parts)[:-1]], axis=1) for c in comps]
+    parts = [np.array(c.parts, float) for c in comps]
+
+    def distances(levels):
+        d = np.empty((len(comps), len(s)))
+        for j, (points, mu, c) in enumerate(zip(cells, levels, comps)):
+            total = points[:, 0] * (-2.0 * mu[0])
+            for k in range(1, len(mu)):
+                total = total + points[:, k] * (-2.0 * mu[k])
+            shift = 0.0
+            for part, v in zip(c.parts, mu):
+                shift += part * (float(v) * float(v))
+            d[j] = total + x2 + shift
+        return d
+
+    levels = [g[r] / p for g, r, p in zip(cells, rows, parts)]
+    history, rounds = [], []
     for _ in range(design.LLOYD_MAX_ITERS):
-        assign, mind = nearest_subcode(distances(means))
+        assign, mind = nearest_subcode(distances(levels))
         np.maximum(mind, 0.0, out=mind)
-        history.append((float(mind.mean()) + energy[0] - energy[1]) / n)
+        history.append(float(mind.mean()) / s.shape[1])
         worst = iter(np.argsort(-mind))
-        means = [points[assign == j].mean(axis=0) if (assign == j).any()
-                 else points[int(next(worst))] for j, points in enumerate(cells)]
-        rounds.append((assign, means))
+        levels = [_levels_in_row_order(points, assign, j, p) if (assign == j).any()
+                  else points[int(next(worst))] / p
+                  for j, (points, p) in enumerate(zip(cells, parts))]
+        rounds.append((assign, levels))
         if design._settled(history):
             break
     return rounds, history
 
 
 class TestBlockedRounds:
-    """Rounds scored ``CHUNK_ROWS`` rows at a time, with cell sums carried
-    block by block (general) or by bincount (common), give the bits of the
-    whole-set rounds: history, every round's assignment and means."""
+    """Rounds scored ``CHUNK_ROWS`` rows at a time, with cell sums from
+    weighted bincounts, give the bits of the whole-set rounds: history,
+    every round's assignment and levels."""
 
     m = 2 * CHUNK_ROWS + 1811  # not a multiple of the block
 
@@ -244,13 +271,13 @@ class TestBlockedRounds:
         rounds = []
         lloyd = design._lloyd
 
-        def recording(means, distances, update, *args):
+        def recording(levels, distances, update, *args):
             def recorded(assign, mind):
                 out = update(assign, mind)
                 rounds.append((assign.copy(), [np.array(v) for v in out[0]]))
                 return out
 
-            return lloyd(means, distances, recorded, *args)
+            return lloyd(levels, distances, recorded, *args)
 
         monkeypatch.setattr(design, "_lloyd", recording)
         if shared_start:
@@ -270,10 +297,10 @@ class TestBlockedRounds:
     def _assert_same(got, history, want, want_history):
         assert [h.hex() for h in history] == [h.hex() for h in want_history]
         assert len(got) == len(want)
-        for (assign, means), (want_assign, want_means) in zip(got, want):
+        for (assign, levels), (want_assign, want_levels) in zip(got, want):
             assert np.array_equal(assign, want_assign)
-            assert [[float(v).hex() for v in mean] for mean in means] == [
-                [float(v).hex() for v in mean] for mean in want_means]
+            assert [[float(v).hex() for v in lv] for lv in levels] == [
+                [float(v).hex() for v in lv] for lv in want_levels]
 
     @pytest.mark.parametrize("parts, variant, shared_start", [
         ((2, 2, 2), VARIANT_I, True),  # every sphere starts at one row: two empty cells
@@ -286,17 +313,7 @@ class TestBlockedRounds:
         res, got = self._recorded(monkeypatch, shared_start,
                                   lambda: design_common_composition(c, cfg, gaussian_order_stats(6, sigma)))
         s, rows = self._training(cfg, 6, sigma, shared_start)
-        proj = np.add.reduceat(s, [0, *np.cumsum(parts)[:-1]], axis=1) / np.sqrt(np.array(parts, float))
-        p2 = np.einsum("ij,ij->i", proj, proj)
-        projT = np.ascontiguousarray(proj.T)
-
-        def distances(means):
-            centroids = np.stack(means)
-            d = np.matmul(centroids, projT) * -2.0 + p2
-            return d + np.einsum("ij,ij->i", centroids, centroids)[:, None]
-
-        energy = (float(np.einsum("ij,ij->i", s, s).mean()), float(p2.mean()))
-        want, history = _whole_set_rounds([proj] * 3, list(proj[rows]), distances, 6, energy)
+        want, history = _whole_set_rounds(s, [c] * 3, rows)
         self._assert_same(got, res.distortion_history, want, history)
         assert (res.empty_cell_events > 0) == shared_start
 
@@ -310,18 +327,7 @@ class TestBlockedRounds:
         res, got = self._recorded(monkeypatch, True,
                                   lambda: lloyd_general(comps, cfg, gaussian_order_stats(6, sigma)))
         s, rows = self._training(cfg, 6, sigma, True)
-        x2 = np.einsum("ij,ij->i", s, s)
-        cells = [np.add.reduceat(s, [0, *np.cumsum(c.parts)[:-1]], axis=1) for c in comps]
-        parts = [np.array(c.parts, float) for c in comps]
-
-        def distances(means):
-            d = np.empty((3, self.m))
-            for j, (points, mean, p) in enumerate(zip(cells, means, parts)):
-                mu = mean / p
-                d[j] = (points @ mu) * -2.0 + x2 + float(p @ (mu * mu))
-            return d
-
-        want, history = _whole_set_rounds(cells, [g[r] for g, r in zip(cells, rows)], distances, 6)
+        want, history = _whole_set_rounds(s, comps, rows)
         self._assert_same(got, res.distortion_history, want, history)
         assert res.empty_cell_events > 0
 
@@ -346,14 +352,20 @@ class TestLloydGeneral:
         assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
 
     def test_matches_common_design_same_seed(self):
-        # identical compositions and paired seeds walk the same trajectory
+        """The common design is the general one on J equal compositions,
+        bit for bit."""
         t = gaussian_order_stats(7)
         c = Composition((3, 2, 2))
         cfg = small_cfg(3, seed=9, samples=100_000)
         reduced = design_common_composition(c, cfg, t)
         general = lloyd_general([c, c, c], cfg, t)
-        se = 2.0 / math.sqrt(cfg.sample_count)
-        assert abs(reduced.distortion - general.distortion) <= 3.0 * se
+        assert reduced.code.subcodes == general.code.subcodes
+        assert [[v.hex() for v in cw.levels] for cw in reduced.code.subcodes] == [
+            [v.hex() for v in cw.levels] for cw in general.code.subcodes]
+        assert [h.hex() for h in reduced.distortion_history] == [
+            h.hex() for h in general.distortion_history]
+        assert [p.hex() for p in reduced.code.probs] == [p.hex() for p in general.code.probs]
+        assert reduced.distortion.hex() == general.distortion.hex()
 
     def test_mismatched_dimension_rejected(self):
         t = gaussian_order_stats(6)
@@ -475,7 +487,8 @@ class TestBoundedMemory:
         assert np.array_equal(x2, np.einsum("ij,ij->i", s, s))
         assert list(sums) == comps[:2]
         for c, got in sums.items():
-            assert np.array_equal(got, np.add.reduceat(s, [0, *np.cumsum(c.parts)[:-1]], axis=1))
+            # stored coordinate-major, (K, samples)
+            assert np.array_equal(got, np.add.reduceat(s, [0, *np.cumsum(c.parts)[:-1]], axis=1).T)
         assert np.array_equal(init_rows, rng.choice(self.m, size=3, replace=False))
 
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
@@ -500,11 +513,10 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("designer", ["common", "general"])
     def test_design_holds_group_sums_not_rows(self, designer):
         """numpy registers its buffers with tracemalloc.  Per training row the
-        rounds hold one energy (the projected one for the common designer),
-        the group sums of each distinct composition, and one nearest sphere
-        and one distance; beyond that state the peak is scratch of fixed
-        size, the same at 200k and at 400k rows, and within the guard's
-        estimate."""
+        rounds hold one energy, the group sums of each distinct composition,
+        and one nearest sphere and one distance; beyond that state the peak
+        is scratch of fixed size, the same at 200k and at 400k rows, and
+        within the guard's estimate."""
         n, J = 16, 3
         if designer == "common":
             comps = [Composition((4, 4, 4, 4))]

@@ -8,6 +8,10 @@ change of design output is intended) with
 """
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +93,65 @@ def test_golden_covers_reseed():
     golden = json.loads(GOLDEN.read_text())
     assert golden["common_v1_j3_reseed"]["empty_cell_events"] >= 1
     assert golden["general_v2_j3_reseed"]["empty_cell_events"] >= 1
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an x86 OpenBLAS that picks its kernel at run
+    time, so that ``OPENBLAS_CORETYPE`` selects one."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        config = np.__config__.CONFIG["Build Dependencies"]["blas"]["openblas configuration"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+    return "DYNAMIC_ARCH" in str(config)
+
+
+# every golden case, then each CLI golden design, in a fresh interpreter; the
+# report goes to a file because the commands print to stdout
+_CHILD = """
+import json, sys
+from cpcodes.cli import main
+from test_golden_designs import CASES, run_case
+argvs, report = json.loads(sys.argv[1]), sys.argv[2]
+for argv in argvs:
+    main.main(args=argv, standalone_mode=False)
+files = [open(argv[argv.index("--out") + 1]).read() for argv in argvs]
+json.dump({"cases": {name: run_case(name) for name in sorted(CASES)}, "files": files}, open(report, "w"))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="needs an x86 OpenBLAS built with DYNAMIC_ARCH")
+def test_designs_independent_of_blas_kernel(tmp_path):
+    """Every golden case and every CLI golden design gives the same bytes
+    under three OpenBLAS kernels, at one and at two BLAS threads: no design
+    arithmetic is left to a BLAS call."""
+    from test_cli import GOLDEN_DESIGNS
+
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    reports = {}
+    for kernel in ("Prescott", "Haswell", "SkylakeX"):
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{kernel}_{threads}"
+            out.mkdir()
+            argvs = [["design", *argv, "--samples", "20000", "--out", str(out / f"{name}.json")]
+                     for name, argv in sorted(GOLDEN_DESIGNS.items())]
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            report = out / "report.json"
+            proc = subprocess.Popen([sys.executable, "-c", _CHILD, json.dumps(argvs), str(report)],
+                                    env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            runs.append((threads, report, proc))
+        for threads, report, proc in runs:  # the two thread counts run side by side
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+            reports[kernel, threads] = json.loads(report.read_text())
+    first = reports["SkylakeX", "1"]
+    for key, got in reports.items():
+        assert got["files"] == first["files"], key
+        assert got["cases"] == first["cases"], key
 
 
 if __name__ == "__main__":

@@ -358,9 +358,8 @@ class TestBoundedMemory:
     def test_design_holds_group_sums_not_rows(self, J, variant, rate):
         """numpy registers its buffers with tracemalloc.  Per training row the
         rounds hold one energy, the group sums of each distinct composition,
-        and one nearest sphere and one distance; a one-level composition's
-        cell is also gathered whole, with its mask (9 bytes per row; at J = 1
-        every row).  Beyond that state the peak is scratch of fixed size, the
+        and one nearest sphere and one distance, one-level compositions
+        included.  Beyond that state the peak is scratch of fixed size, the
         same at 200k and at 400k rows, and within the guard's estimate."""
         n = 16
         design_fixed_rate(n, rate, DesignConfig(J=J, variant=variant, sample_count=10_000))  # imports
@@ -377,8 +376,6 @@ class TestBoundedMemory:
             assert peak <= training_memory_bytes(comps, cfg), (m, peak)
             distinct = set(comps)
             state = 8 * m * (1 + sum(c.num_levels for c in distinct) + 2)
-            if J == 1 and comps[0].num_levels == 1:
-                state += 9 * m
             excess.append(peak - state)
         # a per-row temporary of even one byte would add 200 kB
         assert abs(excess[1] - excess[0]) < 50_000, excess
