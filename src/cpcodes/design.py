@@ -225,13 +225,19 @@ def _settled(history: list[float]) -> bool:
 def _reseed(levels, row_of, mind) -> int:
     """Put each empty cell (a None in ``levels``) at the worst-quantized row
     by ``mind``, the next worst for each further empty cell, so reseeds stay
-    distinct; ``row_of(j, i)`` is cell j's levels at row i.  That order is
-    sorted only when a cell is empty.  Returns the number of empty cells."""
+    distinct, ties going to the smaller index; ``row_of(j, i)`` is cell j's
+    levels at row i.  One ``argmax`` pass per empty cell, each row taken set
+    to -inf in ``mind`` until all are placed, so nothing the size of the
+    row count is allocated.  Returns the number of empty cells."""
     empty = [j for j, lv in enumerate(levels) if lv is None]
-    if empty:
-        worst = np.argsort(-mind)
-        for j, i in zip(empty, worst):
-            levels[j] = row_of(j, int(i))
+    taken = []
+    for j in empty:
+        i = int(np.argmax(mind))
+        levels[j] = row_of(j, i)
+        taken.append((i, mind[i]))
+        mind[i] = -np.inf
+    for i, value in taken:
+        mind[i] = value
     return len(empty)
 
 

@@ -8,9 +8,12 @@ concentric permutation code, whose levels are then optimized by the general
 Lloyd design.  All constants are evaluated in the log-gamma domain so large
 block lengths do not overflow.
 
-The chi law's CDF, its inverse, log-gamma and digamma come from
-:mod:`cpcodes.cephes`, bit for bit the ``scipy.special`` routines, so a wsc
-design writes the bytes scipy would give without importing it.
+The gain codebook solves the Lloyd-Max midpoint conditions by Newton's
+method (Max, IRE Trans. IT 1960; Pages and Printems, Monte Carlo Methods
+Appl. 2003) in a handful of steps, each a tridiagonal solve in Python
+floats, so its bits depend on no BLAS or LAPACK kernel.  The chi law's CDF,
+log-gamma and digamma come from :mod:`cpcodes.cephes`, bit for bit the
+``scipy.special`` routines, so a wsc design needs no scipy.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ LATTICE_SECOND_MOMENTS = {
     "lambda24": 0.065771,
 }
 
-# the gain quantizer's Lloyd-Max loop stops once no cell boundary moves by more than this
-_GAIN_TOL = 1e-10
-_GAIN_MAX_ITERS = 10_000
+# the gain quantizer's Newton solve raises after this many steps
+_NEWTON_STEPS = 50
 
 
 class RateTooLowError(DesignInfeasibleError):
@@ -94,22 +96,77 @@ def _chi_cdf(r: np.ndarray, k: int) -> np.ndarray:
     return np.array([cephes.igam(a, 0.5 * (v * v)) for v in r.tolist()])
 
 
-def _chi_ppf(q: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`_chi_cdf` at each ``q`` in [0, 1]."""
-    a = 0.5 * k
-    return np.sqrt(2 * np.array([cephes.igami(a, p) for p in q.tolist()]))
-
-
 def _chi_mean(n: int) -> float:
     return math.sqrt(2.0) * math.exp(cephes.lgam((n + 1) / 2.0) - cephes.lgam(n / 2.0))
+
+
+def _equal_mass_bounds(J: int, n: int) -> np.ndarray:
+    """The J-1 inner bounds that cut the chi law into J cells of equal mass,
+    each bisected on the CDF until its bracket holds no double between its
+    ends."""
+    a = 0.5 * n
+
+    def below(r, q):
+        return cephes.igam(a, 0.5 * (r * r)) < q
+
+    top = 1.0
+    while below(top, (J - 1) / J):
+        top *= 2.0
+    bounds = []
+    lo = 0.0
+    for i in range(1, J):
+        hi = top
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if below(mid, i / J):
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        bounds.append(hi)  # lo stays below the next, larger quantile
+    return np.array(bounds)
+
+
+def _cells(inner: np.ndarray, n: int, mean: float):
+    """Each cell's conditional mean and mass for the chi law cut at the
+    ``inner`` bounds, or None if a cell is empty.  The first moment over a
+    cell is the chi mean times the (n+1)-dof CDF increment."""
+    bounds = np.concatenate(([0.0], inner, [np.inf]))
+    mass = np.diff(_chi_cdf(bounds, n))
+    if not np.all(mass > 0):
+        return None
+    return mean * np.diff(_chi_cdf(bounds, n + 1)) / mass, mass
+
+
+def _thomas(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve the tridiagonal system with diagonal ``diag``, ``sub`` below and
+    ``sup`` above it, in Python floats (no BLAS or LAPACK call)."""
+    size = len(diag)
+    c = [0.0] * size
+    d = [0.0] * size
+    for i in range(size):
+        den = diag[i] - (sub[i - 1] * c[i - 1] if i else 0.0)
+        c[i] = sup[i] / den if i < size - 1 else 0.0
+        d[i] = (rhs[i] - (sub[i - 1] * d[i - 1] if i else 0.0)) / den
+    for i in range(size - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
 
 
 def gain_codebook(J: int, n: int, sigma: float = 1.0) -> GainCodebook:
     """Lloyd-Max quantizer for the norm of n i.i.d. N(0, sigma^2) variates.
 
-    Cell masses and conditional means use the chi CDF identities (the first
-    moment over a cell is the chi mean times a CDF difference at n+1 degrees
-    of freedom), so the fixed point is deterministic to quadrature accuracy.
+    Newton's method on the J-1 midpoint conditions ``b_i = (g_i + g_{i+1}) /
+    2``, g_i the conditional mean of cell i (:func:`_cells`), started from
+    equal-mass bounds.  The Jacobian is tridiagonal, from ``dg_i/db_lo =
+    f(b_lo) (g_i - b_lo) / p_i`` and ``dg_i/db_hi = f(b_hi) (b_hi - g_i) /
+    p_i``, f the chi pdf and p_i the cell's mass, and each step is one
+    :func:`_thomas` solve.  A step is halved while it would disorder the
+    bounds or empty a cell.  Newton converges quadratically, so once the
+    residual is below sqrt(eps) of the largest gain the next step reaches
+    the rounding floor of the CDF differences: the solve stops at the first
+    step that then no longer halves the residual, keeping the better bounds,
+    and raises ``RuntimeError`` after ``_NEWTON_STEPS`` steps.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -120,25 +177,44 @@ def gain_codebook(J: int, n: int, sigma: float = 1.0) -> GainCodebook:
     mean = _chi_mean(n)
     if J == 1:
         return GainCodebook((mean * sigma,), (1.0,))
+    log_pdf_front = (0.5 * n - 1.0) * math.log(2.0) + cephes.lgam(0.5 * n)
 
-    def cond_means(bounds):
-        # each CDF once at all J+1 bounds; a cell's mass is the difference of its two
-        mass = np.diff(_chi_cdf(bounds, n))
-        if np.any(mass <= 0):
-            raise RuntimeError("empty gain cell; J too large for this dimension")
-        # r * f_n(r) integrates to the chi mean times the (n+1)-dof CDF increment
-        return mean * np.diff(_chi_cdf(bounds, n + 1)) / mass, mass
+    def residual(inner, cells):
+        gap = (cells[0][:-1] + cells[0][1:]) / 2.0 - inner
+        return gap, float(np.max(np.abs(gap)))
 
-    bounds = _chi_ppf(np.linspace(0.0, 1.0, J + 1), n)
-    for _ in range(_GAIN_MAX_ITERS):
-        gains, probs = cond_means(bounds)
-        new_inner = (gains[:-1] + gains[1:]) / 2.0
-        delta = float(np.max(np.abs(new_inner - bounds[1:-1])))
-        bounds[1:-1] = new_inner
-        if delta <= _GAIN_TOL:
-            gains, probs = cond_means(bounds)
-            return GainCodebook(tuple(gains * sigma), tuple(probs))
-    raise RuntimeError(f"gain quantizer did not converge within {_GAIN_MAX_ITERS} iterations")
+    inner = _equal_mass_bounds(J, n)
+    cells = _cells(inner, n, mean)
+    if cells is None:
+        raise RuntimeError("empty gain cell; J too large for this dimension")
+    gap, worst = residual(inner, cells)
+    for _ in range(_NEWTON_STEPS):
+        gains, mass = cells
+        pdf = np.array([math.exp((n - 1) * math.log(b) - 0.5 * b * b - log_pdf_front)
+                        for b in inner.tolist()])
+        d_lo = pdf * (gains[1:] - inner) / mass[1:]  # cell i+1's mean by its lower bound
+        d_hi = pdf * (inner - gains[:-1]) / mass[:-1]  # cell i's mean by its upper bound
+        step = _thomas((-0.5 * d_lo[:-1]).tolist(), (1.0 - 0.5 * (d_lo + d_hi)).tolist(),
+                       (-0.5 * d_hi[1:]).tolist(), gap.tolist())
+        if not np.all(np.isfinite(step)):
+            break
+        t = 1.0
+        while True:
+            trial = inner + t * step
+            if trial[0] > 0 and np.all(trial[1:] > trial[:-1]):
+                trial_cells = _cells(trial, n, mean)
+                if trial_cells is not None:
+                    break
+            t *= 0.5
+        trial_gap, trial_worst = residual(trial, trial_cells)
+        if worst <= math.sqrt(np.finfo(float).eps) * gains[-1] and not trial_worst < worst / 2:
+            gains, mass = trial_cells if trial_worst < worst else cells
+            return GainCodebook(tuple(gains * sigma), tuple(mass))
+        inner, cells, gap, worst = trial, trial_cells, trial_gap, trial_worst
+    raise RuntimeError(
+        f"gain quantizer did not converge in {_NEWTON_STEPS} Newton steps "
+        f"(midpoint residual {worst:.3g})"
+    )
 
 
 def wsc_constants(n: int, g_lambda: float, sigma: float = 1.0) -> WscConstants:

@@ -1,5 +1,6 @@
 """The Cephes ports give scipy.special's results bit for bit, and so do the
-wsc gain quantizer and constants built on them."""
+wsc constants built on them; the wsc gain quantizer reaches scipy's fixed
+point."""
 
 import math
 
@@ -62,69 +63,31 @@ def test_incomplete_gamma(ported, reference):
     _assert_bits(ported, getattr(special, reference), _igam_points())
 
 
-def _inverse_points():
-    rng = np.random.default_rng(12)
-    probs = sorted({i / J for J in range(1, 17) for i in range(1, J)})
-    probs += [v for e in (0.5, 0.9, 0.1) for v in _neighbours(e)]
-    points = []
-    for a in HALVES[:80] + HALVES[80::37]:
-        points += [(a, p) for p in probs + rng.uniform(0.0, 1.0, 8).tolist()]
-        points += [(a, p) for p in 10.0 ** rng.uniform(-12.0, -1.0, 4)]
-        points += [(a, 1.0 - p) for p in 10.0 ** rng.uniform(-12.0, -1.0, 4)]
-    return points
-
-
-@pytest.mark.parametrize("ported, reference", [(cephes.igami, "gammaincinv"),
-                                               (cephes.igamci, "gammainccinv")])
-def test_inverse_incomplete_gamma(ported, reference):
-    _assert_bits(ported, getattr(special, reference), _inverse_points())
-
-
 @pytest.mark.parametrize("call", [lambda: cephes.igam(0.75, 1.0), lambda: cephes.igamc(0.0, 1.0),
-                                  lambda: cephes.igami(1.25, 0.5), lambda: cephes.igam(1.0, -1.0),
-                                  lambda: cephes.igami(1.0, 1.5), lambda: cephes.lgam(0.0),
+                                  lambda: cephes.igamc(1.0, -1.0), lambda: cephes.igam(1.0, -1.0),
+                                  lambda: cephes.psi(math.inf), lambda: cephes.lgam(0.0),
                                   lambda: cephes.psi(-1.0)])
 def test_outside_the_ported_domain_raises(call):
     with pytest.raises(ValueError):
         call()
 
 
-def _scipy_gain_codebook(J, n):
-    """wsc.gain_codebook as it was written on scipy.special, four CDF calls a round."""
-    mean = math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0))
-    if J == 1:
-        return (mean,), (1.0,)
-
-    def cdf(r, k):
-        return special.gammainc(0.5 * k, 0.5 * r**2)
-
-    def cond_means(bounds):
-        hi, lo = cdf(bounds[1:], n), cdf(bounds[:-1], n)
-        hi1, lo1 = cdf(bounds[1:], n + 1), cdf(bounds[:-1], n + 1)
-        mass = hi - lo
-        return mean * (hi1 - lo1) / mass, mass
-
-    bounds = np.sqrt(2 * special.gammaincinv(0.5 * n, np.linspace(0.0, 1.0, J + 1)))
-    while True:
-        gains, probs = cond_means(bounds)
-        new_inner = (gains[:-1] + gains[1:]) / 2.0
-        delta = float(np.max(np.abs(new_inner - bounds[1:-1])))
-        bounds[1:-1] = new_inner
-        if delta <= 1e-10:
-            gains, probs = cond_means(bounds)
-            return tuple(gains.tolist()), tuple(probs.tolist())
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 41, 64])
-@pytest.mark.parametrize("J", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("J", [1, 2, 3, 8, 12, 16, 32, 64])
 def test_gain_codebook_equals_scipy(n, J):
+    """The gains are scipy's fixed point: the conditional means, by
+    ``scipy.special.gammainc``, of the cells cut at the midpoints between
+    the gains are the gains, and the cell masses are the probs, within
+    1e-12 of the largest gain and 1e-12.  The gain distortion is scipy's
+    closed form bit for bit."""
     gc = wsc.gain_codebook(J, n)
-    assert (gc.gains, gc.probs) == _scipy_gain_codebook(J, n)
+    gains = np.asarray(gc.gains)
+    bounds = np.concatenate(([0.0], (gains[:-1] + gains[1:]) / 2.0, [np.inf]))
+    f = [np.diff(special.gammainc(0.5 * k, 0.5 * bounds**2)) for k in (n, n + 1, n + 2)]
+    mean = math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0))
+    assert np.max(np.abs(mean * f[1] / f[0] - gains)) <= 1e-12 * gains[-1]
+    assert np.max(np.abs(f[0] - np.asarray(gc.probs))) <= 1e-12
     if n >= 2:
-        gains = np.asarray(gc.gains)
-        bounds = np.concatenate(([0.0], (gains[:-1] + gains[1:]) / 2.0, [np.inf]))
-        f = [np.diff(special.gammainc(0.5 * k, 0.5 * bounds**2)) for k in (n, n + 1, n + 2)]
-        mean = math.sqrt(2.0) * math.exp(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0))
         want = float((n * f[2] - 2.0 * gains * mean * f[1] + gains * gains * f[0]).sum()) / n
         assert wsc.gain_distortion(gc, n).hex() == want.hex()
 

@@ -207,18 +207,22 @@ class TestCellMeans:
 
     def test_empty_cells_reseed_at_worst_rows(self):
         """The empty cells go, in order, to the levels of the worst and the
-        next worst row by ``mind``."""
+        next worst row by ``mind``, a tie to the smaller row, and ``mind``
+        is left as it was."""
         m, c = CHUNK_ROWS + 5, Composition((1, 2, 4))
         sums = {c: np.random.default_rng(3).standard_normal((3, m))}
         assign = np.zeros(m, dtype=np.intp)
         assign[::2] = 2
-        mind = np.arange(m, dtype=float)
-        mind[7], mind[11] = 2.0 * m, 3.0 * m
-        levels, empty = design._cell_levels(sums, [c] * 4, assign, mind)
-        assert empty == 2
         parts = np.array(c.parts, float)
-        assert np.array_equal(levels[1], sums[c][:, 11] / parts)
-        assert np.array_equal(levels[3], sums[c][:, 7] / parts)
+        for worst, next_worst, tie in ((11, 7, False), (7, 11, True)):
+            mind = np.arange(m, dtype=float)
+            mind[7], mind[11] = 2.0 * m, (2.0 if tie else 3.0) * m
+            before = mind.copy()
+            levels, empty = design._cell_levels(sums, [c] * 4, assign, mind)
+            assert empty == 2
+            assert np.array_equal(levels[1], sums[c][:, worst] / parts)
+            assert np.array_equal(levels[3], sums[c][:, next_worst] / parts)
+            assert np.array_equal(mind, before)
 
 
 def _whole_set_rounds(s, comps, rows):
@@ -510,33 +514,51 @@ class TestBoundedMemory:
         want = np.bincount(assign, minlength=3) / self.m
         assert [p.hex() for p in res.code.probs] == [float(p).hex() for p in want]
 
-    @pytest.mark.parametrize("designer", ["common", "general"])
-    def test_design_holds_group_sums_not_rows(self, designer):
+    @pytest.mark.parametrize("designer, shared_start", [
+        pytest.param("common", False, id="common"),
+        pytest.param("general", False, id="general"),
+        pytest.param("common", True, id="common-empty-cells"),
+        pytest.param("general", True, id="general-empty-cells"),
+    ])
+    def test_design_holds_group_sums_not_rows(self, monkeypatch, designer, shared_start):
         """numpy registers its buffers with tracemalloc.  Per training row the
         rounds hold one energy, the group sums of each distinct composition,
         and one nearest sphere and one distance; beyond that state the peak
         is scratch of fixed size, the same at 200k and at 400k rows, and
-        within the guard's estimate."""
+        within the guard's estimate.  So is it when every sphere starts at
+        one row and the empty cells are reseeded at the worst rows."""
+        if shared_start:
+            draw = design._training_blocks
+
+            def one_start_row(*args):
+                rows = draw(*args)
+                return np.full_like(rows, rows[0])
+
+            monkeypatch.setattr(design, "_training_blocks", one_start_row)
         n, J = 16, 3
         if designer == "common":
             comps = [Composition((4, 4, 4, 4))]
             run = lambda cfg: design_common_composition(comps[0], cfg, gaussian_order_stats(n))
         else:
             comps = [Composition((4, 4, 4, 4)), Composition((2, 6, 8)), Composition((8, 8))]
+            if shared_start:
+                comps = comps[:1] * J  # spheres at one row are empty only if their levels agree
             run = lambda cfg: lloyd_general(comps, cfg, gaussian_order_stats(n))
-        floats = 1 + sum(c.num_levels for c in comps) + 2
+        floats = 1 + sum(c.num_levels for c in set(comps)) + 2
         run(DesignConfig(J=J, sample_count=10_000))  # imports
         excess = []
         for m in (200_000, 400_000):
             cfg = DesignConfig(J=J, sample_count=m, rng_seed=1)
             tracemalloc.start()
             try:
-                run(cfg)
+                res = run(cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak <= design.training_memory_bytes(comps, cfg), (m, peak)
             excess.append(peak - 8 * m * floats)
+        if shared_start:
+            assert res.empty_cell_events >= 1
         # a per-row temporary of even one byte would add 200 kB
         assert abs(excess[1] - excess[0]) < 50_000, excess
         assert 0 < excess[0] < 2 * CHUNK_ROWS * n * 8, excess

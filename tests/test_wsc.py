@@ -1,9 +1,11 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cpcodes import wsc
 from cpcodes.codec import VARIANT_I, VARIANT_II
 from cpcodes.combinatorics import Composition, ResourceLimitError
 from cpcodes.design import DesignConfig, training_memory_bytes
@@ -64,6 +66,23 @@ class TestGainCodebook:
             lo, hi = bounds[j], bounds[j + 1]
             num = quad(lambda r: r * stats.chi.pdf(r, n), lo, min(hi, 60.0), limit=200)[0]
             assert num / gc.probs[j] == pytest.approx(gc.gains[j], abs=1e-6)
+
+    @pytest.mark.parametrize("J, n, seconds", [(40, 2, 0.1), (32, 16, 0.05)])
+    def test_newton_solve_is_fast(self, J, n, seconds):
+        """A Lloyd-Max loop takes thousands of rounds here; Newton a handful
+        of steps, so the best of three calls is well inside the bound."""
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            gc = gain_codebook(J, n)
+            times.append(time.perf_counter() - start)
+        assert gc.J == J
+        assert min(times) < seconds, times
+
+    def test_unconverged_solve_raises_with_its_residual(self, monkeypatch):
+        monkeypatch.setattr(wsc, "_NEWTON_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"1 Newton steps \(midpoint residual \d"):
+            gain_codebook(8, 16)
 
     def test_montecarlo_cells(self):
         gc = gain_codebook(2, 25)
