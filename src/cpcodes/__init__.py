@@ -9,7 +9,7 @@ for sizing subcodebooks, and Monte Carlo rate-distortion evaluation.
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # public name -> the submodule that defines it, imported on first access (PEP 562)
 _EXPORTS = {

@@ -99,9 +99,10 @@ def _descending_moments(n, x, w, log_cdf, log_sf, log_pdf):
         term_below = np.where(below == 0.0, 0.0, below * log_cdf[None, :])
         term_above = np.where(above == 0.0, 0.0, above * log_sf[None, :])
     density = np.exp(log_front[:, None] + term_below + term_above + log_pdf[None, :])
-    mass = density @ w
-    mean = density @ (w * x)
-    second = density @ (w * x * x)
+    # row sums in numpy's fixed order, not a BLAS gemv, whose order is the kernel's
+    mass = (density * w).sum(axis=1)
+    mean = (density * (w * x)).sum(axis=1)
+    second = (density * (w * x * x)).sum(axis=1)
     return mean, second, mass
 
 

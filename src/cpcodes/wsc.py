@@ -11,9 +11,16 @@ block lengths do not overflow.
 The gain codebook solves the Lloyd-Max midpoint conditions by Newton's
 method (Max, IRE Trans. IT 1960; Pages and Printems, Monte Carlo Methods
 Appl. 2003) in a handful of steps, each a tridiagonal solve in Python
-floats, so its bits depend on no BLAS or LAPACK kernel.  The chi law's CDF,
-log-gamma and digamma come from :mod:`cpcodes.cephes`, bit for bit the
-``scipy.special`` routines, so a wsc design needs no scipy.
+floats, so its bits depend on no BLAS or LAPACK kernel.  The chi law of k
+degrees of freedom enters only through P(k/2, x) and Q(k/2, x) at integer
+k, which DLMF 8.4 give as finite sums (a Poisson sum for even k,
+erfc(sqrt x) plus a finite sum for odd k): :func:`_chi_tails` sums them in
+Python floats.  Against mpmath at 40 digits its smaller tail is within
+6e-14 relative for k up to 128 and 2.1e-13 up to k = 2000.  A cell's mass
+is a difference of upper tails above the median, so the top cells keep
+their relative precision.  Log-gamma, digamma and erfc come from
+:mod:`cpcodes.cephes`, bit for bit the ``scipy.special`` routines, so a wsc
+design needs no scipy.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ LATTICE_SECOND_MOMENTS = {
 
 # the gain quantizer's Newton solve raises after this many steps
 _NEWTON_STEPS = 50
+# a chi-tail series stops at the first term below this share of its sum
+_EPS = 2.0**-53
 
 
 class RateTooLowError(DesignInfeasibleError):
@@ -90,10 +99,75 @@ class RateSplit:
     gain_rate: float
 
 
-def _chi_cdf(r: np.ndarray, k: int) -> np.ndarray:
-    """CDF at each ``r >= 0`` of the chi distribution with ``k`` degrees of freedom."""
+def _power_term(k: int, x: float) -> float:
+    """x^(k/2) e^-x / Gamma(k/2 + 1) for integer ``k >= 0`` and finite ``x >= 0``.
+
+    A product of k//2 + 1 factors, ``x / (i + k%2/2)`` (or 2 sqrt(x/pi) for
+    the half power) each times an equal share of e^-x, so no lgam is needed.
+    The factors fall with i; each is taken from the large end while the
+    partial product is below 1 and from the small end otherwise, so no
+    partial product over- or underflows unless the result does.
+    """
+    m, odd = divmod(k, 2)
+    half = 0.5 * odd
+    share = math.exp(-x / (m + 1))
+    term = 2.0 * math.sqrt(x / math.pi) * share if odd else share
+    lo, hi = 1, m
+    while lo <= hi:
+        if term < 1.0:
+            term *= x / (lo + half) * share
+            lo += 1
+        else:
+            term *= x / (hi + half) * share
+            hi -= 1
+    return term
+
+
+def _chi_tails(k: int, x: float) -> tuple[float, float]:
+    """P(k/2, x) and Q(k/2, x), the regularized incomplete gamma ratios, so
+    that the chi law of ``k`` degrees of freedom has P(k/2, r^2/2) below r.
+
+    For integer k the tails are finite sums (DLMF 8.4).  Below ``x =
+    k/2 + 1`` P is its power series, a sum of falling positive terms after
+    the front factor :func:`_power_term`.  From there up Q is the finite
+    sum of x^s e^-x / Gamma(s+1) over s = k/2 - 1, k/2 - 2, ... >= 0, from
+    its largest term down, plus erfc(sqrt x) for odd k.  The other tail is
+    1 minus the summed one.
+    """
+    if not (isinstance(k, (int, np.integer)) and k >= 1 and x >= 0.0):
+        raise ValueError(f"chi tails need an integer k >= 1 and x >= 0, got {k} and {x}")
+    if x == math.inf:
+        return 1.0, 0.0
     a = 0.5 * k
-    return np.array([cephes.igam(a, 0.5 * (v * v)) for v in r.tolist()])
+    if x < a + 1.0:
+        term = total = 1.0
+        den = a
+        while term > _EPS * total:
+            den += 1.0
+            term *= x / den
+            total += term
+        lower = _power_term(k, x) * total
+        return lower, 1.0 - lower
+    s = a - 1.0
+    term = _power_term(k - 2, x) if k >= 2 else 0.0
+    upper = 0.0
+    while s >= 0.0 and term > _EPS * upper:
+        upper += term
+        term *= s / x
+        s -= 1.0
+    if k % 2:
+        upper += cephes.erfc(math.sqrt(x))
+    return 1.0 - upper, upper
+
+
+def _chi_masses(bounds: np.ndarray, k: int) -> np.ndarray:
+    """The chi law's mass (``k`` degrees of freedom) between consecutive
+    ascending ``bounds``: a difference of upper tails for a cell whose lower
+    bound lies above the median, else of lower tails, so that no mass is a
+    difference of two values near 1."""
+    tails = np.array([_chi_tails(k, 0.5 * (r * r)) for r in bounds.tolist()])
+    lower, upper = tails[:, 0], tails[:, 1]
+    return np.where(upper[:-1] < 0.5, upper[:-1] - upper[1:], lower[1:] - lower[:-1])
 
 
 def _chi_mean(n: int) -> float:
@@ -104,10 +178,8 @@ def _equal_mass_bounds(J: int, n: int) -> np.ndarray:
     """The J-1 inner bounds that cut the chi law into J cells of equal mass,
     each bisected on the CDF until its bracket holds no double between its
     ends."""
-    a = 0.5 * n
-
     def below(r, q):
-        return cephes.igam(a, 0.5 * (r * r)) < q
+        return _chi_tails(n, 0.5 * (r * r))[0] < q
 
     top = 1.0
     while below(top, (J - 1) / J):
@@ -132,10 +204,10 @@ def _cells(inner: np.ndarray, n: int, mean: float):
     ``inner`` bounds, or None if a cell is empty.  The first moment over a
     cell is the chi mean times the (n+1)-dof CDF increment."""
     bounds = np.concatenate(([0.0], inner, [np.inf]))
-    mass = np.diff(_chi_cdf(bounds, n))
+    mass = _chi_masses(bounds, n)
     if not np.all(mass > 0):
         return None
-    return mean * np.diff(_chi_cdf(bounds, n + 1)) / mass, mass
+    return mean * _chi_masses(bounds, n + 1) / mass, mass
 
 
 def _thomas(sub, diag, sup, rhs) -> np.ndarray:
@@ -311,9 +383,7 @@ def gain_distortion(gc: GainCodebook, n: int, sigma: float = 1.0) -> float:
     """
     gains = np.asarray(gc.gains) / sigma
     bounds = np.concatenate(([0.0], (gains[:-1] + gains[1:]) / 2.0, [np.inf]))
-    f0 = np.diff(_chi_cdf(bounds, n))
-    f1 = np.diff(_chi_cdf(bounds, n + 1))
-    f2 = np.diff(_chi_cdf(bounds, n + 2))
+    f0, f1, f2 = (_chi_masses(bounds, k) for k in (n, n + 1, n + 2))
     mean = _chi_mean(n)
     per_cell = n * f2 - 2.0 * gains * mean * f1 + gains * gains * f0
     return float(per_cell.sum()) * sigma * sigma / n

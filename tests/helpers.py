@@ -60,3 +60,18 @@ def sorted_order_distances(X: np.ndarray, W: np.ndarray, variant: int) -> np.nda
     for column in terms.T:
         total += column
     return total
+
+
+def chi_cells_mp(gains, degrees):
+    """The chi law's mean and, for each cell cut at the midpoints between
+    ``gains``, its mass under each of ``degrees`` degrees of freedom, as
+    mpmath numbers at the working precision; the mean is that of
+    ``degrees[0]``."""
+    import mpmath as mp
+
+    n = mp.mpf(degrees[0])
+    mean = mp.sqrt(2) * mp.exp(mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2))
+    cuts = [mp.mpf(0)] + [(mp.mpf(g) + h) / 2 for g, h in zip(gains, gains[1:])] + [mp.inf]
+    masses = [[mp.gammainc(mp.mpf(k) / 2, lo * lo / 2, hi * hi / 2, regularized=True) for k in degrees]
+              for lo, hi in zip(cuts, cuts[1:])]
+    return mean, masses

@@ -1,11 +1,12 @@
 """The Cephes ports give scipy.special's results bit for bit, and so do the
-wsc constants built on them; the wsc gain quantizer reaches scipy's fixed
-point."""
+wsc constants built on them; the chi tails agree with mpmath, and the wsc
+gain quantizer reaches scipy's fixed point."""
 
 import math
 
 import numpy as np
 import pytest
+from helpers import chi_cells_mp
 
 from cpcodes import cephes, wsc
 
@@ -44,27 +45,52 @@ def test_erfc():
     _assert_bits(cephes.erfc, special.erfc, [(x,) for x in xs])
 
 
-def _igam_points():
-    """x around each shape, at the branch edges of igam and igamc (x = 0.5,
-    1.0, 1.1 and a; |x - a|/a = 0.3 and 0.4; Temme's a = 20 and 200, and its
-    4.5/sqrt(a) band beyond), each with its neighbouring doubles."""
-    shapes = HALVES[:120] + HALVES[120::23] + [20.0, 20.5, 200.0, 200.5]
+def _tail_points():
+    """(k, x) pairs: x at fractions and multiples of a = k/2, at a + 1 (where
+    the sum switches tails) with its neighbouring doubles, and past 745,
+    where e^-x underflows; every k up to 128 and a sparse grid up to 2000.
+    Near the median at k = 8000 and 20000, a front factor multiplied in
+    index order would overflow."""
     points = []
-    for a in shapes:
-        xs = [a * f for f in (0.05, 0.5, 0.6, 0.7, 0.9, 0.99, 1.0, 1.01, 1.1, 1.3, 1.4, 2.0, 4.0)]
-        xs += [0.3, 0.45, 0.5, 1.0, 1.1, 3.0, a * (1.0 + 4.5 / math.sqrt(a))]
-        points += [(a, v) for x in xs for v in _neighbours(x)]
+    for k in list(range(1, 129)) + list(range(129, 2001, 134)) + [2000]:
+        a = k / 2
+        xs = [a * f for f in (0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0)]
+        points += [(k, x) for x in xs + _neighbours(a + 1.0) + [750.0, 1000.0]]
+    for k in (8000, 20000):
+        points += [(k, k / 2 * f) for f in (0.9, 1.0, 1.1)] + [(k, k / 2 + 1.0)]
     return points
 
 
-@pytest.mark.parametrize("ported, reference", [(cephes.igam, "gammainc"),
-                                               (cephes.igamc, "gammaincc")])
-def test_incomplete_gamma(ported, reference):
-    _assert_bits(ported, getattr(special, reference), _igam_points())
+@pytest.mark.parametrize("tail, reference", [("igam", "gammainc"), ("igamc", "gammaincc")])
+def test_incomplete_gamma(tail, reference):
+    """The chi tails P(k/2, x) (``igam``, scipy's ``gammainc``) and Q(k/2, x)
+    (``igamc``, ``gammaincc``) against mpmath at 40 digits, each where it is
+    the smaller tail: P below a = k/2, Q from a up (the median is in
+    (a - 1/3, a)). The smaller tail is within 1e-13 relative for k <= 128,
+    5e-13 up to k = 2000 and 1e-12 beyond (relative to the smallest normal
+    double below it), and the other tail is 1 minus it, within that error
+    and one rounding."""
+    mp = pytest.importorskip("mpmath")
+    tiny = np.finfo(float).tiny
+    lower = tail == "igam"
+    points = [(k, x) for k, x in _tail_points() if (x < k / 2) == lower]
+    bad = []
+    for k, x in points:
+        lo, hi = (0, x) if lower else (x, mp.inf)
+        with mp.workdps(40):
+            want = mp.gammainc(mp.mpf(k) / 2, lo, hi, regularized=True)
+            rest = float(1 - want)
+        small, big = wsc._chi_tails(k, x) if lower else wsc._chi_tails(k, x)[::-1]
+        tol = 1e-13 if k <= 128 else 5e-13 if k <= 2000 else 1e-12
+        err = float(abs(small - want) / max(want, tiny))
+        if err > tol or abs(big - rest) > tol * want + 2.0**-53:
+            bad.append((k, x, err, big - rest))
+    assert points and not bad, f"{len(bad)} of {len(points)} {reference} off, first {bad[:3]}"
 
 
-@pytest.mark.parametrize("call", [lambda: cephes.igam(0.75, 1.0), lambda: cephes.igamc(0.0, 1.0),
-                                  lambda: cephes.igamc(1.0, -1.0), lambda: cephes.igam(1.0, -1.0),
+@pytest.mark.parametrize("call", [lambda: wsc._chi_tails(0, 1.0), lambda: wsc._chi_tails(1, -1.0),
+                                  lambda: wsc._chi_tails(2, math.nan),
+                                  lambda: wsc._chi_tails(2.5, 1.0),
                                   lambda: cephes.psi(math.inf), lambda: cephes.lgam(0.0),
                                   lambda: cephes.psi(-1.0)])
 def test_outside_the_ported_domain_raises(call):
@@ -78,8 +104,10 @@ def test_gain_codebook_equals_scipy(n, J):
     """The gains are scipy's fixed point: the conditional means, by
     ``scipy.special.gammainc``, of the cells cut at the midpoints between
     the gains are the gains, and the cell masses are the probs, within
-    1e-12 of the largest gain and 1e-12.  The gain distortion is scipy's
-    closed form bit for bit."""
+    1e-12 of the largest gain and 1e-12.  The gain distortion is its closed
+    form, evaluated by mpmath at 40 digits at the same gains, within 5e-10
+    relative: the form cancels, and at J = 64 a double evaluation by
+    scipy sits about 2e-10 from mpmath too."""
     gc = wsc.gain_codebook(J, n)
     gains = np.asarray(gc.gains)
     bounds = np.concatenate(([0.0], (gains[:-1] + gains[1:]) / 2.0, [np.inf]))
@@ -88,8 +116,12 @@ def test_gain_codebook_equals_scipy(n, J):
     assert np.max(np.abs(mean * f[1] / f[0] - gains)) <= 1e-12 * gains[-1]
     assert np.max(np.abs(f[0] - np.asarray(gc.probs))) <= 1e-12
     if n >= 2:
-        want = float((n * f[2] - 2.0 * gains * mean * f[1] + gains * gains * f[0]).sum()) / n
-        assert wsc.gain_distortion(gc, n).hex() == want.hex()
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            mean, masses = chi_cells_mp(gc.gains, (n, n + 1, n + 2))
+            want = sum(n * f2 - 2 * g * mean * f1 + g * g * f0
+                       for g, (f0, f1, f2) in zip(gc.gains, masses)) / n
+        assert abs(wsc.gain_distortion(gc, n) - want) <= 5e-10 * want
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 41, 64, 1000])

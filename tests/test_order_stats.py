@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden_designs import _dynamic_openblas
 
 from cpcodes import cephes, order_stats
 from cpcodes.combinatorics import Composition
@@ -140,6 +146,41 @@ def test_tables_match_scipy():
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()], (n, sigma)
             for got, ref in zip((t.mean_xi, t.second_xi), want[:2]):
                 assert np.max(np.abs(got - ref)) <= 1e-13, (n, sigma)
+
+
+# unit tables from n = 1 to 128, as float.hex, in a fresh interpreter
+_TABLE_CHILD = """
+import json, sys
+from cpcodes.order_stats import _unit_table
+tables = {n: [[v.hex() for v in a.tolist()] for a in _unit_table(n)]
+          for n in (1, 2, 3, 7, 16, 41, 64, 128)}
+json.dump(tables, open(sys.argv[1], "w"))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="needs an x86 OpenBLAS built with DYNAMIC_ARCH")
+def test_tables_independent_of_blas_kernel(tmp_path):
+    """The unit tables have the same bits under three OpenBLAS kernels, at
+    one and at two BLAS threads: the quadrature's row sums are no BLAS
+    call."""
+    path = os.pathsep.join([str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])
+    reports = {}
+    for kernel in ("Prescott", "Haswell", "SkylakeX"):
+        runs = []
+        for threads in ("1", "2"):
+            report = tmp_path / f"{kernel}_{threads}.json"
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            proc = subprocess.Popen([sys.executable, "-c", _TABLE_CHILD, str(report)], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            runs.append((threads, report, proc))
+        for threads, report, proc in runs:  # the two thread counts run side by side
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+            reports[kernel, threads] = json.loads(report.read_text())
+    first = reports["SkylakeX", "1"]
+    for key, got in reports.items():
+        assert got == first, key
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import chi_cells_mp
 
 from cpcodes import wsc
 from cpcodes.codec import VARIANT_I, VARIANT_II
@@ -66,6 +67,20 @@ class TestGainCodebook:
             lo, hi = bounds[j], bounds[j + 1]
             num = quad(lambda r: r * stats.chi.pdf(r, n), lo, min(hi, 60.0), limit=200)[0]
             assert num / gc.probs[j] == pytest.approx(gc.gains[j], abs=1e-6)
+
+    @pytest.mark.parametrize("n, J", [(1, 64), (2, 64), (41, 64)])
+    def test_midpoint_conditions_at_40_digits(self, n, J):
+        """The midpoint conditions, evaluated by mpmath at 40 digits at the
+        returned gains, hold within 1e-13 of the largest gain: the top
+        cells' masses are differences of upper tails, so they keep their
+        relative precision (differences of lower tails alone leave 5.9e-13,
+        1.9e-13 and 9.6e-14 here)."""
+        mp = pytest.importorskip("mpmath")
+        gc = gain_codebook(J, n)
+        with mp.workdps(40):
+            mean, masses = chi_cells_mp(gc.gains, (n, n + 1))
+            worst = max(abs(mean * f1 / f0 - g) for g, (f0, f1) in zip(gc.gains, masses))
+        assert worst <= 1e-13 * gc.gains[-1]
 
     @pytest.mark.parametrize("J, n, seconds", [(40, 2, 0.1), (32, 16, 0.05)])
     def test_newton_solve_is_fast(self, J, n, seconds):
