@@ -157,6 +157,12 @@ def _parse_composition(text: str, n: int) -> Composition:
     return c
 
 
+def _check_sigma(sigma: float) -> None:
+    """Bad usage outside [1e-50, 1e50]: the stderr squares distortions of about sigma**2."""
+    if not 1e-50 <= sigma <= 1e50:
+        raise click.UsageError(f"--sigma must be positive and finite, in [1e-50, 1e50], got {sigma}")
+
+
 def _parse_range(option: str, text: str, least: int) -> range:
     try:
         lo, hi = (int(v) for v in text.split(":"))
@@ -229,8 +235,7 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         raise click.UsageError(f"--rate is required for mode {mode}")
     if rate is not None and not (math.isfinite(rate) and rate > 0):
         raise click.UsageError(f"--rate must be positive and finite, got {rate}")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise click.UsageError(f"--sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     if mode == "common" and len(compositions) != 1:
         raise click.UsageError("mode common needs exactly one --composition")
     if mode == "general" and not compositions:
@@ -371,8 +376,7 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
         raise click.UsageError(f"unknown baselines: {sorted(unknown)}")
     if not codebooks and not wanted:
         raise click.UsageError("nothing to evaluate: give --codebook and/or --baselines")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise click.UsageError(f"--sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     if codebooks and samples < evaluation.MIN_SAMPLES:
         raise click.UsageError(f"--samples must be at least {evaluation.MIN_SAMPLES} for a codebook")
     codes = [_load_code(path) for path in codebooks]

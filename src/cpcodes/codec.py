@@ -9,7 +9,9 @@ takes a sorted block stored coordinate-major, shape ``(n, m)``, and returns
 the ``(J, m)`` distances, row j being ``(s[0] - v_j[0])**2 + (s[1] -
 v_j[1])**2 + ...`` added left to right; :func:`nearest_subcode` takes each
 column's smallest entry, ties going to the smaller sphere.  All callers thus
-agree on the sphere and its distance bit for bit.
+agree on the sphere and its distance bit for bit.  :func:`score_draws` is
+the one Monte Carlo scoring loop: it applies the rule to drawn Gaussian
+blocks for evaluation, the designers' finishing pass and the swap test.
 
 A coded index is two arrays, ``spheres`` and ``ranks``, from the encoder to
 the stream and back.  :func:`encode_batch` returns them (with the codewords),
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .combinatorics import Composition, multinomial_size
-from .streams import SHARD_VECTORS
+from .streams import CHUNK_ROWS, SHARD_VECTORS, normal_blocks
 
 VARIANT_I = 1
 VARIANT_II = 2
@@ -411,6 +413,32 @@ def nearest_subcode(d: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = N
         np.minimum(mind, d[j], out=mind)
         np.maximum(assign, better * j, out=assign)
     return assign, mind
+
+
+def score_draws(rng: np.random.Generator, rows: int, sigma: float, codes, dists) -> list[np.ndarray]:
+    """Score ``rows`` Gaussian draws against ``codes`` (one shared dimension
+    n) by the encoder's rule: code i's nearest distance for row r goes into
+    ``dists[i][r]``, and each code's ``(J,)`` int64 sphere hits are returned.
+    Bit for bit the rule on the whole draw ``rng.standard_normal((rows, n)) *
+    sigma``, drawn ``CHUNK_ROWS`` rows at a time (:func:`streams.normal_blocks`)
+    and sorted once per variant into one reused coordinate-major block.
+    """
+    n = codes[0].n
+    size = min(CHUNK_ROWS, rows)
+    keys, sT = np.empty((size, n)), np.empty((n, size))
+    d = np.empty((max(code.J for code in codes), size))
+    assign = np.empty(size, dtype=np.intp)
+    hits = [np.zeros(code.J, dtype=np.int64) for code in codes]
+    for lo, x in normal_blocks(rng, rows, n, sigma):
+        b = len(x)
+        for variant in dict.fromkeys(code.variant for code in codes):
+            np.copyto(sT[:, :b], sort_by_variant(x, variant, out=keys[:b]).T)
+            for code, dist, h in zip(codes, dists, hits):
+                if code.variant == variant:
+                    nearest_subcode(sorted_distances(sT[:, :b], code, out=d[: code.J, :b]),
+                                    out=(assign[:b], dist[lo : lo + b]))
+                    h += np.bincount(assign[:b], minlength=code.J)
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ elementwise products added over the levels in a fixed order, and the cell
 sums are weighted bincounts, so a design's bits depend on no BLAS kernel,
 thread count or block size.  The finishing pass (:func:`_lloyd_result`)
 draws the training rows again from the same substream, scores them with the
-encoder's rule, and checks that distortion against the rounds' rule.  Both
-record their distortion trajectory and are reproducible from (seed,
-sample_count).  A round scores ``CHUNK_ROWS`` rows at a time into scratch
+encoder's rule (:func:`codec.score_draws`), and checks that distortion
+against the rounds' rule.  Both record their distortion trajectory and are
+reproducible from (seed, sample_count).  A round scores ``CHUNK_ROWS`` rows at a time into scratch
 allocated once per design and writes one nearest sphere and one distance per
 row, so a design holds its per-row state and scratch of fixed size:
 :func:`training_memory_bytes`, which each designer checks against the memory
@@ -40,6 +40,7 @@ from .codec import (
     ConcentricCode,
     InitialCodeword,
     nearest_subcode,
+    score_draws,
     sort_by_variant,
     sorted_distances,
 )
@@ -179,6 +180,11 @@ def _guard_memory(compositions: Sequence[Composition], cfg: DesignConfig) -> Non
         )
 
 
+def _training_stream(cfg: DesignConfig) -> np.random.Generator:
+    """The training rows' substream, drawn by the rounds and again by the finishing pass."""
+    return substream(cfg.rng_seed, "design")
+
+
 def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarray:
     """Draw the training rows ``CHUNK_ROWS`` at a time, hand each block,
     sorted (magnitudes for variant II), to ``take(lo, block)``, and return
@@ -188,7 +194,7 @@ def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarra
     n)) * sigma, variant)``: consecutive draws continue one stream and rows
     sort independently.  Each block is sorted in the draw's own buffer.
     """
-    rng = substream(cfg.rng_seed, "design")
+    rng = _training_stream(cfg)
     for lo, x in normal_blocks(rng, cfg.sample_count, n, sigma):
         take(lo, sort_by_variant(x, cfg.variant, out=x))  # the next block redraws x
     return rng.choice(cfg.sample_count, size=cfg.J, replace=False)
@@ -361,29 +367,14 @@ def _lloyd_result(parts, levels, cfg, sigma, rounds) -> LloydResult:
     training distortion and sphere probabilities under the encoder's rule.
 
     ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.  The
-    training rows are drawn again, block by block, from the same substream:
-    each block is bit for bit the one the rounds were reduced from, and each
-    column is scored on its own, into buffers reused by every block, so the
-    whole set is never held.
+    training rows are drawn again from the same substream and scored by
+    :func:`codec.score_draws`.
     """
     history, events, converged = rounds
     built = [_codeword_from_levels(p, lv, cfg.variant) for p, lv in zip(parts, levels)]
     code = ConcentricCode(tuple(cw for cw, _ in built))
-    counts = np.zeros(cfg.J, dtype=np.intp)
     mind = np.empty(cfg.sample_count)
-    rows = min(CHUNK_ROWS, cfg.sample_count)
-    sT = np.empty((code.n, rows))
-    dists = np.empty((cfg.J, rows))
-    assign = np.empty(rows, dtype=np.intp)
-
-    def score(lo, block):
-        b = len(block)
-        np.copyto(sT[:, :b], block.T)
-        d = sorted_distances(sT[:, :b], code, out=dists[:, :b])
-        nearest_subcode(d, out=(assign[:b], mind[lo : lo + b]))
-        counts[:] += np.bincount(assign[:b], minlength=cfg.J)
-
-    _training_blocks(cfg, code.n, sigma, score)
+    (counts,) = score_draws(_training_stream(cfg), cfg.sample_count, sigma, [code], [mind])
     return LloydResult(
         code=ConcentricCode(code.subcodes, probs=tuple(counts / cfg.sample_count)),
         distortion=float(mind.mean()) / code.n,
@@ -654,20 +645,11 @@ def swap_improvement_test(
         tuple(InitialCodeword(swapped, lv, VARIANT_II) for lv in new_levels)
     )
 
-    d_before = np.empty(cfg.sample_count)
-    d_after = np.empty(cfg.sample_count)
-    rows = min(CHUNK_ROWS, cfg.sample_count)
-    sT = np.empty((c.n, rows))
-    dists = np.empty((cfg.J, rows))
-    assign = np.empty(rows, dtype=np.intp)
-    rng = substream(cfg.rng_seed, "swap-eval")
-    for lo, x in normal_blocks(rng, cfg.sample_count, c.n, table.sigma):
-        b = len(x)
-        np.copyto(sT[:, :b], sort_by_variant(x, VARIANT_II, out=x).T)
-        for code, d in ((before, d_before), (after, d_after)):
-            mind = d[lo : lo + b]
-            nearest_subcode(sorted_distances(sT[:, :b], code, out=dists[:, :b]), out=(assign[:b], mind))
-            mind /= c.n
+    d_before, d_after = np.empty(cfg.sample_count), np.empty(cfg.sample_count)
+    score_draws(substream(cfg.rng_seed, "swap-eval"), cfg.sample_count, table.sigma,
+                [before, after], [d_before, d_after])
+    d_before /= c.n
+    d_after /= c.n
     diff = d_after - d_before
     stderr = float(diff.std(ddof=1) / math.sqrt(len(diff)))
     return SwapReport(

@@ -9,9 +9,10 @@ adds, which round as the C Horner loop does, and exp goes through libm's
 without importing it.
 
 Monte Carlo evaluation is sharded into fixed-size blocks, each with its own
-counter-based substream, and the per-shard accumulators are merged in shard
-order.  Results are therefore byte-identical for a fixed seed no matter how
-many worker threads run the shards.
+counter-based substream and scored by :func:`codec.score_draws`, and the
+per-shard accumulators are merged in shard order.  Results are therefore
+byte-identical for a fixed seed no matter how many worker threads run the
+shards.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cephes import ndtr
-from .codec import ConcentricCode, nearest_subcode, sort_by_variant, sorted_distances
-from .streams import CHUNK_ROWS, SHARD_VECTORS, normal_blocks, substream
+from .codec import ConcentricCode, score_draws
+from .streams import SHARD_VECTORS, substream
 
 MIN_SAMPLES = 1000  # fewest Monte Carlo samples a codebook is measured from
 PARETO_RATE_BIN = 1e-3  # bits/sample; pareto_filter keeps one point per bin
@@ -98,51 +99,32 @@ def empirical_distortions(
     threads: int | None = None,
 ) -> list[EmpiricalDistortion]:
     """:func:`empirical_distortion` of every code, in order, from one pass
-    over the shards.
-
-    Each shard is drawn from its substream once per distinct dimension,
-    ``CHUNK_ROWS`` rows at a time (:func:`streams.normal_blocks`).  Each chunk
-    is sorted once per variant into one coordinate-major block, and every
-    code of that dimension and variant scores the same block.  The shard
-    keeps each code's per-row distances and sums them whole, as one block of
-    ``SHARD_VECTORS`` rows would, so each result equals the one-code call and
-    a worker's working set is one chunk plus one distance vector per code.
-    Every chunk is sorted, transposed and scored into buffers allocated once
-    per shard.
-    """
+    over the shards.  Each shard scores the codes of each dimension with
+    :func:`codec.score_draws` and sums each code's per-row distances whole,
+    as one block of ``SHARD_VECTORS`` rows would, so each result equals the
+    one-code call."""
     codes = list(codes)
     if not codes:
         return []
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    groups: dict[int, dict[int, list[int]]] = {}  # n -> variant -> indices into codes
+    groups: dict[int, list[int]] = {}  # n -> indices into codes
     for i, code in enumerate(codes):
-        groups.setdefault(code.n, {}).setdefault(code.variant, []).append(i)
+        groups.setdefault(code.n, []).append(i)
 
     def run_shard(args):
         shard, size = args
         dists = [np.empty(size) for _ in codes]
-        hits = [np.zeros(code.J, dtype=np.int64) for code in codes]
-        rows = min(CHUNK_ROWS, size)
-        d = np.empty((max(code.J for code in codes), rows))
-        assign = np.empty(rows, dtype=np.intp)
-        for n, by_variant in groups.items():
-            keys = np.empty((rows, n))
-            sT = np.empty((n, rows))
-            for lo, x in normal_blocks(substream(seed, "eval", shard), size, n, sigma):
-                b = len(x)
-                for variant, members in by_variant.items():
-                    np.copyto(sT[:, :b], sort_by_variant(x, variant, out=keys[:b]).T)
-                    for i in members:
-                        mind = dists[i][lo : lo + b]
-                        J = codes[i].J
-                        nearest_subcode(sorted_distances(sT[:, :b], codes[i], out=d[:J, :b]),
-                                        out=(assign[:b], mind))
-                        mind /= n
-                        hits[i] += np.bincount(assign[:b], minlength=J)
+        hits = {}
+        for members in groups.values():
+            hits.update(zip(members, score_draws(substream(seed, "eval", shard), size, sigma,
+                                                 [codes[i] for i in members],
+                                                 [dists[i] for i in members])))
         sq = np.empty(size)
-        return [(float(v.sum()), float(np.multiply(v, v, out=sq).sum()), h)
-                for v, h in zip(dists, hits)]
+        for code, v in zip(codes, dists):
+            v /= code.n
+        return [(float(v.sum()), float(np.multiply(v, v, out=sq).sum()), hits[i])
+                for i, v in enumerate(dists)]
 
     jobs = list(enumerate(min(SHARD_VECTORS, samples - lo) for lo in range(0, samples, SHARD_VECTORS)))
     with ThreadPoolExecutor(max_workers=threads_from_env(threads)) as pool:

@@ -10,9 +10,14 @@ from helpers import chi_cells_mp
 
 from cpcodes import cephes, wsc
 
-special = pytest.importorskip("scipy.special")
-
 HALVES = [k / 2 for k in range(1, 2001)]  # every chi shape a = k/2 up to 1000
+
+
+@pytest.fixture
+def special():
+    """scipy.special, the oracle of the tests that compare with it: only
+    those skip without scipy."""
+    return pytest.importorskip("scipy.special")
 
 
 def _neighbours(x):
@@ -26,19 +31,19 @@ def _assert_bits(ported, reference, points):
     assert not bad, f"{len(bad)} of {len(points)} differ, first {bad[:3]}"
 
 
-def test_lgam():
+def test_lgam(special):
     rng = np.random.default_rng(1986)
     xs = np.concatenate([rng.uniform(0.5, 2000.0, 4000), rng.uniform(0.5, 14.0, 2000),
                          HALVES[:40], [(n + 2) / 6 for n in range(2, 200)], [13.0, 1000.0]])
     _assert_bits(cephes.lgam, special.gammaln, [(x,) for x in xs.tolist()])
 
 
-def test_psi():
+def test_psi(special):
     xs = HALVES + [10.0, 10.5, 11.0]
     _assert_bits(cephes.psi, special.digamma, [(x,) for x in xs])
 
 
-def test_erfc():
+def test_erfc(special):
     rng = np.random.default_rng(8)
     edges = [v for e in (1.0, 8.0, math.sqrt(cephes.MAXLOG)) for v in _neighbours(e) + _neighbours(-e)]
     xs = rng.uniform(-30.0, 30.0, 20_000).tolist() + edges + [0.0]
@@ -100,7 +105,7 @@ def test_outside_the_ported_domain_raises(call):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 41, 64])
 @pytest.mark.parametrize("J", [1, 2, 3, 8, 12, 16, 32, 64])
-def test_gain_codebook_equals_scipy(n, J):
+def test_gain_codebook_equals_scipy(n, J, special):
     """The gains are scipy's fixed point: the conditional means, by
     ``scipy.special.gammainc``, of the cells cut at the midpoints between
     the gains are the gains, and the cell masses are the probs, within
@@ -125,7 +130,7 @@ def test_gain_codebook_equals_scipy(n, J):
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 41, 64, 1000])
-def test_wsc_constants_equal_scipy(n):
+def test_wsc_constants_equal_scipy(n, special):
     g_lambda = wsc.LATTICE_SECOND_MOMENTS["lambda24"]
     got = wsc.wsc_constants(n, g_lambda, sigma=1.5)
     log_area = math.log(2.0) + (n / 2.0) * math.log(math.pi) - special.gammaln(n / 2.0)

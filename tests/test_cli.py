@@ -211,12 +211,13 @@ class TestDesign:
         assert res.exit_code == 3, res.output
         assert "design infeasible: rate 0.01 bits/sample is too low" in res.output
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1", "1e51", "1e-51"])
     @pytest.mark.parametrize("mode", ["common", "general", "wsc-var", "wsc-fixed"])
     def test_non_finite_sigma_exits_3(self, runner, tmp_path, monkeypatch, mode, sigma):
-        """A NaN, infinite, zero or negative sigma is bad usage, exit 2 as in
-        eval (the name predates that), refused before any sample is drawn, so
-        no numpy RuntimeWarning is raised on the way."""
+        """A NaN, infinite, zero or negative sigma, or one outside [1e-50,
+        1e50], is bad usage, exit 2 as in eval (the name predates that),
+        refused before any sample is drawn, so no numpy RuntimeWarning is
+        raised on the way."""
         def no_draw(*args):
             raise AssertionError("training samples drawn for a bad sigma")
 
@@ -498,27 +499,37 @@ def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
             (DATA / f"golden_design_{name}.json").read_bytes()
 
 
-_DESIGN_MODULES = ("cpcodes.design", "cpcodes.wsc", "cpcodes.evaluation", "cpcodes.order_stats")
-
-
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """encode and decode load the codec but no designer, evaluator or
-    order-statistic module; ratepoints loads not even the codec; a
-    common-composition design loads neither the wsc designer nor the evaluator."""
+    """Each command loads exactly the modules README lists under "Process
+    start and exit".  A common or general design loads the codec but
+    neither the evaluator, cephes nor the wsc designer, so the Monte Carlo
+    scoring loop that it shares with eval lives in the codec."""
     stream = str(tmp_path / "x.cpc")
     encode = ["encode", "--codebook", str(DATA / "golden_v1.json"),
               "--input", str(DATA / "golden_vectors.csv"), "--output", stream]
     decode = ["decode", "--codebook", str(DATA / "golden_v1.json"),
               "--input", str(DATA / "golden_v1.cpc"), "--output", str(tmp_path / "x.csv")]
-    for argv in (encode, decode):
-        assert _loaded_after(_RUN_ARGVS, _DESIGN_MODULES, json.dumps([argv])) == []
     ratepoints = ["ratepoints", "--n-range", "2:4", "--j-range", "1:2",
                   "--output", str(tmp_path / "r.csv")]
-    assert _loaded_after(_RUN_ARGVS, _DESIGN_MODULES + ("cpcodes.codec",),
-                         json.dumps([ratepoints])) == []
-    design = design_args(str(tmp_path / "cb.json"))
-    assert _loaded_after(_RUN_ARGVS, ("cpcodes.wsc", "cpcodes.evaluation"),
-                         json.dumps([design])) == []
+    evaluate = ["eval", "--codebook", str(DATA / "golden_v1.json"), "--samples", "2000",
+                "--output", str(tmp_path / "rd.csv")]
+    wsc = [["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
+            "--out", str(tmp_path / f"{name}.json")] for name in ("wsc_fixed_v1", "wsc_var_v1")]
+    counted = ["cli", "combinatorics", "streams"]
+    coded = counted + ["codec"]
+    designed = coded + ["design", "order_stats"]
+    runs = [
+        (ratepoints, counted),
+        (encode, coded),
+        (decode, coded),
+        (design_args(str(tmp_path / "cb.json")), designed),
+        (design_args(str(tmp_path / "general.json"), **{"--mode": "general"}), designed),
+        (evaluate, coded + ["cephes", "evaluation"]),
+        *((argv, designed + ["wsc", "cephes", "evaluation"]) for argv in wsc),
+    ]
+    for argv, modules in runs:
+        loaded = _loaded_after(_RUN_ARGVS, ("cpcodes.",), json.dumps([argv]))
+        assert loaded == sorted(f"cpcodes.{m}" for m in modules), argv
     assert Path(stream).read_bytes() == (DATA / "golden_v1.cpc").read_bytes()
     assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
 
@@ -637,7 +648,7 @@ class TestEval:
                                    "--output", str(out)])
         assert res.exit_code == 0, res.output
 
-    @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf", "1e51", "1e-51"])
     def test_bad_sigma_usage_error(self, runner, tmp_path, sigma):
         out = tmp_path / "rd.csv"
         for source in (["--baselines", "ecsq"], ["--codebook", str(DATA / "golden_v1.json")]):

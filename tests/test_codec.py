@@ -22,12 +22,14 @@ from cpcodes.codec import (
     nearest_subcode,
     rank_codeword,
     read_stream,
+    score_draws,
     sort_by_variant,
     sorted_distances,
     unrank_codeword,
     write_stream,
 )
 from cpcodes.combinatorics import Composition, enumerate_compositions, multinomial_size
+from cpcodes.streams import CHUNK_ROWS
 
 from helpers import (
     brute_force_min_distance,
@@ -278,6 +280,31 @@ class TestSortedSampleRules:
                         diff = float(sT[p, r]) - level
                         total += diff * diff
                     assert float(d[j, r]).hex() == total.hex()
+
+    @pytest.mark.parametrize("rows", [1, CHUNK_ROWS - 1, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1811])
+    def test_score_draws_equals_whole_draw(self, rows):
+        """One call over codes of both variants and several J scores the
+        draws block by block as the rule scores the whole draw at once, bit
+        for bit in distances and sphere hits."""
+        rng = np.random.default_rng(9)
+        n, sigma = 6, 1.7
+        books = [(VARIANT_I, [(2, 3, 1), (3, 3)]), (VARIANT_II, [(1, 2, 3), (6,), (2, 2, 2)]),
+                 (VARIANT_I, [(1, 1, 1, 1, 1, 1)]), (VARIANT_II, [(4, 2), (1, 5)])]
+        codes = [
+            ConcentricCode(tuple(
+                InitialCodeword(Composition(c), random_decreasing_levels(rng, len(c), variant), variant)
+                for c in comps
+            ))
+            for variant, comps in books
+        ]
+        dists = [np.full(rows, np.nan) for _ in codes]
+        hits = score_draws(np.random.default_rng(3), rows, sigma, codes, dists)
+        x = np.random.default_rng(3).standard_normal((rows, n)) * sigma
+        for code, d, h in zip(codes, dists, hits):
+            assign, mind = nearest_subcode(sorted_distances(sort_by_variant(x, code.variant).T, code))
+            assert np.array_equal(d.view(np.int64), mind.view(np.int64))
+            assert h.dtype == np.int64
+            assert np.array_equal(h, np.bincount(assign, minlength=code.J))
 
 
 @st.composite

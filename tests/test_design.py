@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpcodes import design
+from cpcodes import codec, design
 from cpcodes.codec import (
     VARIANT_I,
     VARIANT_II,
@@ -138,8 +138,8 @@ class TestCommonCompositionDesign:
         else:
             run = lambda: lloyd_general([Composition((2, 3, 2)), Composition((1, 4, 2))], cfg, table)
         assert not run().merged_levels
-        exact = design.sorted_distances
-        monkeypatch.setattr(design, "sorted_distances",
+        exact = codec.sorted_distances
+        monkeypatch.setattr(codec, "sorted_distances",
                             lambda sT, code, out=None: exact(sT, code, out) + 1e-3)
         with pytest.raises(AssertionError, match="distortion decomposition mismatch"):
             run()
