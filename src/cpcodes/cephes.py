@@ -1,16 +1,18 @@
-"""Scalar ports of the Cephes special functions behind ``scipy.special``
-that the codec evaluates, each bit for bit the compiled routine.
+"""Ports of the Cephes special functions behind ``scipy.special`` whose
+bits the codec's outputs pin, each bit for bit the compiled routine.
 
-* :func:`ndtr` (``scipy.special.ndtr``) is Cephes ``ndtr``, vectorised over
-  a numpy array; :func:`erfc` is Cephes ``erfc`` on one float.  Both use the
-  same coefficient tables (S. L. Moshier, *Methods and Programs for
-  Mathematical Functions*, 1989).
-* :func:`lgam` (``gammaln``) and :func:`psi` (``digamma``, with Boost's
-  rational function on [1, 2]) take any positive argument.
+* :func:`ndtr` (``scipy.special.ndtr``) and :func:`erfc`
+  (``scipy.special.erfc``, for arguments above -1) are Cephes ``ndtr`` and
+  ``erfc``, vectorised over a numpy array, with one set of coefficient
+  tables (S. L. Moshier, *Methods and Programs for Mathematical Functions*,
+  1989).  The baselines and the order-statistic moment tables read them.
+* :func:`lgam` (``gammaln``) takes any positive argument.
 
-These four are all that remain bit for bit scipy's.  The chi law of the
-gain quantizer is not ported here: :func:`cpcodes.wsc._chi_tails` sums its
-finite series, with :func:`erfc` for odd degrees of freedom.
+These three are all that remain: the golden baseline rows and the moment
+tables' test against scipy (``test_tables_match_scipy``) pin their bits.
+The wsc designer needs no port beyond :func:`lgam`; it sums digamma at n/2
+and the chi law as finite series and takes erfc of one float from
+:func:`math.erfc` (:mod:`cpcodes.wsc`).
 
 Bit identity rests on two rules.  ``exp`` and ``log`` go through
 :mod:`math`, which calls the same libm as the compiled code (numpy's
@@ -26,7 +28,6 @@ import math
 import numpy as np
 
 MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
-EULER = 0.577215664901532860606512090082402431
 _SQRT1_2 = math.sqrt(0.5)
 
 
@@ -75,8 +76,9 @@ def _erf_small(x):
     return x * _horner(z, _ERF_T, False) / _horner(z, _ERF_U, True)
 
 
-def _erfc_tail(z):
-    """Cephes ``erfc`` for every element ``z > -1`` (or NaN) of an array."""
+def erfc(z):
+    """Cephes ``erfc``, ``scipy.special.erfc``, of every element ``z > -1``
+    (or NaN) of a float array."""
     out = np.zeros_like(z)  # exp(-z*z) underflows: Cephes returns 0
     mid = z < 1.0
     out[mid] = 1.0 - _erf_small(z[mid])
@@ -104,31 +106,13 @@ def ndtr(a):
     out = np.empty_like(x)
     out[small] = 0.5 + 0.5 * _erf_small(x[small])
     big = ~small
-    y = 0.5 * _erfc_tail(z[big])
+    y = 0.5 * erfc(z[big])
     out[big] = np.where(x[big] > 0, 1.0 - y, y)
     return out
 
 
-def erfc(a: float) -> float:
-    """Cephes ``erfc`` of one finite float."""
-    x = abs(a)
-    if x < 1.0:
-        return 1.0 - _erf_small(a)
-    z = -a * a
-    if z < -MAXLOG:
-        return 2.0 if a < 0 else 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        y = z * _horner(x, _ERFC_P, False) / _horner(x, _ERFC_Q, True)
-    else:
-        y = z * _horner(x, _ERFC_R, False) / _horner(x, _ERFC_S, True)
-    if a < 0:
-        y = 2.0 - y
-    return y
-
-
 # ---------------------------------------------------------------------------
-# log-gamma and digamma
+# log-gamma
 
 # lgam: Stirling correction A(1/x^2)/x for x >= 13, x B(x)/C(x) on [2, 3)
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
@@ -170,48 +154,3 @@ def lgam(x: float) -> float:
         return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
                     + 0.0833333333333333333333) / x
     return q + _horner(p, _LGAM_A, False) / x
-
-
-# psi: Boost's digamma(x) = (x - root) (Y + P(x-1)/Q(x-1)) on [1, 2], with
-# the positive root split into three doubles and Y a float32 constant
-_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
-          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
-_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
-          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
-_PSI_Y = 0.9955816268920898
-_PSI_ROOT = (1569415565.0 / 1073741824.0, (381566830.0 / 1073741824.0) / 1073741824.0,
-             0.9016312093258695918615325266959189453125e-19)
-# asymptotic series in 1/x^2 for x > 10
-_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
-          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
-          8.33333333333333333333e-2)
-
-
-def psi(x: float) -> float:
-    """Cephes ``psi``, ``scipy.special.digamma``, for ``x > 0``."""
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"psi is ported for finite x > 0, got {x}")
-    y = 0.0
-    if x <= 10.0 and x == math.floor(x):
-        for i in range(1, int(x)):
-            y += 1.0 / i
-        return y - EULER
-    if x < 1.0:
-        y -= 1.0 / x
-        x += 1.0
-    elif x < 10.0:
-        while x > 2.0:
-            x -= 1.0
-            y += 1.0 / x
-    if 1.0 <= x <= 2.0:
-        g = x - _PSI_ROOT[0]
-        g -= _PSI_ROOT[1]
-        g -= _PSI_ROOT[2]
-        r = _horner(x - 1.0, _PSI_P, False) / _horner(x - 1.0, _PSI_Q, False)
-        return y + (g * _PSI_Y + g * r)
-    if x < 1.0e17:
-        z = 1.0 / (x * x)
-        asy = z * _horner(z, _PSI_A, False)
-    else:
-        asy = 0.0
-    return y + (math.log(x) - (0.5 / x) - asy)

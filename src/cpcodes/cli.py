@@ -420,7 +420,7 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
 @main.command("ratepoints")
 @click.option("--n-range", default="2:9", show_default=True, help="LO:HI inclusive.")
 @click.option("--j-range", default="1:4", show_default=True, help="LO:HI inclusive.")
-@click.option("--limit", type=int, default=50_000_000, show_default=True)
+@click.option("--limit", type=click.IntRange(min=1), default=50_000_000, show_default=True)
 @click.option("--output", type=click.Path(), default="ratepoints.csv", show_default=True)
 @_recorded()
 def cmd_ratepoints(n_range, j_range, limit, output):

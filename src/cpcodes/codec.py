@@ -148,7 +148,7 @@ class ConcentricCode:
             object.__setattr__(self, "probs", probs)
             if len(probs) != len(self.subcodes):
                 raise ValueError("one probability per subcode required")
-            if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            if not all(0 <= p <= 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
                 raise ValueError("probabilities must be nonnegative and sum to 1")
 
     @property

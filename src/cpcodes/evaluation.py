@@ -167,8 +167,8 @@ def rate_variable(code: ConcentricCode, probs=None) -> float:
     if probs is None:
         raise ValueError("no subcodebook probabilities available")
     p = np.asarray(probs, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("probabilities must sum to 1")
+    if not (np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-9):
+        raise ValueError("probabilities must be finite and sum to 1")
     log_size_mean = 0.0  # added left to right, so no BLAS kernel picks the order
     for pj, m in zip(p.tolist(), code.sizes):
         log_size_mean += pj * math.log2(m)

@@ -129,12 +129,12 @@ def _integrate(n, lo, hi, log_parts_fn):
 def _log_ndtr(x):
     """log Phi(x): the log of ``ndtr`` below -1, where it keeps its relative
     precision, and ``log1p(-erfc(x/sqrt(2))/2)`` from -1 up."""
-    from .cephes import _SQRT1_2, _erfc_tail, ndtr
+    from .cephes import _SQRT1_2, erfc, ndtr
 
     out = np.empty_like(x)
     low = x < -1.0
     out[low] = np.log(ndtr(x[low]))
-    out[~low] = np.log1p(-_erfc_tail(x[~low] * _SQRT1_2) / 2)
+    out[~low] = np.log1p(-erfc(x[~low] * _SQRT1_2) / 2)
     return out
 
 
@@ -147,13 +147,13 @@ def _folded_log_parts(x):
     # parent is |Z| for standard normal Z: F(x) = erf(x/sqrt(2)), f(x) = 2*phi(x);
     # the survival side goes through erfc to keep precision deep in the tail.
     # Cephes erf(z) is its small-argument rational up to 1 and 1 - erfc(z) above
-    from .cephes import _erf_small, _erfc_tail
+    from .cephes import _erf_small, erfc
 
     z = x / math.sqrt(2.0)
-    erfc = _erfc_tail(z)
+    upper = erfc(z)
     with np.errstate(divide="ignore"):
-        log_cdf = np.log(np.where(z <= 1.0, _erf_small(z), 1.0 - erfc))
-        log_sf = np.log(erfc)
+        log_cdf = np.log(np.where(z <= 1.0, _erf_small(z), 1.0 - upper))
+        log_sf = np.log(upper)
     log_pdf = math.log(2.0) - 0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
     return log_cdf, log_sf, log_pdf
 

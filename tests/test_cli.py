@@ -211,6 +211,24 @@ class TestDesign:
         assert res.exit_code == 3, res.output
         assert "design infeasible: rate 0.01 bits/sample is too low" in res.output
 
+    @pytest.mark.parametrize("mode, rate", [("wsc-fixed", "64"), ("wsc-var", "100")])
+    def test_too_high_rate_exits_3(self, runner, tmp_path, monkeypatch, mode, rate):
+        """A rate whose size targets overflow a double is infeasible, refused
+        before any training sample is drawn and without a RuntimeWarning."""
+        def no_draw(*args):
+            raise AssertionError("training samples drawn for an infeasible rate")
+
+        monkeypatch.setattr("cpcodes.design.substream", no_draw)
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["design", "--n", "16", "--j", "2", "--mode", mode,
+                                       "--rate", rate, "--samples", "10000", "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert f"design infeasible: rate {float(rate)} bits/sample is too high" in res.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1", "1e51", "1e-51"])
     @pytest.mark.parametrize("mode", ["common", "general", "wsc-var", "wsc-fixed"])
     def test_non_finite_sigma_exits_3(self, runner, tmp_path, monkeypatch, mode, sigma):
@@ -337,6 +355,21 @@ class TestCodingRoundtrip:
         assert res.output == (
             f"bad codebook {bad}: levels must be strictly decreasing, got (0.1, 0.5)\n"
         )
+
+    @pytest.mark.parametrize("command", ["encode", "decode", "eval"])
+    def test_nan_probs_codebook_exit4(self, runner, tmp_path, command):
+        """json reads NaN, and a NaN passes a bare "sums to 1" check."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"variant": 1, "n": 2, "probs": [NaN], '
+                       '"subcodes": [{"parts": [1, 1], "levels": [0.5, 0.1]}]}')
+        data = tmp_path / "in"
+        data.write_text("")
+        paths = ["--input", str(data), "--output", str(tmp_path / "out")]
+        argv = {"encode": paths, "decode": paths,
+                "eval": ["--samples", "20000", "--output", str(tmp_path / "out")]}[command]
+        res = runner.invoke(main, [command, "--codebook", str(bad), *argv])
+        assert res.exit_code == 4, res.output
+        assert res.output.startswith(f"bad codebook {bad}: probabilities must be")
 
     @pytest.mark.parametrize("bad_at", [0, 1])
     def test_bad_codebook_in_list_exits_before_sampling(self, runner, tmp_path, codebook,
@@ -754,6 +787,15 @@ class TestRatepoints:
         res = runner.invoke(main, ["ratepoints", option, text, "--output", str(out)])
         assert res.exit_code == 2, res.output
         assert f"bad {option} '{text}'" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_limit_usage_error(self, runner, tmp_path, limit):
+        """A work bound below 1 is bad usage, not a resource guard (exit 6)."""
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["ratepoints", "--limit", limit, "--output", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--limit'" in res.output
         assert not out.exists()
 
 

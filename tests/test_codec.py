@@ -544,6 +544,12 @@ class TestSerialization:
         back = code_from_dict(doc)
         assert back == code
 
+    @pytest.mark.parametrize("probs", [(np.nan, 1.0), (np.inf, -np.inf), (0.25, np.nan)])
+    def test_non_finite_probs_rejected(self, probs):
+        """A NaN compares False with every bound, so each prob is checked finite."""
+        with pytest.raises(ValueError, match="probabilities"):
+            ConcentricCode(self._sample_code().subcodes, probs=probs)
+
     def test_dimension_consistency_checked(self):
         doc = code_to_dict(self._sample_code())
         doc["n"] = 9

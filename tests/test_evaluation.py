@@ -209,6 +209,13 @@ class TestRates:
         want = (math.log2(4) + math.log2(6)) / 4
         assert rate_variable(code, (0.25,) * 4) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("probs", [(math.nan,), (math.inf,)])
+    def test_variable_non_finite_probs_rejected(self, probs):
+        t = gaussian_order_stats(7)
+        code = ConcentricCode((optimal_levels_single(Composition((3, 2, 2)), t, VARIANT_I),))
+        with pytest.raises(ValueError, match="finite"):
+            rate_variable(code, probs)
+
     def test_entropy_term_nonnegative(self):
         rng = np.random.default_rng(7)
         subs = tuple(

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from cpcodes.design import DesignConfig, training_memory_bytes
 from cpcodes.streams import CHUNK_ROWS
 from cpcodes.wsc import (
     LATTICE_SECOND_MOMENTS,
+    GainCodebook,
+    RateTooHighError,
     RateTooLowError,
     allocate_compositions,
     design_fixed_rate,
@@ -43,6 +46,14 @@ class TestGainCodebook:
         if n >= 7:
             # coarse large-n approximation for the radius
             assert gc.gains[0] == pytest.approx(math.sqrt(n - 0.5), rel=0.01)
+
+    @pytest.mark.parametrize("gains, probs", [((math.nan,), (1.0,)), ((1.0,), (math.nan,)),
+                                              ((1.0, math.inf), (0.5, 0.5)),
+                                              ((1.0, 2.0), (math.inf, -math.inf))])
+    def test_non_finite_entries_rejected(self, gains, probs):
+        """A NaN compares False with every bound, so each entry is checked finite."""
+        with pytest.raises(ValueError):
+            GainCodebook(gains, probs)
 
     def test_sigma_scales_gains(self):
         a = gain_codebook(3, 10, sigma=1.0)
@@ -205,8 +216,6 @@ class TestSizes:
             while np.any(np.diff(gains) <= 0):
                 gains = np.sort(rng.uniform(2.0, 9.0, size=J))
             p = rng.dirichlet(np.ones(J))
-            from cpcodes.wsc import GainCodebook
-
             gc = GainCodebook(tuple(gains), tuple(p / p.sum()))
             sizes = sizes_variable_rate(split, gc, 25)
             resid = float(np.asarray(gc.probs) @ np.log2(sizes)) - 25 * split.shape_rate
@@ -218,8 +227,6 @@ class TestSizes:
         assert sizes[0] == pytest.approx(2.0 ** (7 * 1.5), rel=1e-12)
 
     def test_fixed_rate_symmetry(self):
-        from cpcodes.wsc import GainCodebook
-
         gc = GainCodebook((2.0, 4.0, 8.0), (1 / 3, 1 / 3, 1 / 3))
         equal = GainCodebook((3.0, 3.0 + 1e-9, 3.0 + 2e-9), (1 / 3, 1 / 3, 1 / 3))
         sizes = sizes_fixed_rate(1.0, equal, 7)
@@ -230,6 +237,20 @@ class TestSizes:
     def test_fixed_rate_total(self):
         gc = gain_codebook(4, 25)
         assert sizes_fixed_rate(2.0, gc, 25).sum() == pytest.approx(2.0**50, rel=1e-9)
+
+    @pytest.mark.parametrize("R", [63.99, 64.0, 1e6])
+    def test_fixed_rate_overflow_is_infeasible(self, R):
+        """2**(16 R) overflows a double from R = 64 on; at 63.99 it does
+        not, but its product with a cell weight above 1.12 does."""
+        with pytest.raises(RateTooHighError, match=f"rate {R} bits/sample is too high"):
+            sizes_fixed_rate(R, gain_codebook(2, 16), 16)
+
+    def test_variable_rate_overflow_is_infeasible(self):
+        split = optimal_rate_split(100.0, wsc_constants(16, LATTICE_SECOND_MOMENTS["scalar"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RateTooHighError, match="rate 100.0 bits/sample is too high"):
+                sizes_variable_rate(split, gain_codebook(2, 16), 16)
 
 
 class TestShapeDistortion:
