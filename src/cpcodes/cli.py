@@ -6,10 +6,15 @@ working directory ``cwd`` that its relative paths resolve against, the
 ``parameters`` (click's parsed values keyed by parameter name), seed,
 versions, output paths, wall time and the process's peak memory.
 
-Exit codes: 0 success, 2 bad usage, 3 design infeasible, 4 bad input
-(dimension mismatch, non-finite value or unreadable codebook), 5 corrupt
-stream, 6 resource guard exceeded (an enumeration bound or a failed
-allocation).
+Every file a command writes is replaced whole, never truncated in place
+(:func:`_replaced`), so a failed command leaves the previous file; a target
+that is not a regular file (a symlink, FIFO or device) is written in place.
+
+Exit codes: 0 success, 2 bad usage (an output path in a missing directory, or
+one that names a directory, no file or another output, included), 3 design
+infeasible, 4 bad input (dimension mismatch, non-finite value or unreadable
+codebook), 5 corrupt stream, 6 resource guard exceeded (an enumeration bound
+or a failed allocation).
 
 Each command imports the modules it runs inside its own body: ``encode`` and
 ``decode`` load the codec, ``ratepoints`` the combinatorics alone.  ``cpc``
@@ -18,6 +23,7 @@ and ``python -m cpcodes.cli`` enter through :func:`run`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import json
@@ -25,6 +31,7 @@ import math
 import os
 import platform
 import resource
+import stat
 import sys
 import time
 
@@ -86,6 +93,66 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
+@contextlib.contextmanager
+def _replaced(path, binary: bool = False):
+    """An open file whose contents replace ``path`` when the block ends.
+
+    The file is ``<path>.<pid>.part`` beside ``path``, created anew
+    (``O_CREAT|O_EXCL``, so the umask sets its mode); the old regular file is
+    unlinked and the new one renamed into place, and on any exception the
+    ``.part`` file is removed.  A ``path`` that exists but is not a regular
+    file is opened and written in place.
+
+    Unlinking before the rename matters on ext4 mounted with ``discard``,
+    where freeing on-disk blocks waits on a synchronous discard (45-75 ms a
+    file).  ext4 writes out at once a file renamed over another, or truncated
+    and rewritten, so each such rewrite frees the blocks the previous one
+    wrote; a file renamed to a free name stays in delayed allocation, and
+    unlinking it before writeback frees nothing on disk.
+    """
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    target = path if in_place else f"{path}.{os.getpid()}.part"
+    fp = open(target, ("w" if in_place else "x") + ("b" if binary else ""),
+              newline=None if binary else "\n")
+    try:
+        with fp:
+            yield fp
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            os.rename(target, path)
+    except BaseException:
+        if not in_place:
+            os.unlink(target)
+        raise
+
+
+def _output_path(ctx: click.Context, param: click.Parameter, value):
+    """Callback of every output option: bad usage, before any work, for a path
+    that names no file (empty, or ending in a separator), whose directory does
+    not exist, or that another output option names."""
+    if value is None:
+        return value
+    if not os.path.basename(value):
+        raise click.BadParameter(f"{value!r} names no file")
+    path = os.path.abspath(value)
+    if not os.path.isdir(os.path.dirname(path)):
+        raise click.BadParameter(f"directory of {value} does not exist")
+    taken = ctx.meta.setdefault("output_paths", {})
+    if path in taken:
+        raise click.BadParameter(f"{value} is also the {taken[path]} path")
+    taken[path] = param.opts[0]
+    return value
+
+
+def _output_option(*decls, **kwargs):
+    """A ``click.option`` for a path the command writes."""
+    return click.option(*decls, type=click.Path(dir_okay=False), callback=_output_path, **kwargs)
+
+
 def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: float,
                     memory_estimate_mb: float | None):
     doc = {
@@ -101,7 +168,7 @@ def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: 
         "peak_rss_mb": _peak_rss_mb(),
         "memory_estimate_mb": memory_estimate_mb,
     }
-    with open(params["manifest"], "w", newline="\n") as fp:
+    with _replaced(params["manifest"]) as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
 
@@ -132,8 +199,8 @@ def _recorded(*exits):
             _write_manifest(ctx.command, params, outputs, time.monotonic() - started,
                             ctx.meta.get("memory_estimate_mb"))
 
-        return click.option("--manifest", type=click.Path(), default=None,
-                            help="Manifest path (default FIRST_OUTPUT.manifest.json).")(command)
+        return _output_option("--manifest", default=None,
+                              help="Manifest path (default FIRST_OUTPUT.manifest.json).")(command)
 
     return decorate
 
@@ -211,7 +278,7 @@ def run():
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--g-lambda", default="scalar", show_default=True, help="Lattice second moment (wsc-var): scalar, lambda24, or a float.")
 @click.option("--no-conjecture-filter", is_flag=True, help="Search all compositions, not just the monotone-pattern subset.")
-@click.option("--out", type=click.Path(), default="codebook.json", show_default=True)
+@_output_option("--out", default="codebook.json", show_default=True)
 @_recorded(((RuntimeError, ValueError), 3, "design infeasible: "))
 def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, sigma,
                g_lambda, no_conjecture_filter, out):
@@ -280,7 +347,8 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         design_block.update(iterations=result.iterations, empirical_D=result.distortion,
                             report=result.report)
     click.get_current_context().meta["memory_estimate_mb"] = training_memory_bytes(trained, cfg) / 2**20
-    save_code(out, result.code, extra={"design": design_block})
+    with _replaced(out) as fp:
+        save_code(fp, result.code, extra={"design": design_block})
     click.echo(f"wrote {out}")
     return [out]
 
@@ -323,7 +391,7 @@ def _csv_lines(W: np.ndarray) -> list[str]:
 @click.option("--codebook", type=click.Path(exists=True), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True,
               help="CSV, one vector per row.")
-@click.option("--output", type=click.Path(), required=True, help="Encoded stream path.")
+@_output_option("--output", required=True, help="Encoded stream path.")
 @_recorded()
 def cmd_encode(codebook, input_path, output):
     """Encode vectors to the (sphere, rank) stream format."""
@@ -331,7 +399,7 @@ def cmd_encode(codebook, input_path, output):
 
     code = _load_code(codebook)
     spheres, ranks, _ = encode_batch(_read_vectors(input_path, code.n), code)
-    with open(output, "wb") as fp:
+    with _replaced(output, binary=True) as fp:
         count = write_stream(fp, code, spheres, ranks)
     click.echo(f"encoded {count} vectors")
     return [output]
@@ -340,7 +408,7 @@ def cmd_encode(codebook, input_path, output):
 @main.command("decode")
 @click.option("--codebook", type=click.Path(exists=True), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--output", type=click.Path(), required=True, help="CSV of reconstructions.")
+@_output_option("--output", required=True, help="CSV of reconstructions.")
 @_recorded()
 def cmd_decode(codebook, input_path, output):
     """Reconstruct codewords from an encoded stream."""
@@ -350,7 +418,7 @@ def cmd_decode(codebook, input_path, output):
     with open(input_path, "rb") as fp:
         spheres, ranks = read_stream(fp, code)
     W = decode_batch(spheres, ranks, code)
-    with open(output, "w", newline="\n") as fp:
+    with _replaced(output) as fp:
         fp.writelines(line + "\n" for line in _csv_lines(W))
     click.echo(f"decoded {len(W)} vectors")
     return [output]
@@ -364,7 +432,7 @@ def cmd_decode(codebook, input_path, output):
 @click.option("--baselines", default="", help="Comma list from: ecsq, ecusq, bound.")
 @click.option("--fixed-rate", is_flag=True, help="Report the no-entropy-coding rate.")
 @click.option("--threads", type=click.IntRange(min=1), envvar="CPC_THREADS", help="Worker threads (default CPC_THREADS or 1).")
-@click.option("--output", type=click.Path(), default="rd.csv", show_default=True)
+@_output_option("--output", default="rd.csv", show_default=True)
 @_recorded()
 def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, output):
     """Measure rate-distortion points and write them as CSV."""
@@ -411,7 +479,7 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
         points.extend(evaluation.ecsq_curve(evaluation.DEFAULT_BASELINE_STEPS, sigma))
     if "bound" in wanted:
         points.extend(evaluation.shannon_bound(evaluation.DEFAULT_BOUND_RATES, sigma))
-    with open(output, "w", newline="\n") as fp:
+    with _replaced(output) as fp:
         fp.write(evaluation.rd_points_to_csv(points))
     click.echo(f"wrote {output} ({len(points)} points)")
     return [output]
@@ -421,7 +489,7 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
 @click.option("--n-range", default="2:9", show_default=True, help="LO:HI inclusive.")
 @click.option("--j-range", default="1:4", show_default=True, help="LO:HI inclusive.")
 @click.option("--limit", type=click.IntRange(min=1), default=50_000_000, show_default=True)
-@click.option("--output", type=click.Path(), default="ratepoints.csv", show_default=True)
+@_output_option("--output", default="ratepoints.csv", show_default=True)
 @_recorded()
 def cmd_ratepoints(n_range, j_range, limit, output):
     """Count distinct fixed-rate points per (n, J)."""
@@ -431,7 +499,7 @@ def cmd_ratepoints(n_range, j_range, limit, output):
     for n in ns:
         for j in js:
             rows.append(f"{n},{j},{rate_point_census(n, j, limit=limit).count}")
-    with open(output, "w", newline="\n") as fp:
+    with _replaced(output) as fp:
         fp.write("\n".join(rows) + "\n")
     click.echo(f"wrote {output}")
     return [output]

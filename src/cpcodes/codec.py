@@ -525,13 +525,13 @@ def code_from_dict(doc: dict) -> ConcentricCode:
     return code
 
 
-def save_code(path, code: ConcentricCode, extra: dict | None = None) -> None:
+def save_code(fp, code: ConcentricCode, extra: dict | None = None) -> None:
+    """Write ``code``, with the top-level keys of ``extra``, to the open text file ``fp``."""
     doc = code_to_dict(code)
     if extra:
         doc.update(extra)
-    with open(path, "w", newline="\n") as fp:
-        json.dump(doc, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    json.dump(doc, fp, indent=2, sort_keys=True)
+    fp.write("\n")
 
 
 def load_code(path) -> ConcentricCode:

@@ -878,3 +878,122 @@ class TestReplay:
         res = runner.invoke(main, ["replay", out + ".manifest.json"])
         assert res.exit_code == 0, res.output
         assert Path(out).read_bytes() == first
+
+
+def _one_run(command: str, out: str) -> list[str]:
+    """A quick argv of ``command`` writing ``out``, from the pinned inputs."""
+    golden = str(DATA / "golden_v1.json")
+    return {
+        "design": design_args(out),
+        "encode": ["encode", "--codebook", golden, "--input", str(DATA / "golden_vectors.csv"),
+                   "--output", out],
+        "decode": ["decode", "--codebook", golden, "--input", str(DATA / "golden_v1.cpc"),
+                   "--output", out],
+        "eval": ["eval", "--baselines", "ecsq,ecusq,bound", "--output", out],
+        "ratepoints": ["ratepoints", "--n-range", "2:4", "--j-range", "1:2", "--output", out],
+    }[command]
+
+
+COMMANDS = ["design", "encode", "decode", "eval", "ratepoints"]
+
+
+class TestOutputs:
+    """Every output is written beside its path and renamed into place, so a
+    re-run replaces a file instead of truncating it, and a failed command
+    leaves the previous one; a target that is not a regular file is written in
+    place."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rerun_replaces_with_identical_bytes(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        manifest = tmp_path / "out.manifest.json"
+        res = runner.invoke(main, _one_run(command, str(out)))
+        assert res.exit_code == 0, res.output
+        first, inode = out.read_bytes(), out.stat().st_ino
+        manifest_inode = manifest.stat().st_ino
+        res = runner.invoke(main, _one_run(command, str(out)))
+        assert res.exit_code == 0, res.output
+        assert out.read_bytes() == first
+        assert out.stat().st_ino != inode and manifest.stat().st_ino != manifest_inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.manifest.json"]
+
+    def test_symlink_output_writes_its_target(self, runner, tmp_path):
+        target, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        res = runner.invoke(main, _one_run("ratepoints", str(link)))
+        assert res.exit_code == 0, res.output
+        assert link.is_symlink() and os.readlink(link) == "real.csv"
+        assert target.read_text().splitlines()[0] == "n,J,count"
+        assert not list(tmp_path.glob("*.part"))
+
+    def test_fifo_output_is_written_in_place(self, runner, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # A reader opened first lets the command's open for writing return.
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            os.set_blocking(fd, True)
+            res = runner.invoke(main, [*_one_run("ratepoints", str(fifo)),
+                                       "--manifest", str(tmp_path / "m.json")])
+            assert res.exit_code == 0, res.output
+            received = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert received.decode().splitlines()[:2] == ["n,J,count", "2,1,2"]
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "m.json"]
+
+    def test_failed_write_leaves_the_previous_output(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "x.cpc"
+        res = runner.invoke(main, _one_run("encode", str(out)))
+        assert res.exit_code == 0, res.output
+        before = out.read_bytes()
+
+        def half_written(fp, *args):
+            fp.write(b"CPC")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("cpcodes.codec.write_stream", half_written)
+        res = runner.invoke(main, _one_run("encode", str(out)))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, OSError)
+        assert out.read_bytes() == before == (DATA / "golden_v1.cpc").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cpc", "x.cpc.manifest.json"]
+
+    @pytest.mark.parametrize("case", ["output_in_missing_dir", "output_is_dir", "output_names_no_file",
+                                      "manifest_in_missing_dir", "manifest_is_dir",
+                                      "manifest_is_output"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_output_path_is_usage_error(self, runner, tmp_path, monkeypatch, command, case):
+        """Refused before any work, so nothing is written: an output or manifest
+        path in a directory that does not exist, naming a directory or ending in
+        a separator, or a manifest path that is the output's, however spelled."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        from cpcodes import cli, codec, evaluation
+
+        for module, name in ((codec, "load_code"), (cli, "rate_point_census"),
+                             (evaluation, "ecusq_curve"), (design, "design_common_composition")):
+            monkeypatch.setattr(module, name, refuse)
+        (tmp_path / "d").mkdir()
+        out, manifest = str(tmp_path / "x"), None
+        if case == "output_in_missing_dir":
+            out = str(tmp_path / "nope" / "x")
+        elif case == "output_is_dir":
+            out = str(tmp_path / "d")
+        elif case == "output_names_no_file":
+            out = str(tmp_path / "x") + os.sep
+        elif case == "manifest_in_missing_dir":
+            manifest = str(tmp_path / "nope" / "m.json")
+        elif case == "manifest_is_dir":
+            manifest = str(tmp_path / "d")
+        else:
+            manifest = str(tmp_path / "d" / ".." / "x")
+        argv = _one_run(command, out) + (["--manifest", manifest] if manifest else [])
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output and res.exception.__class__ is SystemExit
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert not list((tmp_path / "d").iterdir())
