@@ -11,8 +11,10 @@ Every file a command writes is replaced whole, never truncated in place
 that is not a regular file (a symlink, FIFO or device) is written in place.
 
 Exit codes: 0 success, 2 bad usage (an output path in a missing directory, or
-one that names a directory, no file or another output, included), 3 design
-infeasible, 4 bad input (dimension mismatch, non-finite value or unreadable
+one that names a directory, no file or another output, an input path that
+names a directory, and a replay file that is not a ``cpc`` run manifest
+included), 3 design infeasible, 4 bad input (dimension mismatch, non-finite
+value, a vector file that cannot be decoded as text, or an unreadable
 codebook), 5 corrupt stream, 6 resource guard exceeded (an enumeration bound
 or a failed allocation).
 
@@ -97,8 +99,10 @@ def _peak_rss_mb() -> float:
 def _replaced(path, binary: bool = False):
     """An open file whose contents replace ``path`` when the block ends.
 
-    The file is ``<path>.<pid>.part`` beside ``path``, created anew
-    (``O_CREAT|O_EXCL``, so the umask sets its mode); the old regular file is
+    The file is ``<path>.<pid>.<8 random hex digits>.part`` beside ``path``,
+    created anew (``O_CREAT|O_EXCL``, so the umask sets its mode), so a
+    leftover of an earlier process with the same pid cannot collide with it
+    and nothing this call did not create is removed; the old regular file is
     unlinked and the new one renamed into place, and on any exception the
     ``.part`` file is removed.  A ``path`` that exists but is not a regular
     file is opened and written in place.
@@ -114,7 +118,7 @@ def _replaced(path, binary: bool = False):
         in_place = not stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         in_place = False
-    target = path if in_place else f"{path}.{os.getpid()}.part"
+    target = path if in_place else f"{path}.{os.getpid()}.{os.urandom(4).hex()}.part"
     fp = open(target, ("w" if in_place else "x") + ("b" if binary else ""),
               newline=None if binary else "\n")
     try:
@@ -151,6 +155,9 @@ def _output_path(ctx: click.Context, param: click.Parameter, value):
 def _output_option(*decls, **kwargs):
     """A ``click.option`` for a path the command writes."""
     return click.option(*decls, type=click.Path(dir_okay=False), callback=_output_path, **kwargs)
+
+
+_INPUT = click.Path(exists=True, dir_okay=False)  # a file a command reads
 
 
 def _write_manifest(command: click.Command, params: dict, outputs, wall_time_s: float,
@@ -357,18 +364,21 @@ def _read_vectors(path, n) -> np.ndarray:
     rows = []
     line_nos = []
     with open(path) as fp:
-        for line_no, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            values = line.split(",")
-            if len(values) != n:
-                raise BadInputError(f"row {line_no}: expected {n} values, got {len(values)}")
-            try:
-                rows.append(list(map(float, values)))
-            except ValueError as exc:
-                raise BadInputError(f"row {line_no}: {exc}")
-            line_nos.append(line_no)
+        try:
+            for line_no, line in enumerate(fp, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                values = line.split(",")
+                if len(values) != n:
+                    raise BadInputError(f"row {line_no}: expected {n} values, got {len(values)}")
+                try:
+                    rows.append(list(map(float, values)))
+                except ValueError as exc:
+                    raise BadInputError(f"row {line_no}: {exc}")
+                line_nos.append(line_no)
+        except UnicodeDecodeError as exc:
+            raise BadInputError(f"{path} is not a text file of vectors: {exc}")
     X = np.array(rows, dtype=float).reshape(len(rows), n)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
@@ -388,8 +398,8 @@ def _csv_lines(W: np.ndarray) -> list[str]:
 
 
 @main.command("encode")
-@click.option("--codebook", type=click.Path(exists=True), required=True)
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True,
+@click.option("--codebook", type=_INPUT, required=True)
+@click.option("--input", "input_path", type=_INPUT, required=True,
               help="CSV, one vector per row.")
 @_output_option("--output", required=True, help="Encoded stream path.")
 @_recorded()
@@ -406,8 +416,8 @@ def cmd_encode(codebook, input_path, output):
 
 
 @main.command("decode")
-@click.option("--codebook", type=click.Path(exists=True), required=True)
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@click.option("--codebook", type=_INPUT, required=True)
+@click.option("--input", "input_path", type=_INPUT, required=True)
 @_output_option("--output", required=True, help="CSV of reconstructions.")
 @_recorded()
 def cmd_decode(codebook, input_path, output):
@@ -425,7 +435,7 @@ def cmd_decode(codebook, input_path, output):
 
 
 @main.command("eval")
-@click.option("--codebook", "codebooks", type=click.Path(exists=True), multiple=True)
+@click.option("--codebook", "codebooks", type=_INPUT, multiple=True)
 @click.option("--samples", type=int, default=500_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
@@ -506,16 +516,22 @@ def cmd_ratepoints(n_range, j_range, limit, output):
 
 
 @main.command("replay")
-@click.argument("manifest_path", type=click.Path(exists=True))
+@click.argument("manifest_path", type=_INPUT)
 def cmd_replay(manifest_path):
     """Re-run the command recorded in a manifest, from the directory it ran in."""
-    with open(manifest_path) as fp:
-        doc = json.load(fp)
-    argv = doc.get("argv")
-    if not argv:
-        raise click.UsageError("manifest does not carry a replayable argv")
+    try:
+        with open(manifest_path) as fp:
+            doc = json.load(fp)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+        doc = {}
+    if not isinstance(doc, dict):
+        doc = {}
     here = os.getcwd()
-    cwd = doc.get("cwd", here)
+    argv, cwd = doc.get("argv"), doc.get("cwd", here)
+    # no manifest records a replay, so one that names replay would recurse without end
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)
+            and argv[0] != "replay" and isinstance(cwd, str)):
+        raise click.UsageError(f"{manifest_path} is not a cpc run manifest")
     if not os.path.isdir(cwd):
         raise click.UsageError(f"recorded working directory {cwd} does not exist")
     os.chdir(cwd)  # relative paths in argv resolve as they did in the recorded run

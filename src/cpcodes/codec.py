@@ -18,11 +18,12 @@ the stream and back.  :func:`encode_batch` returns them (with the codewords),
 :func:`write_stream` writes them, :func:`read_stream` returns them and
 :func:`decode_batch` maps them back to codewords.  Ranks are int64, or Python
 integers in an object array for codebooks whose rank arithmetic reaches
-``2**63``.  The batch routines walk the rows in fixed blocks of
-``streams.SHARD_VECTORS``, so their temporaries stay O(block), and each block
-costs exactly one stable sort of the keys, shared by every subcode.  The
-one-vector callers (:func:`encode_cpc`, :func:`rank_codeword`,
-:func:`unrank_codeword`) run one row through the same routines.
+``2**63``.  The batch routines walk the rows in blocks of
+``streams.CHUNK_ROWS``, the block size of every draw, sort and Lloyd round,
+so their temporaries stay O(block), and each block costs exactly one stable
+sort of the keys, shared by every subcode.  The one-vector callers
+(:func:`encode_cpc`, :func:`rank_codeword`, :func:`unrank_codeword`) run one
+row through the same routines.
 
 Index layout.  Codewords are ranked lexicographically with level 0 (the
 largest value) as the smallest symbol, so the initial codeword itself always
@@ -42,15 +43,12 @@ from functools import cached_property
 import numpy as np
 
 from .combinatorics import Composition, multinomial_size
-from .streams import CHUNK_ROWS, SHARD_VECTORS, normal_blocks
+from .streams import CHUNK_ROWS, normal_blocks
 
 VARIANT_I = 1
 VARIANT_II = 2
 
 _MAGIC = b"CPC1"
-
-# cache-sized blocks, the best measured on a 2-core Xeon with 2 MiB of L2 per core
-DISTANCE_COLUMNS = 16384  # columns of a sorted block that sorted_distances takes at a time
 
 
 class StreamError(ValueError):
@@ -213,8 +211,8 @@ def encode_batch(X: np.ndarray, code: ConcentricCode) -> tuple[np.ndarray, np.nd
     spheres = np.empty(len(X), dtype=np.int64)
     ranks = np.empty(len(X), dtype=tables.dtype)
     W = np.empty_like(X)
-    for lo in range(0, len(X), SHARD_VECTORS):
-        block = slice(lo, lo + SHARD_VECTORS)
+    for lo in range(0, len(X), CHUNK_ROWS):
+        block = slice(lo, lo + CHUNK_ROWS)
         spheres[block], symbols, W[block] = _nearest(X[block], code)
         signed = np.ascontiguousarray(W[block].T) if code.variant == VARIANT_II else None
         ranks[block] = _rank(symbols, tables.perms[spheres[block]], signed)
@@ -269,8 +267,8 @@ def decode_batch(spheres, ranks, code: ConcentricCode) -> np.ndarray:
         raise ValueError(f"row {i}: rank {ranks[i]} out of range [0, {tables.sizes[spheres[i]]})")
     ranks = ranks.astype(tables.dtype)
     W = np.empty((len(spheres), code.n))
-    for lo in range(0, len(W), SHARD_VECTORS):
-        block = slice(lo, lo + SHARD_VECTORS)
+    for lo in range(0, len(W), CHUNK_ROWS):
+        block = slice(lo, lo + CHUNK_ROWS)
         W[block] = _decode_block(spheres[block], ranks[block], code.variant, tables)
     return W
 
@@ -382,14 +380,11 @@ def sorted_distances(sT: np.ndarray, code: ConcentricCode, out: np.ndarray | Non
     m = sT.shape[1]
     d = np.empty((code.J, m)) if out is None else out
     d.fill(0.0)
-    t = np.empty((code.J, min(m, DISTANCE_COLUMNS)))
-    for lo in range(0, m, DISTANCE_COLUMNS):
-        block = d[:, lo : lo + DISTANCE_COLUMNS]
-        tb = t[:, : block.shape[1]]
-        for s, level in zip(sT[:, lo : lo + DISTANCE_COLUMNS], levels):
-            np.subtract(s, level, out=tb)
-            np.multiply(tb, tb, out=tb)
-            block += tb
+    t = np.empty((code.J, m))
+    for s, level in zip(sT, levels):
+        np.subtract(s, level, out=t)
+        np.multiply(t, t, out=t)
+        d += t
     return d
 
 

@@ -280,32 +280,6 @@ def _nearest_blocks(score, assign: np.ndarray, mind: np.ndarray) -> None:
         nearest_subcode(score(lo, hi), out=(assign[lo:hi], mind[lo:hi]))
 
 
-def _lloyd(levels, distances, update, m, n):
-    """Lloyd rounds over ``m`` rows from the start ``levels`` until
-    :func:`_settled` or LLOYD_MAX_ITERS.
-
-    ``distances(levels)`` returns the distance rule as a ``score(lo, hi)``
-    for :func:`_nearest_blocks`, and ``update(assign, mind)`` returns the
-    new levels and the number of empty cells.  Every round writes one
-    ``assign`` and one ``mind`` of m entries.  Returns the final levels, the
-    per-sample distortion history, the empty-cell count and whether the loop
-    converged.
-    """
-    assign = np.empty(m, dtype=np.intp)
-    mind = np.empty(m)
-    history: list[float] = []
-    events = 0
-    for _ in range(LLOYD_MAX_ITERS):
-        _nearest_blocks(distances(levels), assign, mind)
-        np.maximum(mind, 0.0, out=mind)
-        history.append(float(mind.mean()) / n)
-        levels, empty = update(assign, mind)
-        events += empty
-        if _settled(history):
-            return levels, history, events, True
-    return levels, history, events, False
-
-
 def _merge_nonincreasing(parts: Sequence[int], levels: Sequence[float]):
     """Pool adjacent groups until levels are strictly decreasing (left to right)."""
     parts = list(parts)
@@ -366,7 +340,7 @@ def _lloyd_result(parts, levels, cfg, sigma, rounds) -> LloydResult:
     """The codebook with ``parts[j]`` and ``levels[j]`` on sphere j, and its
     training distortion and sphere probabilities under the encoder's rule.
 
-    ``rounds`` is :func:`_lloyd`'s ``(history, events, converged)``.  The
+    ``rounds`` is :func:`_general_rounds`'s ``(history, events, converged)``.  The
     training rows are drawn again from the same substream and scored by
     :func:`codec.score_draws`.
     """
@@ -398,10 +372,14 @@ def _check_compositions(compositions: Sequence[Composition], cfg: DesignConfig) 
 
 def _general_rounds(compositions, cfg, sigma, check=False):
     """Lloyd rounds over per-sphere group sums of the training rows, reduced
-    as they are drawn: sphere j's levels, :func:`_lloyd`'s ``(history,
-    events, converged)`` and, with ``check``, the per-sample distortion of
-    the final codewords (merged and clamped) under the rounds' own rule,
-    taken before the group sums are freed; None without ``check``.
+    as they are drawn, from the J start rows until :func:`_settled` or
+    LLOYD_MAX_ITERS.  Returns sphere j's levels, the rounds' ``(history,
+    events, converged)``: the per-sample distortion history, the empty-cell
+    count and whether the loop converged, and, with ``check``, the
+    per-sample distortion of the final codewords (merged and clamped) under
+    the rounds' own rule, taken before the group sums are freed; None
+    without ``check``.  Every round, and the check, writes one ``assign``
+    and one ``mind`` of one entry per row.
 
     Sphere j's distance is ``x2 - 2 sum_k G_k mu_k + sum_k n_k mu_k^2``,
     each sum over the levels added left to right with a separate multiply
@@ -438,20 +416,28 @@ def _general_rounds(compositions, cfg, sigma, check=False):
 
         return score
 
-    def update(assign, mind):
-        return _cell_levels(sums, compositions, assign, mind)
-
     parts = [np.asarray(c.parts, dtype=float) for c in compositions]
-    starts = [g[:, row] / p for g, row, p in zip(group_sums, init_rows, parts)]
-    levels, *rounds = _lloyd(starts, distances, update, m, n)
+    levels = [g[:, row] / p for g, row, p in zip(group_sums, init_rows, parts)]
+    assign = np.empty(m, dtype=np.intp)
+    mind = np.empty(m)
+    history: list[float] = []
+    events = 0
+    for _ in range(LLOYD_MAX_ITERS):
+        _nearest_blocks(distances(levels), assign, mind)
+        np.maximum(mind, 0.0, out=mind)
+        history.append(float(mind.mean()) / n)
+        levels, empty = _cell_levels(sums, compositions, assign, mind)
+        events += empty
+        if _settled(history):
+            break
+    rounds = history, events, _settled(history)
     if not check:
         return levels, rounds, None
     final = []
     for c, lv in zip(compositions, levels):
         cw, _ = _codeword_from_levels(c.parts, lv, cfg.variant)
         final.append(cw.initial_vector()[group_starts(c)])  # a merged level on each group it covers
-    mind = np.empty(m)
-    _nearest_blocks(distances(final), np.empty(m, dtype=np.intp), mind)
+    _nearest_blocks(distances(final), assign, mind)
     return levels, rounds, float(mind.mean()) / n
 
 

@@ -389,6 +389,16 @@ class TestCodingRoundtrip:
         assert res.output.startswith(f"bad codebook {bad}: ")
         assert drawn == [] and not out.exists()
 
+    def test_undecodable_vectors_exit4(self, runner, tmp_path):
+        vecs = tmp_path / "x.csv"
+        vecs.write_bytes(b"\xff\xfe1,2,3,4,5,6\n")
+        res = runner.invoke(main, ["encode", "--codebook", str(DATA / "golden_v1.json"),
+                                   "--input", str(vecs), "--output", str(tmp_path / "o.cpc")])
+        assert res.exit_code == 4, res.output
+        assert res.exception.__class__ is SystemExit
+        assert res.output.startswith(f"{vecs} is not a text file of vectors: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
     def test_corrupt_stream_exit5(self, runner, tmp_path, codebook):
         bad = str(tmp_path / "bad.cpc")
         with open(bad, "wb") as fp:
@@ -841,6 +851,26 @@ class TestReplay:
         assert Path.cwd() == tmp_path
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '[["ratepoints"]]',
+        '{"argv": "ratepoints"}',
+        '{"argv": []}',
+        '{"argv": ["ratepoints", 2]}',
+        '{"argv": ["ratepoints"], "cwd": ["."]}',
+        '{"argv": ["replay", "m.json"]}',
+    ], ids=["not-json", "list", "argv-string", "argv-empty", "argv-not-strings", "cwd-list",
+            "argv-replay"])
+    def test_not_a_manifest_is_usage_error(self, runner, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        res = runner.invoke(main, ["replay", str(manifest)])
+        assert res.exit_code == 2, res.output
+        assert res.exception.__class__ is SystemExit and "Traceback" not in res.output
+        assert f"{manifest} is not a cpc run manifest" in res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
     @pytest.fixture
     def coded(self, runner, tmp_path):
         codebook = str(tmp_path / "cb.json")
@@ -944,6 +974,25 @@ class TestOutputs:
         assert fifo.is_fifo()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "m.json"]
 
+    def test_stale_part_file_of_this_pid_is_left_alone(self, runner, tmp_path):
+        """A ``.part`` left by an earlier process with this pid neither makes
+        the command fail nor is removed."""
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        res = runner.invoke(main, _one_run("ratepoints", str(clean / "r.csv")))
+        assert res.exit_code == 0, res.output
+        run = tmp_path / "run"
+        run.mkdir()
+        stale = [run / f"r.csv.{os.getpid()}.part", run / f"r.csv.manifest.json.{os.getpid()}.part"]
+        for path in stale:
+            path.write_text("stale\n")
+        res = runner.invoke(main, _one_run("ratepoints", str(run / "r.csv")))
+        assert res.exit_code == 0, res.output
+        assert (run / "r.csv").read_bytes() == (clean / "r.csv").read_bytes()
+        assert [path.read_text() for path in stale] == ["stale\n"] * 2
+        assert sorted(p.name for p in run.iterdir()) == sorted(
+            ["r.csv", "r.csv.manifest.json", *(path.name for path in stale)])
+
     def test_failed_write_leaves_the_previous_output(self, runner, tmp_path, monkeypatch):
         out = tmp_path / "x.cpc"
         res = runner.invoke(main, _one_run("encode", str(out)))
@@ -997,3 +1046,33 @@ class TestOutputs:
         assert "Traceback" not in res.output and res.exception.__class__ is SystemExit
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
         assert not list((tmp_path / "d").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--codebook", "GOLDEN", "--input", "DIR", "--output", "OUT"],
+    ["encode", "--codebook", "DIR", "--input", "VECTORS", "--output", "OUT"],
+    ["decode", "--codebook", "DIR", "--input", "STREAM", "--output", "OUT"],
+    ["decode", "--codebook", "GOLDEN", "--input", "DIR", "--output", "OUT"],
+    ["eval", "--codebook", "DIR", "--output", "OUT"],
+    ["replay", "DIR"],
+], ids=["encode-input", "encode-codebook", "decode-codebook", "decode-input", "eval-codebook",
+        "replay"])
+def test_input_naming_a_directory_is_usage_error(runner, tmp_path, monkeypatch, argv):
+    """Refused when the command line is parsed, so nothing is read or written."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    from cpcodes import codec
+
+    monkeypatch.setattr(codec, "load_code", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    paths = {"DIR": str(tmp_path / "d"), "OUT": str(tmp_path / "x"),
+             "GOLDEN": str(DATA / "golden_v1.json"), "VECTORS": str(DATA / "golden_vectors.csv"),
+             "STREAM": str(DATA / "golden_v1.cpc")}
+    res = runner.invoke(main, [paths.get(a, a) for a in argv])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output and res.exception.__class__ is SystemExit
+    assert "is a directory" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+    assert not list((tmp_path / "d").iterdir())

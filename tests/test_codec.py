@@ -191,10 +191,10 @@ class TestEncodeCPC:
             calls.clear()
             encode_cpc(rng.standard_normal(4), code)
             assert len(calls) == 1
-            for rows in (0, 1, 7, codec.SHARD_VECTORS, codec.SHARD_VECTORS + 1):
+            for rows in (0, 1, 7, codec.CHUNK_ROWS, codec.CHUNK_ROWS + 1):
                 calls.clear()
                 encode_batch(rng.standard_normal((rows, 4)), code)
-                assert len(calls) == -(-rows // codec.SHARD_VECTORS)
+                assert len(calls) == -(-rows // codec.CHUNK_ROWS)
 
     def test_batch_distances_match_encoder(self):
         rng = np.random.default_rng(4)

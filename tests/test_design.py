@@ -273,17 +273,14 @@ class TestBlockedRounds:
     @staticmethod
     def _recorded(monkeypatch, shared_start, run):
         rounds = []
-        lloyd = design._lloyd
+        cell_levels = design._cell_levels
 
-        def recording(levels, distances, update, *args):
-            def recorded(assign, mind):
-                out = update(assign, mind)
-                rounds.append((assign.copy(), [np.array(v) for v in out[0]]))
-                return out
+        def recording(sums, compositions, assign, mind):
+            out = cell_levels(sums, compositions, assign, mind)
+            rounds.append((assign.copy(), [np.array(v) for v in out[0]]))
+            return out
 
-            return lloyd(levels, distances, recorded, *args)
-
-        monkeypatch.setattr(design, "_lloyd", recording)
+        monkeypatch.setattr(design, "_cell_levels", recording)
         if shared_start:
             draw = design._training_blocks
             monkeypatch.setattr(design, "_training_blocks",
