@@ -217,7 +217,7 @@ def _load_code(path):
 
     try:
         return load_code(path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int level past a double
         raise BadInputError(f"bad codebook {path}: {exc}")
 
 
@@ -292,7 +292,6 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
     """Design a codebook and write it with a run manifest."""
     from .codec import save_code
     from .design import DesignConfig, design_common_composition, lloyd_general, training_memory_bytes
-    from .order_stats import gaussian_order_stats
 
     variant = int(variant)
     wsc_mode = mode in ("wsc-var", "wsc-fixed")
@@ -324,6 +323,8 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         "J": j_spheres, "variant": variant, "samples": samples, "seed": seed, "sigma": sigma,
     }}
     if mode in ("common", "general"):
+        from .order_stats import gaussian_order_stats
+
         table = gaussian_order_stats(n, sigma)
         if mode == "common":
             result = design_common_composition(comps[0], cfg, table)
@@ -333,12 +334,8 @@ def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, s
         design_block.update(iterations=result.iterations, empirical_D=result.distortion,
                             converged=result.converged)
     else:
-        from . import evaluation, wsc
+        from . import wsc
 
-        try:
-            evaluation.threads_from_env()  # the designer's evaluation pass reads it
-        except ValueError as exc:
-            raise click.UsageError(f"bad CPC_THREADS: {exc}")
         designer = wsc.design_variable_rate if mode == "wsc-var" else wsc.design_fixed_rate
         kwargs = {"sigma": sigma, "filt": "none" if no_conjecture_filter else None}
         if mode == "wsc-var":
@@ -458,7 +455,7 @@ def cmd_eval(codebooks, samples, seed, sigma, baselines, fixed_rate, threads, ou
     if codebooks and samples < evaluation.MIN_SAMPLES:
         raise click.UsageError(f"--samples must be at least {evaluation.MIN_SAMPLES} for a codebook")
     codes = [_load_code(path) for path in codebooks]
-    measured = evaluation.empirical_distortions(codes, samples, seed, sigma=sigma, threads=threads)
+    measured = evaluation.empirical_distortions(codes, samples, seed, sigma=sigma, threads=threads or 1)
     points = []
     for path, code, m in zip(codebooks, codes, measured):
         if m.low_count_spheres:

@@ -507,16 +507,28 @@ def code_to_dict(code: ConcentricCode) -> dict:
     return doc
 
 
+def _json_values(values, kinds, what) -> tuple:
+    """``values`` as a tuple if each one's type is in ``kinds`` (no bool is an int here)."""
+    values = tuple(values)
+    if any(type(v) not in kinds for v in values):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{what} must be JSON {names} values, got {list(values)}")
+    return values
+
+
 def code_from_dict(doc: dict) -> ConcentricCode:
-    variant = int(doc["variant"])
+    """The codebook of ``doc``; ``ValueError`` for an ``n``, ``variant`` or part
+    that is no JSON integer, or a level or prob that is no JSON number."""
+    n, variant = _json_values((doc["n"], doc["variant"]), (int,), "n and variant")
     subcodes = tuple(
-        InitialCodeword(Composition(tuple(sc["parts"])), tuple(sc["levels"]), variant)
+        InitialCodeword(Composition(_json_values(sc["parts"], (int,), "parts")),
+                        _json_values(sc["levels"], (int, float), "levels"), variant)
         for sc in doc["subcodes"]
     )
-    probs = tuple(doc["probs"]) if "probs" in doc else None
+    probs = _json_values(doc["probs"], (int, float), "probs") if "probs" in doc else None
     code = ConcentricCode(subcodes, probs=probs)
-    if code.n != int(doc["n"]):
-        raise ValueError(f"declared n={doc['n']} but subcodes have n={code.n}")
+    if code.n != n:
+        raise ValueError(f"declared n={n} but subcodes have n={code.n}")
     return code
 
 
@@ -547,7 +559,7 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 def _read_varint(data: bytes, pos: int) -> tuple[int | None, int]:
     """The varint that starts at ``data[pos]`` and the position after it;
-    ``(None, pos)`` at the end of ``data``."""
+    ``(None, pos)`` at the end of ``data``; one longer than need be is corrupt."""
     try:
         byte = data[pos]
     except IndexError:
@@ -562,6 +574,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int | None, int]:
             byte = data[pos]
         except IndexError:
             raise StreamError("truncated varint") from None
+    if shift and not byte:
+        raise StreamError(f"overlong varint ending at byte {pos}")
     return value | byte << shift, pos + 1
 
 
@@ -589,8 +603,10 @@ def write_stream(fp, code: ConcentricCode, spheres, ranks) -> int:
 def read_stream(fp, code: ConcentricCode) -> tuple[np.ndarray, np.ndarray]:
     """Read and validate an encoded stream against its codebook.
 
-    Returns ``(spheres, ranks)`` as :func:`encode_batch` does: int64 spheres,
-    and ranks in the codebook's rank dtype, exact past ``2**63``.
+    A varint or rank in more bytes than :func:`write_stream` uses is corrupt,
+    so every stream read re-encodes to itself.  Returns ``(spheres, ranks)``
+    as :func:`encode_batch` does: int64 spheres, and ranks in the codebook's
+    rank dtype, exact past ``2**63``.
     """
     data = fp.read()  # one read of the source, parsed in memory by index
     if data[: len(_MAGIC)] != _MAGIC:
@@ -621,6 +637,8 @@ def read_stream(fp, code: ConcentricCode) -> tuple[np.ndarray, np.ndarray]:
             raise StreamError(f"record {len(spheres)}: truncated rank payload")
         rank = int.from_bytes(data[pos:stop], "big")
         pos = stop
+        if length != max(1, (rank.bit_length() + 7) // 8):
+            raise StreamError(f"record {len(spheres)}: rank {rank} in {length} bytes")
         if rank >= sizes[sphere]:
             raise StreamError(f"record {len(spheres)}: rank {rank} out of range")
         spheres.append(sphere)

@@ -2,7 +2,8 @@
 
 All codeword counts are exact Python integers; rates are taken as ``log2`` of
 an exact integer only at the last step, so equal counts collapse exactly when
-censusing distinct rate points.
+censusing distinct rate points.  Sizes here carry no sign bits, whose count
+depends on the levels: :class:`codec.InitialCodeword` owns that rule.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class Composition:
     def num_levels(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -58,34 +56,8 @@ def multinomial_size(c: Composition) -> int:
     return total
 
 
-def variant2_size(c: Composition, h: int) -> int:
-    """Codebook size when each of ``h`` nonzero entries carries a free sign.
-
-    Sign freedom applies to whole level groups, and only the last (smallest)
-    level can be zero, so the only consistent values are ``h = n`` (all levels
-    nonzero) and ``h = n - parts[-1]`` (last level zero).
-    """
-    n = c.n
-    valid = {n, n - c.parts[-1]}
-    if h not in valid:
-        raise ValueError(
-            f"h={h} inconsistent with level groups of {c}: must be one of {sorted(valid)}"
-        )
-    return (1 << h) * multinomial_size(c)
-
-
-def index_groups(c: Composition) -> list[range]:
-    """Consecutive 0-based index ranges, one per level, covering ``0..n-1``."""
-    groups = []
-    start = 0
-    for p in c.parts:
-        groups.append(range(start, start + p))
-        start += p
-    return groups
-
-
 def group_starts(c: Composition) -> list[int]:
-    """Start offsets of the level groups (for ``np.add.reduceat`` and friends)."""
+    """Start offsets of the level groups: group i is ``parts[i]`` indices from ``starts[i]``."""
     starts = [0]
     for p in c.parts[:-1]:
         starts.append(starts[-1] + p)
@@ -127,10 +99,9 @@ def enumerate_compositions(n: int, filt: str = "none") -> Iterator[Composition]:
             for cuts in combinations(range(1, n), num_cuts):
                 bounds = (0, *cuts, n)
                 yield Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-    elif filt == "variant2_monotone":
-        for k in range(1, n + 1):
-            for parts in _nondecreasing_parts(n, k, 1):
-                yield Composition(parts)
+    elif filt == "variant2_monotone":  # the partitions, parts ascending
+        for parts in partitions(n):
+            yield Composition(parts[::-1])
     else:  # variant1_unimodal
         for k in range(1, n + 1):
             head_len = k // 2
@@ -146,17 +117,10 @@ def enumerate_compositions(n: int, filt: str = "none") -> Iterator[Composition]:
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Integer partitions of ``n`` as tuples with nonincreasing parts."""
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    return rec(n, n)
+    """Integer partitions of ``n`` as tuples with nonincreasing parts, by
+    number of parts."""
+    for k in range(1, n + 1):
+        yield from _nonincreasing_parts(n, k)
 
 
 def partition_count(n: int) -> int:

@@ -29,11 +29,11 @@ import math
 import resource
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .combinatorics import Composition, group_starts, index_groups
+from .combinatorics import Composition, group_starts
 from .codec import (
     VARIANT_I,
     VARIANT_II,
@@ -44,8 +44,10 @@ from .codec import (
     sort_by_variant,
     sorted_distances,
 )
-from .order_stats import OrderStatTable, grouped_projection
 from .streams import CHUNK_ROWS, MIN_TRAINING_SAMPLES, normal_blocks, substream
+
+if TYPE_CHECKING:
+    from .order_stats import OrderStatTable
 
 
 class DesignInfeasibleError(RuntimeError):
@@ -111,7 +113,7 @@ def optimal_levels_single(
     if table.n != c.n:
         raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
     means = table.mean_eta if variant == VARIANT_II else table.mean_xi
-    levels = tuple(float(means[g].mean()) for g in index_groups(c))
+    levels = tuple(float(means[s : s + p].mean()) for s, p in zip(group_starts(c), c.parts))
     if any(a <= b for a, b in zip(levels, levels[1:])):
         raise DesignInfeasibleError(
             f"computed levels {levels} are not strictly decreasing; "
@@ -129,8 +131,8 @@ def pc_distortion_exact(cw: InitialCodeword, table: OrderStatTable) -> float:
     else:
         first, second = table.mean_xi, table.second_xi
     total = 0.0
-    for mu, g in zip(cw.levels, index_groups(cw.composition)):
-        total += float(second[g].sum() - 2.0 * mu * first[g].sum() + len(g) * mu * mu)
+    for mu, s, p in zip(cw.levels, group_starts(cw.composition), cw.composition.parts):
+        total += float(second[s : s + p].sum() - 2.0 * mu * first[s : s + p].sum() + p * mu * mu)
     return total / cw.n
 
 
@@ -316,6 +318,8 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
     floating-point roundoff.  An independent reference for the check that
     every finishing pass makes with the rounds' own quantities.
     """
+    from .order_stats import grouped_projection
+
     c = code.subcodes[0].composition
     if any(cw.composition != c for cw in code.subcodes):
         raise ValueError("decomposition requires a common composition")
@@ -563,7 +567,7 @@ def estimate_zeta_split(
     r = c.parts[m]
     if q <= r:
         raise ValueError(f"groups m={m} need n_m > n_m+1, got {q} <= {r}")
-    left = sum(c.parts[: m - 1])
+    left = group_starts(c)[m - 1]
     zeta = np.empty(samples)
     for lo, x in normal_blocks(substream(seed, "zeta"), samples, c.n, sigma):
         eta = sort_by_variant(x, VARIANT_II)

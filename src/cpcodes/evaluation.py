@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -69,21 +68,12 @@ class EmpiricalDistortion:
     low_count_spheres: tuple[int, ...] = ()
 
 
-def threads_from_env(explicit: int | None = None) -> int:
-    """``explicit``, else ``CPC_THREADS``, else 1; ``ValueError`` unless a positive integer."""
-    value = (os.environ.get("CPC_THREADS") or "1") if explicit is None else explicit
-    threads = int(value)
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {value!r}")
-    return threads
-
-
 def empirical_distortion(
     code: ConcentricCode,
     samples: int,
     seed: int,
     sigma: float = 1.0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> EmpiricalDistortion:
     """Monte Carlo per-sample distortion with its standard error and the
     observed subcodebook hit frequencies; :func:`empirical_distortions` of
@@ -96,13 +86,14 @@ def empirical_distortions(
     samples: int,
     seed: int,
     sigma: float = 1.0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> list[EmpiricalDistortion]:
     """:func:`empirical_distortion` of every code, in order, from one pass
     over the shards.  Each shard scores the codes of each dimension with
     :func:`codec.score_draws` and sums each code's per-row distances whole,
     as one block of ``SHARD_VECTORS`` rows would, so each result equals the
-    one-code call."""
+    one-code call.  The shards run on ``threads`` worker threads, which
+    change no bit of the results; the pool raises ``ValueError`` below 1."""
     codes = list(codes)
     if not codes:
         return []
@@ -127,7 +118,7 @@ def empirical_distortions(
                 for i, v in enumerate(dists)]
 
     jobs = list(enumerate(min(SHARD_VECTORS, samples - lo) for lo in range(0, samples, SHARD_VECTORS)))
-    with ThreadPoolExecutor(max_workers=threads_from_env(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run_shard, jobs))
 
     out = []

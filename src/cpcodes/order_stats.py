@@ -35,10 +35,6 @@ _MAX_REFINEMENTS = 3
 class IntegrationError(RuntimeError):
     """Quadrature failed to reach the tolerance ``TOL``."""
 
-    def __init__(self, residual: float, message: str):
-        super().__init__(f"{message} (worst residual {residual:.3e})")
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class OrderStatTable:
@@ -107,14 +103,18 @@ def _descending_moments(n, x, w, log_cdf, log_sf, log_pdf):
 
 
 def _integrate(n, lo, hi, log_parts_fn):
+    """Moments at the first doubling of the panel count that moves none, nor
+    the mass from 1, by more than ``TOL``; each count is evaluated once."""
+    def moments(panels):
+        x, w = _gl_rule(panels, lo, hi)
+        return _descending_moments(n, x, w, *log_parts_fn(x))
+
     panels = _BASE_PANELS
+    m1, s1, _ = moments(panels)
     worst = math.inf
     for _ in range(_MAX_REFINEMENTS + 1):
-        results = []
-        for p in (panels, 2 * panels):
-            x, w = _gl_rule(p, lo, hi)
-            results.append(_descending_moments(n, x, w, *log_parts_fn(x)))
-        (m1, s1, mass1), (m2, s2, mass2) = results
+        panels *= 2
+        m2, s2, mass2 = moments(panels)
         worst = max(
             float(np.max(np.abs(m1 - m2))),
             float(np.max(np.abs(s1 - s2))),
@@ -122,8 +122,9 @@ def _integrate(n, lo, hi, log_parts_fn):
         )
         if worst <= TOL:
             return m2, s2
-        panels *= 2
-    raise IntegrationError(worst, f"order-statistic quadrature did not reach tol={TOL}")
+        m1, s1 = m2, s2
+    raise IntegrationError(f"order-statistic quadrature did not reach tol={TOL} "
+                           f"(worst residual {worst:.3e})")
 
 
 def _log_ndtr(x):

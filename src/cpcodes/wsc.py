@@ -55,6 +55,8 @@ _NEWTON_STEPS = 50
 # a chi-tail series stops at the first term below this share of its sum
 _EPS = 2.0**-53
 _EULER = 0.577215664901532860606512090082402431  # Euler's constant gamma
+# an unfiltered composition search raises past this many partitions of n
+_PARTITION_LIMIT = 1 << 22
 
 
 class RateTooLowError(DesignInfeasibleError):
@@ -452,23 +454,23 @@ def allocate_compositions(
     targets: Sequence[float],
     variant: int = VARIANT_I,
     filt: str | None = None,
-    limit: int = 1 << 22,
 ) -> list[Composition]:
     """Pick, for each size target, the composition whose exact codebook size is
     nearest in log2.  Ties prefer fewer levels, then lexicographically smaller
-    parts.  Sign-carrying sizes count the full 2**n sign factor, since
-    designed level values are strictly positive.
+    parts, which no two candidates share, so the pick does not depend on the
+    order the candidates come in.  Sign-carrying sizes count the full 2**n
+    sign factor, since designed level values are strictly positive.
 
     With ``filt="none"`` the part order carries no heuristic and does not
     change the size, so candidates are the partition-canonical (descending)
-    arrangements.
+    arrangements, and more than ``_PARTITION_LIMIT`` of them (n >= 71) raise.
     """
     if filt is None:
         filt = "variant1_unimodal" if variant == VARIANT_I else "variant2_monotone"
     sign_bits = n if variant == VARIANT_II else 0
     if filt == "none":
-        if partition_count(n) > limit:
-            raise ResourceLimitError(f"partition enumeration for n={n} exceeds limit={limit}")
+        if partition_count(n) > _PARTITION_LIMIT:
+            raise ResourceLimitError(f"partition enumeration for n={n} exceeds limit={_PARTITION_LIMIT}")
         pool = (Composition(p) for p in partitions(n))
     else:
         pool = enumerate_compositions(n, filt)

@@ -371,6 +371,44 @@ class TestCodingRoundtrip:
         assert res.exit_code == 4, res.output
         assert res.output.startswith(f"bad codebook {bad}: probabilities must be")
 
+    @pytest.mark.parametrize("command", ["encode", "decode", "eval"])
+    @pytest.mark.parametrize("key, value", [
+        ("variant", 1.7), ("variant", "1"), ("variant", True), ("n", 6.9),
+        ("levels", ["1.5", "0.5", "-1.0"]), ("levels", [1.5, 0.5, False]),
+        ("parts", [True, 2, 3]), ("parts", [1.0, 2, 3]), ("probs", ["0.5", 0.25, 0.25]),
+    ])
+    def test_codebook_value_of_wrong_type_exit4(self, runner, tmp_path, command, key, value):
+        """A value json reads as another type than the codebook's is bad input,
+        not converted: a float or string variant, n or part, a bool part, a
+        string or bool level or probability."""
+        doc = json.loads((DATA / "golden_v1.json").read_text())
+        if key in ("levels", "parts"):
+            doc["subcodes"][0][key] = value
+        else:
+            doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = {
+            "encode": ["--input", str(DATA / "golden_vectors.csv")],
+            "decode": ["--input", str(DATA / "golden_v1.cpc")],
+            "eval": ["--samples", "2000"],
+        }[command]
+        out = tmp_path / "out"
+        res = runner.invoke(main, [command, "--codebook", str(bad), *argv, "--output", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.output.startswith(f"bad codebook {bad}: ") and "must be JSON" in res.output
+        assert not out.exists()
+
+    def test_codebook_level_past_a_double_exit4(self, runner, tmp_path):
+        doc = json.loads((DATA / "golden_v1.json").read_text())
+        doc["subcodes"][0]["levels"][0] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["encode", "--codebook", str(bad), "--input",
+                                   str(DATA / "golden_vectors.csv"), "--output", str(tmp_path / "o")])
+        assert res.exit_code == 4, res.output
+        assert res.output.startswith(f"bad codebook {bad}: ")
+
     @pytest.mark.parametrize("bad_at", [0, 1])
     def test_bad_codebook_in_list_exits_before_sampling(self, runner, tmp_path, codebook,
                                                         monkeypatch, bad_at):
@@ -546,7 +584,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     """Each command loads exactly the modules README lists under "Process
     start and exit".  A common or general design loads the codec but
     neither the evaluator, cephes nor the wsc designer, so the Monte Carlo
-    scoring loop that it shares with eval lives in the codec."""
+    scoring loop that it shares with eval lives in the codec.  A wsc design
+    computes no moment table, so it does not load order_stats."""
     stream = str(tmp_path / "x.cpc")
     encode = ["encode", "--codebook", str(DATA / "golden_v1.json"),
               "--input", str(DATA / "golden_vectors.csv"), "--output", stream]
@@ -560,13 +599,14 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
             "--out", str(tmp_path / f"{name}.json")] for name in ("wsc_fixed_v1", "wsc_var_v1")]
     counted = ["cli", "combinatorics", "streams"]
     coded = counted + ["codec"]
-    designed = coded + ["design", "order_stats"]
+    designed = coded + ["design"]
     runs = [
         (ratepoints, counted),
         (encode, coded),
         (decode, coded),
-        (design_args(str(tmp_path / "cb.json")), designed),
-        (design_args(str(tmp_path / "general.json"), **{"--mode": "general"}), designed),
+        (design_args(str(tmp_path / "cb.json")), designed + ["order_stats"]),
+        (design_args(str(tmp_path / "general.json"), **{"--mode": "general"}),
+         designed + ["order_stats"]),
         (evaluate, coded + ["cephes", "evaluation"]),
         *((argv, designed + ["wsc", "cephes", "evaluation"]) for argv in wsc),
     ]
@@ -703,10 +743,11 @@ class TestEval:
 
 class TestSeedsAndThreads:
     """A negative seed, or a thread count below 1 or not an integer (from
-    ``--threads`` or ``CPC_THREADS``), is bad usage: exit 2, before any
-    sample is drawn or any worker thread started."""
+    ``--threads`` or ``CPC_THREADS``), is bad usage for ``cpc eval``: exit 2,
+    before any sample is drawn or any worker thread started.  ``cpc eval``
+    is the one reader of ``CPC_THREADS``; a design runs on one thread."""
 
-    @pytest.fixture(autouse=True)
+    @pytest.fixture
     def no_work(self, monkeypatch):
         from cpcodes import design, evaluation
 
@@ -717,6 +758,7 @@ class TestSeedsAndThreads:
                              (design, "design_common_composition"), (design, "substream")):
             monkeypatch.setattr(module, name, refuse)
 
+    @pytest.mark.usefixtures("no_work")
     @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--threads", "0"),
                                                ("--threads", "-2"), ("--threads", "1.5")])
     def test_eval_option(self, runner, tmp_path, option, value):
@@ -727,6 +769,7 @@ class TestSeedsAndThreads:
         assert f"Invalid value for '{option}'" in res.output
         assert not out.exists()
 
+    @pytest.mark.usefixtures("no_work")
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_eval_environment(self, runner, tmp_path, value):
         out = tmp_path / "rd.csv"
@@ -739,13 +782,16 @@ class TestSeedsAndThreads:
     @pytest.mark.parametrize("mode", ["wsc-var", "wsc-fixed"])
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_design_environment(self, runner, tmp_path, mode, value):
+        """A wsc design, whose evaluation pass runs the eval shards, reads no
+        CPC_THREADS: under any value it writes the golden bytes."""
+        name = mode.replace("-", "_") + "_v1"
         out = tmp_path / "cb.json"
-        args = design_args(str(out), **{"--mode": mode, "--composition": None, "--rate": "1.5"})
-        res = runner.invoke(main, args, env={"CPC_THREADS": value})
-        assert res.exit_code == 2, res.output
-        assert "bad CPC_THREADS" in res.output
-        assert not out.exists()
+        res = runner.invoke(main, ["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
+                                   "--out", str(out)], env={"CPC_THREADS": value})
+        assert res.exit_code == 0, res.output
+        assert out.read_bytes() == (DATA / f"golden_design_{name}.json").read_bytes()
 
+    @pytest.mark.usefixtures("no_work")
     def test_design_seed(self, runner, tmp_path):
         out = tmp_path / "cb.json"
         res = runner.invoke(main, design_args(str(out), **{"--seed": "-1"}))

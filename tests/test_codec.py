@@ -666,3 +666,33 @@ class TestSerialization:
             assert np.array_equal(got_spheres, spheres[:k]) and np.array_equal(got_ranks, ranks[:k])
             prefixes += 1
         assert prefixes > 0
+
+    @pytest.mark.parametrize("suffix", [b"\x00\x00", b"\x00\x03\x00\x00\x00",
+                                        b"\x80\x00\x01\x00"])
+    def test_non_canonical_record_rejected(self, suffix):
+        """A record the writer never emits is corrupt, not one more vector: a
+        zero-length rank, a rank with leading zero bytes, an overlong varint."""
+        code = load_code(DATA / "golden_v1.json")
+        data = (DATA / "golden_v1.cpc").read_bytes()
+        with pytest.raises(StreamError):
+            read_stream(io.BytesIO(data + suffix), code)
+
+    @settings(max_examples=400, deadline=None)
+    @given(book=st.sampled_from(["golden_v1", "golden_v2"]), suffix=st.binary(max_size=12),
+           edit=st.none() | st.tuples(st.integers(0, 2**20), st.integers(0, 255)))
+    def test_every_accepted_stream_reencodes_to_itself(self, book, suffix, edit):
+        """Whatever a golden stream becomes, with bytes appended or one byte
+        changed, read_stream either raises or returns what write_stream turns
+        back into the same bytes."""
+        code = load_code(DATA / f"{book}.json")
+        data = bytearray((DATA / f"{book}.cpc").read_bytes())
+        if edit is not None:
+            data[edit[0] % len(data)] = edit[1]
+        data += suffix
+        try:
+            spheres, ranks = read_stream(io.BytesIO(bytes(data)), code)
+        except StreamError:
+            return
+        out = io.BytesIO()
+        write_stream(out, code, spheres, ranks)
+        assert out.getvalue() == bytes(data)

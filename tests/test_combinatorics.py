@@ -11,14 +11,14 @@ from cpcodes.combinatorics import (
     ResourceLimitError,
     distinct_multinomials,
     enumerate_compositions,
-    index_groups,
+    group_starts,
     max_rate_gap,
     multinomial_size,
     partition_count,
     partitions,
     rate_point_census,
-    variant2_size,
 )
+from cpcodes.codec import VARIANT_II, InitialCodeword
 
 # complete table of distinct fixed-rate point counts, n=2..9 x J=1..4
 RATE_POINT_TABLE = {
@@ -67,20 +67,18 @@ class TestMultinomialSize:
 
 
 class TestVariant2Size:
+    """A sign-carrying codebook's size, which InitialCodeword owns: one free
+    sign per entry of a nonzero level."""
+
     def test_examples(self):
-        assert variant2_size(Composition((2,)), 2) == 4
-        assert variant2_size(Composition((1, 1)), 1) == 4
-        assert variant2_size(Composition((1, 1)), 2) == 8
+        assert InitialCodeword(Composition((2,)), (1.0,), VARIANT_II).size == 4
+        assert InitialCodeword(Composition((1, 1)), (1.0, 0.0), VARIANT_II).size == 4
+        assert InitialCodeword(Composition((1, 1)), (2.0, 1.0), VARIANT_II).size == 8
 
     def test_full_sign_freedom(self):
         c = Composition((2, 3, 1))
-        assert variant2_size(c, 6) == 2**6 * multinomial_size(c)
-
-    def test_rejects_inconsistent_h(self):
-        with pytest.raises(ValueError):
-            variant2_size(Composition((2, 3)), 4)
-        with pytest.raises(ValueError):
-            variant2_size(Composition((2, 3)), 1)
+        assert InitialCodeword(c, (3.0, 2.0, 1.0), VARIANT_II).size == 2**6 * multinomial_size(c)
+        assert InitialCodeword(c, (3.0, 2.0, 0.0), VARIANT_II).size == 2**5 * multinomial_size(c)
 
 
 class TestEnumerateCompositions:
@@ -124,18 +122,29 @@ class TestEnumerateCompositions:
 
 
 class TestIndexGroups:
+    """Level group i covers ``parts[i]`` indices from ``group_starts(c)[i]``."""
+
     def test_examples(self):
-        assert index_groups(Composition((3, 2, 2))) == [range(0, 3), range(3, 5), range(5, 7)]
-        assert index_groups(Composition((7,))) == [range(0, 7)]
-        assert index_groups(Composition((1, 1))) == [range(0, 1), range(1, 2)]
+        assert group_starts(Composition((3, 2, 2))) == [0, 3, 5]
+        assert group_starts(Composition((7,))) == [0]
+        assert group_starts(Composition((1, 1))) == [0, 1]
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     def test_partition_of_indices(self, parts):
         c = Composition(tuple(parts))
-        groups = index_groups(c)
+        groups = [range(s, s + p) for s, p in zip(group_starts(c), c.parts)]
         flat = [i for g in groups for i in g]
         assert flat == list(range(c.n))
         assert [len(g) for g in groups] == list(parts)
+
+
+class TestPartitions:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_each_partition_once(self, n):
+        got = list(partitions(n))
+        assert len(got) == len(set(got)) == partition_count(n)
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) and p[-1] >= 1
+                   for p in got)
 
 
 class TestDistinctMultinomials:

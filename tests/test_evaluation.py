@@ -76,19 +76,13 @@ class TestEmpiricalDistortion:
             empirical_distortion(origin_code(4), 100, seed=0)
 
     def test_thread_count_must_be_positive_integer(self, monkeypatch):
-        monkeypatch.delenv("CPC_THREADS", raising=False)
-        assert evaluation.threads_from_env() == 1
-        assert evaluation.threads_from_env(3) == 3
+        code = origin_code(4)
         for bad in (0, -2):
             with pytest.raises(ValueError):
-                evaluation.threads_from_env(bad)
-        for env, want in (("2", 2), ("", 1), ("abc", None), ("0", None)):
-            monkeypatch.setenv("CPC_THREADS", env)
-            if want is None:
-                with pytest.raises(ValueError):
-                    evaluation.threads_from_env()
-            else:
-                assert evaluation.threads_from_env() == want
+                empirical_distortions([code], MIN_SAMPLES, seed=1, threads=bad)
+        monkeypatch.setenv("CPC_THREADS", "abc")  # read by no library call
+        assert empirical_distortion(code, MIN_SAMPLES, seed=1) == \
+            empirical_distortion(code, MIN_SAMPLES, seed=1, threads=2)
 
 
 def mixed_codes():

@@ -111,6 +111,23 @@ class TestLazyTable:
             build(n, sigma)
 
 
+def test_each_panel_count_evaluated_once(monkeypatch):
+    """At n = 800 the folded quadrature refines past its first doubling, and
+    each integral evaluates each panel count once, carrying the finer result
+    to the next comparison."""
+    seen = []
+    moments = order_stats._descending_moments
+
+    def counting(n, x, *rest):
+        seen.append(("signed" if x[0] < 0 else "folded", len(x)))
+        return moments(n, x, *rest)
+
+    monkeypatch.setattr(order_stats, "_descending_moments", counting)
+    order_stats._unit_table.__wrapped__(800)
+    assert len(seen) == len(set(seen)), seen
+    assert max(points for _, points in seen) > 2 * order_stats._BASE_PANELS * order_stats._GL_ORDER
+
+
 def _scipy_unit_table(n, special):
     """order_stats._unit_table as it was written on scipy.special: the same
     quadrature, with gammaln for the binomial front, log_ndtr for the Gaussian

@@ -331,9 +331,14 @@ class TestAllocateCompositions:
         with pytest.raises(ValueError):
             allocate_compositions(5, [0.0], VARIANT_I)
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
+        # n = 71 has 4,697,205 partitions, more than 2**22: refused before any is made
+        def refuse(n):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr("cpcodes.wsc.partitions", refuse)
         with pytest.raises(ResourceLimitError):
-            allocate_compositions(64, [10.0], VARIANT_I, "none", limit=100)
+            allocate_compositions(71, [10.0], VARIANT_I, "none")
 
 
 class TestGainDistortion:
