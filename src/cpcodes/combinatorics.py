@@ -32,7 +32,7 @@ class Composition:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("composition needs at least one part")
-        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
+        if not all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in self.parts):
             raise ValueError(f"parts must be positive integers, got {self.parts}")
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
 
@@ -150,21 +150,14 @@ class RatePointCensus:
     """Distinct fixed-rate codeword totals reachable with ``J`` subcodebooks.
 
     ``sums`` holds every multiset sum, sorted and read-only; ``count`` is
-    taken from it without boxing a value, and ``distinct_sums``, as Python
-    ints, is built on first read.  The sums are a function of ``(n, J)``, so
-    a census compares and hashes by ``(n, J, count)``.
+    taken from it without boxing a value.  The sums are a function of
+    ``(n, J)``, so a census compares and hashes by ``(n, J, count)``.
     """
 
     n: int
     J: int
     count: int
     sums: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def distinct_sums(self) -> tuple[int, ...]:
-        keep = np.ones(len(self.sums), dtype=bool)
-        keep[1:] = self.sums[1:] != self.sums[:-1]
-        return tuple(self.sums[keep].tolist())
 
 
 def rate_point_census(n: int, J: int, limit: int = 50_000_000) -> RatePointCensus:
@@ -218,14 +211,3 @@ def _multiset_sums(sizes: tuple[int, ...], J: int) -> np.ndarray:
             lo = hi
         flat, offs = out, starts
     return flat
-
-
-def max_rate_gap(n: int) -> float:
-    """Largest spacing between adjacent fixed-rate points, in bits per sample.
-
-    The widest interval sits between the one-codeword rate 0 and the next
-    achievable rate log2(n)/n; spacings above that point only shrink.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return math.log2(n) / n

@@ -88,10 +88,6 @@ class ReducedVQ:
             raise ValueError("representation points must be distinct")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def K(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass
 class LloydResult:

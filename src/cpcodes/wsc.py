@@ -86,10 +86,6 @@ class GainCodebook:
         if not all(0 <= p <= 1 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
 
-    @property
-    def J(self) -> int:
-        return len(self.gains)
-
 
 @dataclass(frozen=True)
 class WscConstants:

@@ -17,6 +17,8 @@ from cpcodes.codec import encode_cpc, load_code
 from cpcodes.combinatorics import Composition, rate_point_census
 from cpcodes.design import DesignConfig, training_memory_bytes
 
+import goldens
+
 
 @pytest.fixture
 def runner():
@@ -449,70 +451,43 @@ class TestCodingRoundtrip:
 DATA = Path(__file__).parent / "data"
 
 
+def _reproduces(runner, tmp_path, name, **kwargs):
+    """Entry ``name`` of ``tests/data/goldens.json``, run in process, writes its golden."""
+    out = tmp_path / name
+    res = runner.invoke(main, goldens.argv(name, out), **kwargs)
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == goldens.golden(name)
+
+
 @pytest.mark.parametrize("book", ["golden_v1", "golden_v2"])
 def test_golden_streams(runner, tmp_path, book):
     """Streams and reconstructions of a pinned corpus with exact and one-ulp
     ties and signed zeros stay byte for byte what the per-vector encoder wrote."""
-    codebook = str(DATA / f"{book}.json")
-    stream, recon = tmp_path / "x.cpc", tmp_path / "x.csv"
-    res = runner.invoke(main, ["encode", "--codebook", codebook,
-                               "--input", str(DATA / "golden_vectors.csv"), "--output", str(stream)])
-    assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["decode", "--codebook", codebook, "--input", str(stream),
-                               "--output", str(recon)])
-    assert res.exit_code == 0, res.output
-    assert stream.read_bytes() == (DATA / f"{book}.cpc").read_bytes()
-    assert recon.read_bytes() == (DATA / f"{book}_decoded.csv").read_bytes()
+    for step in ("encode", "decode"):
+        _reproduces(runner, tmp_path, f"{step}_{book.removeprefix('golden_')}")
 
 
-GOLDEN_DESIGNS = {
-    "common_v1": ["--n", "6", "--j", "2", "--variant", "1", "--mode", "common",
-                  "--composition", "2,2,2", "--seed", "7"],
-    "wsc_fixed_v1": ["--n", "7", "--j", "3", "--variant", "1", "--mode", "wsc-fixed",
-                     "--rate", "1.5", "--seed", "1"],
-    "wsc_fixed_v2": ["--n", "7", "--j", "3", "--variant", "2", "--mode", "wsc-fixed",
-                     "--rate", "2", "--seed", "2"],
-    "wsc_var_v1": ["--n", "7", "--j", "2", "--variant", "1", "--mode", "wsc-var",
-                   "--rate", "1.2", "--seed", "3"],
-    "wsc_var_v2": ["--n", "7", "--j", "2", "--variant", "2", "--mode", "wsc-var",
-                   "--rate", "2", "--g-lambda", "lambda24", "--no-conjecture-filter",
-                   "--seed", "4"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_DESIGNS))
+@pytest.mark.parametrize("name", [n.removeprefix("design_") for n in goldens.ENTRIES
+                                  if n.startswith("design_")])
 def test_golden_design_files(runner, tmp_path, name):
     """Codebooks and design reports, Lloyd trajectory and rate allocation
     included, stay byte for byte the pinned ones."""
-    out = tmp_path / "cb.json"
-    res = runner.invoke(main, ["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
-    assert out.read_bytes() == (DATA / f"golden_design_{name}.json").read_bytes()
+    _reproduces(runner, tmp_path, f"design_{name}")
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_golden_eval(runner, tmp_path, threads):
     """Three codebooks (two variants, two n; three shards) evaluate to the
     bytes that the one-codebook-at-a-time evaluator wrote."""
-    out = tmp_path / "rd.csv"
-    books = [str(DATA / f"{b}.json") for b in ("golden_v1", "golden_n9", "golden_v2")]
-    res = runner.invoke(main, ["eval", *(a for b in books for a in ("--codebook", b)),
-                               "--samples", "150000", "--seed", "11", "--baselines", "bound",
-                               "--threads", threads, "--output", str(out)])
-    assert res.exit_code == 0, res.output
-    assert out.read_bytes() == (DATA / "golden_rd.csv").read_bytes()
+    _reproduces(runner, tmp_path, f"rd_threads{threads}")
 
 
-@pytest.mark.parametrize("sigma, golden", [("1", "golden_baselines.csv"),
-                                           ("2.5", "golden_baselines_sigma2.5.csv")])
-def test_golden_baselines(runner, tmp_path, sigma, golden):
+# ids read SIGMA-GOLDEN: the sigma, then the golden file's name
+@pytest.mark.parametrize("name", [pytest.param(name, id=f"{sigma}-{goldens.ENTRIES[name]['golden']}")
+                                  for sigma, name in [("1", "baselines"), ("2.5", "baselines_sigma2.5")]])
+def test_golden_baselines(runner, tmp_path, name):
     """The ECSQ, ECUSQ and bound rows stay byte for byte what scipy's ndtr gave."""
-    out = tmp_path / "rd.csv"
-    res = runner.invoke(main, ["eval", "--baselines", "ecsq,ecusq,bound", "--sigma", sigma,
-                               "--output", str(out)])
-    assert res.exit_code == 0, res.output
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    _reproduces(runner, tmp_path, name)
 
 
 # Runs each argv of the JSON list in sys.argv[1] through the command line, in order.
@@ -558,26 +533,18 @@ def test_codec_and_lloyd_commands_skip_scipy_special(tmp_path):
     their chi-law gain quantizer and special-function constants, and every
     manifest's versions.  Nor do the order-statistic moment tables and the
     single-code level and distortion formulas read from them."""
-    stream = str(tmp_path / "x.cpc")
+    golden_runs = ["encode_v1", "decode_v1", "ratepoints", "baselines",
+                   "design_wsc_fixed_v2", "design_wsc_var_v2"]
     runs = [
-        ["encode", "--codebook", str(DATA / "golden_v1.json"),
-         "--input", str(DATA / "golden_vectors.csv"), "--output", stream],
-        ["decode", "--codebook", str(DATA / "golden_v1.json"), "--input", stream,
-         "--output", str(tmp_path / "x.csv")],
-        ["ratepoints", "--n-range", "2:4", "--j-range", "1:2", "--output", str(tmp_path / "r.csv")],
         design_args(str(tmp_path / "cb.json")),
         design_args(str(tmp_path / "general.json"), **{"--mode": "general"}),
         ["eval", "--codebook", str(DATA / "golden_v1.json"), "--samples", "2000",
          "--baselines", "ecsq,ecusq,bound", "--output", str(tmp_path / "rd.csv")],
-        ["eval", "--baselines", "ecsq,ecusq,bound", "--output", str(tmp_path / "baselines.csv")],
+        *(goldens.argv(name, tmp_path / name) for name in golden_runs),
     ]
-    runs += [["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
-              "--out", str(tmp_path / f"{name}.json")] for name in ("wsc_fixed_v2", "wsc_var_v2")]
     assert _loaded_after(_RUN_ARGVS + _TABLE_READS, ("scipy",), json.dumps(runs)) == []
-    assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
-    for name in ("wsc_fixed_v2", "wsc_var_v2"):
-        assert (tmp_path / f"{name}.json").read_bytes() == \
-            (DATA / f"golden_design_{name}.json").read_bytes()
+    for name in golden_runs:
+        assert (tmp_path / name).read_bytes() == goldens.golden(name)
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
@@ -586,35 +553,30 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     neither the evaluator, cephes nor the wsc designer, so the Monte Carlo
     scoring loop that it shares with eval lives in the codec.  A wsc design
     computes no moment table, so it does not load order_stats."""
-    stream = str(tmp_path / "x.cpc")
-    encode = ["encode", "--codebook", str(DATA / "golden_v1.json"),
-              "--input", str(DATA / "golden_vectors.csv"), "--output", stream]
-    decode = ["decode", "--codebook", str(DATA / "golden_v1.json"),
-              "--input", str(DATA / "golden_v1.cpc"), "--output", str(tmp_path / "x.csv")]
-    ratepoints = ["ratepoints", "--n-range", "2:4", "--j-range", "1:2",
-                  "--output", str(tmp_path / "r.csv")]
+    def golden_run(name):
+        return goldens.argv(name, tmp_path / name)
+
     evaluate = ["eval", "--codebook", str(DATA / "golden_v1.json"), "--samples", "2000",
                 "--output", str(tmp_path / "rd.csv")]
-    wsc = [["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
-            "--out", str(tmp_path / f"{name}.json")] for name in ("wsc_fixed_v1", "wsc_var_v1")]
     counted = ["cli", "combinatorics", "streams"]
     coded = counted + ["codec"]
     designed = coded + ["design"]
     runs = [
-        (ratepoints, counted),
-        (encode, coded),
-        (decode, coded),
+        (golden_run("ratepoints"), counted),
+        (golden_run("encode_v1"), coded),
+        (golden_run("decode_v1"), coded),
         (design_args(str(tmp_path / "cb.json")), designed + ["order_stats"]),
         (design_args(str(tmp_path / "general.json"), **{"--mode": "general"}),
          designed + ["order_stats"]),
         (evaluate, coded + ["cephes", "evaluation"]),
-        *((argv, designed + ["wsc", "cephes", "evaluation"]) for argv in wsc),
+        *((golden_run(name), designed + ["wsc", "cephes", "evaluation"])
+          for name in ("design_wsc_fixed_v1", "design_wsc_var_v1")),
     ]
     for argv, modules in runs:
         loaded = _loaded_after(_RUN_ARGVS, ("cpcodes.",), json.dumps([argv]))
         assert loaded == sorted(f"cpcodes.{m}" for m in modules), argv
-    assert Path(stream).read_bytes() == (DATA / "golden_v1.cpc").read_bytes()
-    assert (tmp_path / "x.csv").read_bytes() == (DATA / "golden_v1_decoded.csv").read_bytes()
+    for name in ("encode_v1", "decode_v1"):
+        assert (tmp_path / name).read_bytes() == goldens.golden(name)
 
 
 class TestProcessEntry:
@@ -784,12 +746,8 @@ class TestSeedsAndThreads:
     def test_design_environment(self, runner, tmp_path, mode, value):
         """A wsc design, whose evaluation pass runs the eval shards, reads no
         CPC_THREADS: under any value it writes the golden bytes."""
-        name = mode.replace("-", "_") + "_v1"
-        out = tmp_path / "cb.json"
-        res = runner.invoke(main, ["design", *GOLDEN_DESIGNS[name], "--samples", "20000",
-                                   "--out", str(out)], env={"CPC_THREADS": value})
-        assert res.exit_code == 0, res.output
-        assert out.read_bytes() == (DATA / f"golden_design_{name}.json").read_bytes()
+        _reproduces(runner, tmp_path, f"design_{mode.replace('-', '_')}_v1",
+                    env={"CPC_THREADS": value})
 
     @pytest.mark.usefixtures("no_work")
     def test_design_seed(self, runner, tmp_path):

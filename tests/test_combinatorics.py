@@ -12,7 +12,6 @@ from cpcodes.combinatorics import (
     distinct_multinomials,
     enumerate_compositions,
     group_starts,
-    max_rate_gap,
     multinomial_size,
     partition_count,
     partitions,
@@ -38,7 +37,7 @@ class TestComposition:
         c = Composition((3, 2, 2))
         assert c.n == 7 and c.num_levels == 3
 
-    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (1.5, 2)])
+    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (1.5, 2), (True, 2, 3)])
     def test_invalid_parts(self, bad):
         with pytest.raises(ValueError):
             Composition(tuple(bad))
@@ -173,6 +172,11 @@ def enumerated_census(n, J):
     return tuple(sorted({sum(chosen) for chosen in combinations_with_replacement(sizes, J)}))
 
 
+def distinct_sums(census):
+    """The census's distinct sums, ascending."""
+    return tuple(dict.fromkeys(census.sums.tolist()))
+
+
 class TestRatePointCensus:
     @pytest.mark.parametrize("n", sorted(RATE_POINT_TABLE))
     @pytest.mark.parametrize("J", [1, 2, 3, 4])
@@ -182,26 +186,26 @@ class TestRatePointCensus:
     def test_single_sphere_equals_distinct_sizes(self):
         for n in range(2, 8):
             census = rate_point_census(n, 1)
-            assert census.distinct_sums == distinct_multinomials(n)
+            assert distinct_sums(census) == distinct_multinomials(n)
 
     def test_elements_at_least_J(self):
         census = rate_point_census(5, 3)
-        assert all(s >= 3 for s in census.distinct_sums)
+        assert all(s >= 3 for s in census.sums)
 
     @pytest.mark.parametrize("n", range(2, 12))
     @pytest.mark.parametrize("J", [1, 2, 3, 4])
     def test_matches_enumeration(self, n, J):
         census = rate_point_census(n, J)
-        assert census.distinct_sums == enumerated_census(n, J)
-        assert census.count == len(census.distinct_sums)
+        assert distinct_sums(census) == enumerated_census(n, J)
+        assert census.count == len(distinct_sums(census))
 
     @pytest.mark.parametrize("J", [1, 2])
     def test_sums_past_int64(self, J):
         # 21! > 2**63, so the sums are held as Python ints
         assert max(distinct_multinomials(21)) >= 2**63
         census = rate_point_census(21, J)
-        assert census.distinct_sums == enumerated_census(21, J)
-        assert all(type(s) is int for s in census.distinct_sums)
+        assert census.sums.dtype == object
+        assert distinct_sums(census) == enumerated_census(21, J)
 
     def test_hashable_and_comparable(self):
         a, b = rate_point_census(6, 3), rate_point_census(6, 3)
@@ -229,17 +233,3 @@ class TestRatePointCensus:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             rate_point_census(1, 2)
-
-
-class TestMaxRateGap:
-    def test_values(self):
-        assert max_rate_gap(4) == pytest.approx(0.5)
-        assert max_rate_gap(2) == pytest.approx(0.5)
-
-    def test_decreasing_to_zero(self):
-        gaps = [max_rate_gap(n) for n in range(3, 200)]
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 0.04
-
-    def test_is_log_over_n(self):
-        assert max_rate_gap(10) == pytest.approx(math.log2(10) / 10, abs=0)

@@ -113,7 +113,6 @@ class TestCommonCompositionDesign:
         res = design_common_composition(Composition((3, 2, 2)), small_cfg(2, seed=3), t)
         assert res.reduced is not None
         assert res.reduced.points.shape == (2, 3)
-        assert res.reduced.K == 3
 
     def test_probs_sum_to_one(self):
         t = gaussian_order_stats(5)

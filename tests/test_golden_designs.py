@@ -23,6 +23,8 @@ from cpcodes.combinatorics import Composition
 from cpcodes.design import DesignConfig, design_common_composition, lloyd_general
 from cpcodes.order_stats import gaussian_order_stats
 
+import goldens
+
 GOLDEN = Path(__file__).parent / "data" / "golden_designs.json"
 SAMPLES = 10_000
 
@@ -126,8 +128,7 @@ def test_designs_independent_of_blas_kernel(tmp_path):
     """Every golden case and every CLI golden design gives the same bytes
     under three OpenBLAS kernels, at one and at two BLAS threads: no design
     arithmetic is left to a BLAS call."""
-    from test_cli import GOLDEN_DESIGNS
-
+    designs = [name for name, entry in goldens.ENTRIES.items() if entry["argv"][0] == "design"]
     tests = Path(__file__).parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
     reports = {}
@@ -136,8 +137,7 @@ def test_designs_independent_of_blas_kernel(tmp_path):
         for threads in ("1", "2"):
             out = tmp_path / f"{kernel}_{threads}"
             out.mkdir()
-            argvs = [["design", *argv, "--samples", "20000", "--out", str(out / f"{name}.json")]
-                     for name, argv in sorted(GOLDEN_DESIGNS.items())]
+            argvs = [goldens.argv(name, out / f"{name}.json") for name in designs]
             env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=path)
             report = out / "report.json"

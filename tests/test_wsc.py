@@ -102,7 +102,7 @@ class TestGainCodebook:
             start = time.perf_counter()
             gc = gain_codebook(J, n)
             times.append(time.perf_counter() - start)
-        assert gc.J == J
+        assert len(gc.gains) == J
         assert min(times) < seconds, times
 
     def test_unconverged_solve_raises_with_its_residual(self, monkeypatch):
