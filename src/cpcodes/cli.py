@@ -433,7 +433,7 @@ def cmd_decode(codebook, input_path, output):
 
 @main.command("eval")
 @click.option("--codebook", "codebooks", type=_INPUT, multiple=True)
-@click.option("--samples", type=int, default=500_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=500_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--baselines", default="", help="Comma list from: ecsq, ecusq, bound.")

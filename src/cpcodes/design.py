@@ -1,26 +1,24 @@
 """Level and composition optimization for single- and multi-sphere codebooks.
 
-A Lloyd round reads only each sorted training row's energy and group sums,
-so every designer reduces the rows to those as they are drawn
-(:func:`_reduced_training`) and no ``samples x n`` array is held.  Every
-designer runs one Lloyd rule in one coordinate system: sphere j's levels
-against its own composition's group sums, stored coordinate-major.  With one
-shared composition every sphere reads the same sums, and the search is the
-paper's J-point vector quantizer in dimension K instead of n; that design is
-the general one on J equal compositions, bit for bit.  The distances are
-elementwise products added over the levels in a fixed order, and the cell
-sums are weighted bincounts, so a design's bits depend on no BLAS kernel,
-thread count or block size.  The finishing pass (:func:`_lloyd_result`)
-draws the training rows again from the same substream, scores them with the
-encoder's rule (:func:`codec.score_draws`), and checks that distortion
-against the rounds' rule.  Both record their distortion trajectory and are
-reproducible from (seed, sample_count).  A round scores ``CHUNK_ROWS`` rows at a time into scratch
-allocated once per design and writes one nearest sphere and one distance per
-row, so a design holds its per-row state and scratch of fixed size:
-:func:`training_memory_bytes`, which each designer checks against the memory
-available before it draws.  The shape-gain designers measure their code on
-fresh samples, so they run the rounds alone (:func:`lloyd_general_code`) and
-skip the finishing pass.
+Every designer runs one Lloyd pipeline (:func:`_general_rounds`): draw the
+training rows and reduce each sorted row to its energy and group sums as it
+is drawn (:func:`_reduced_training`), so no ``samples x n`` array is held;
+run the rounds; build the codebook once from the final levels.  The rounds
+run one Lloyd rule: sphere j's levels against its own composition's group
+sums, stored coordinate-major.  With one shared composition every sphere
+reads the same sums, and the search is the paper's J-point vector quantizer
+in dimension K instead of n, bit for bit the general design on J equal
+compositions.  The distances are elementwise products added over the levels
+in a fixed order, and the cell sums are weighted bincounts, so a design's
+bits depend on no BLAS kernel, thread count or block size.  A round scores
+``CHUNK_ROWS`` rows at a time into scratch allocated once per design, so a
+design holds its per-row state and scratch of fixed size:
+:func:`training_memory_bytes`, checked against the memory available before
+any draw.  The finishing pass (:func:`_checked_design`) draws the rows again
+from the same substream, scores the codebook with the encoder's rule
+(:func:`codec.score_draws`), and checks that distortion against the rounds'
+rule.  The shape-gain designers measure their code on fresh samples, so they
+run the rounds alone (:func:`lloyd_general_code`) and skip the finishing pass.
 """
 
 from __future__ import annotations
@@ -72,6 +70,8 @@ class DesignConfig:
             raise ValueError("variant must be 1 or 2")
         if self.sample_count < MIN_TRAINING_SAMPLES:
             raise ValueError(f"sample_count must be >= {MIN_TRAINING_SAMPLES}")
+        if self.J > self.sample_count:
+            raise ValueError(f"J={self.J} is more than sample_count={self.sample_count} training rows")
 
 
 @dataclass(frozen=True)
@@ -183,40 +183,29 @@ def _training_stream(cfg: DesignConfig) -> np.random.Generator:
     return substream(cfg.rng_seed, "design")
 
 
-def _training_blocks(cfg: DesignConfig, n: int, sigma: float, take) -> np.ndarray:
-    """Draw the training rows ``CHUNK_ROWS`` at a time, hand each block,
-    sorted (magnitudes for variant II), to ``take(lo, block)``, and return
-    the J start rows drawn after the last block.
-
-    The blocks are bit for bit the rows of ``sort_by_variant(rng.standard_normal((m,
-    n)) * sigma, variant)``: consecutive draws continue one stream and rows
-    sort independently.  Each block is sorted in the draw's own buffer.
-    """
-    rng = _training_stream(cfg)
-    for lo, x in normal_blocks(rng, cfg.sample_count, n, sigma):
-        take(lo, sort_by_variant(x, cfg.variant, out=x))  # the next block redraws x
-    return rng.choice(cfg.sample_count, size=cfg.J, replace=False)
-
-
 def _reduced_training(compositions, cfg: DesignConfig, sigma: float):
-    """The energy of each sorted training row, its group sums under each
-    distinct composition, stored coordinate-major (``(K, samples)``), and
-    the J start rows, reduced block by block as the rows are drawn: nothing
-    of size ``samples x n`` is held.  Both reductions work row by row, so a
-    block gives its rows' bits.  A design that would not fit is refused
-    first (:func:`_guard_memory`)."""
+    """The energy of each sorted training row (magnitudes for variant II),
+    its group sums under each distinct composition, stored coordinate-major
+    (``(K, samples)``), and the J start rows drawn after the last row.  A
+    design that would not fit is refused first (:func:`_guard_memory`).
+
+    Each ``CHUNK_ROWS`` block is sorted in the draw's own buffer and reduced
+    before the next is drawn.  Consecutive draws continue one stream, and
+    rows sort and reduce independently, so a block gives the bits of its
+    rows in ``sort_by_variant(rng.standard_normal((m, n)) * sigma, variant)``.
+    """
     m = cfg.sample_count
     _guard_memory(compositions, cfg)
     x2 = np.empty(m)
     sums = {c: np.empty((c.num_levels, m)) for c in dict.fromkeys(compositions)}
-
-    def reduce(lo, block):
+    rng = _training_stream(cfg)
+    for lo, x in normal_blocks(rng, m, compositions[0].n, sigma):
+        block = sort_by_variant(x, cfg.variant, out=x)  # the next block redraws x
         hi = lo + len(block)
         np.einsum("ij,ij->i", block, block, out=x2[lo:hi])
         for c, part in sums.items():
             np.add.reduceat(block, group_starts(c), axis=1, out=part[:, lo:hi].T)
-
-    return x2, sums, _training_blocks(cfg, compositions[0].n, sigma, reduce)
+    return x2, sums, rng.choice(m, size=cfg.J, replace=False)
 
 
 def _settled(history: list[float]) -> bool:
@@ -226,34 +215,19 @@ def _settled(history: list[float]) -> bool:
     )
 
 
-def _reseed(levels, row_of, mind) -> int:
-    """Put each empty cell (a None in ``levels``) at the worst-quantized row
-    by ``mind``, the next worst for each further empty cell, so reseeds stay
-    distinct, ties going to the smaller index; ``row_of(j, i)`` is cell j's
-    levels at row i.  One ``argmax`` pass per empty cell, each row taken set
-    to -inf in ``mind`` until all are placed, so nothing the size of the
-    row count is allocated.  Returns the number of empty cells."""
-    empty = [j for j, lv in enumerate(levels) if lv is None]
-    taken = []
-    for j in empty:
-        i = int(np.argmax(mind))
-        levels[j] = row_of(j, i)
-        taken.append((i, mind[i]))
-        mind[i] = -np.inf
-    for i, value in taken:
-        mind[i] = value
-    return len(empty)
-
-
 def _cell_levels(sums: dict, compositions: Sequence[Composition], assign: np.ndarray, mind: np.ndarray):
     """One Lloyd update: sphere j's levels, the mean of its group sums
     ``sums[compositions[j]]`` (``(K, m)``) over the rows that ``assign``
-    puts in cell j, divided by the parts, and the number of empty cells
-    (reseeded by :func:`_reseed`).
+    puts in cell j, divided by the parts, and the number of empty cells.
 
     One weighted bincount per coordinate of each distinct composition sums
     every cell at once, adding its rows in index order: the same additions,
-    one column or many, whatever the block size.
+    one column or many, whatever the block size.  Each empty cell is put at
+    the worst-quantized row by ``mind``, the next worst for each further
+    empty cell, so reseeds stay distinct, ties going to the smaller index:
+    one ``argmax`` pass per empty cell, each row taken set to -inf in
+    ``mind`` until all are placed, so nothing the size of the row count is
+    allocated and ``mind`` is left as it was.
     """
     J = len(compositions)
     counts = np.bincount(assign, minlength=J)
@@ -266,16 +240,15 @@ def _cell_levels(sums: dict, compositions: Sequence[Composition], assign: np.nda
         totals[c][j] / count / p if count else None
         for j, (c, count, p) in enumerate(zip(compositions, counts, parts))
     ]
-    return levels, _reseed(levels, lambda j, i: sums[compositions[j]][:, i] / parts[j], mind)
-
-
-def _nearest_blocks(score, assign: np.ndarray, mind: np.ndarray) -> None:
-    """:func:`nearest_subcode` of each ``CHUNK_ROWS`` block of rows, written
-    into the whole-set ``assign`` and ``mind``; ``score(lo, hi)`` returns the
-    ``(J, hi - lo)`` distances of rows ``lo:hi``."""
-    for lo in range(0, len(assign), CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, len(assign))
-        nearest_subcode(score(lo, hi), out=(assign[lo:hi], mind[lo:hi]))
+    taken = []
+    for j in np.flatnonzero(counts == 0).tolist():
+        i = int(np.argmax(mind))
+        levels[j] = sums[compositions[j]][:, i] / parts[j]
+        taken.append((i, mind[i]))
+        mind[i] = -np.inf
+    for i, value in taken:
+        mind[i] = value
+    return levels, len(taken)
 
 
 def _merge_nonincreasing(parts: Sequence[int], levels: Sequence[float]):
@@ -297,13 +270,6 @@ def _merge_nonincreasing(parts: Sequence[int], levels: Sequence[float]):
         merged = True
         i = max(i - 1, 0)
     return tuple(parts), tuple(levels), merged
-
-
-def _codeword_from_levels(parts, levels, variant) -> tuple[InitialCodeword, bool]:
-    parts, levels, merged = _merge_nonincreasing(parts, levels)
-    if variant == VARIANT_II:
-        levels = tuple(max(v, 0.0) for v in levels)
-    return InitialCodeword(Composition(parts), levels, variant), merged
 
 
 def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
@@ -336,30 +302,6 @@ def distortion_decomposition(code: ConcentricCode, x: np.ndarray):
     return direct, (reduced + energy - shrink) / n
 
 
-def _lloyd_result(parts, levels, cfg, sigma, rounds) -> LloydResult:
-    """The codebook with ``parts[j]`` and ``levels[j]`` on sphere j, and its
-    training distortion and sphere probabilities under the encoder's rule.
-
-    ``rounds`` is :func:`_general_rounds`'s ``(history, events, converged)``.  The
-    training rows are drawn again from the same substream and scored by
-    :func:`codec.score_draws`.
-    """
-    history, events, converged = rounds
-    built = [_codeword_from_levels(p, lv, cfg.variant) for p, lv in zip(parts, levels)]
-    code = ConcentricCode(tuple(cw for cw, _ in built))
-    mind = np.empty(cfg.sample_count)
-    (counts,) = score_draws(_training_stream(cfg), cfg.sample_count, sigma, [code], [mind])
-    return LloydResult(
-        code=ConcentricCode(code.subcodes, probs=tuple(counts / cfg.sample_count)),
-        distortion=float(mind.mean()) / code.n,
-        distortion_history=history,
-        iterations=len(history),
-        converged=converged,
-        empty_cell_events=events,
-        merged_levels=any(merged for _, merged in built),
-    )
-
-
 def _check_compositions(compositions: Sequence[Composition], cfg: DesignConfig) -> int:
     """The shared dimension of one composition per sphere."""
     if len(compositions) != cfg.J:
@@ -373,18 +315,22 @@ def _check_compositions(compositions: Sequence[Composition], cfg: DesignConfig) 
 def _general_rounds(compositions, cfg, sigma, check=False):
     """Lloyd rounds over per-sphere group sums of the training rows, reduced
     as they are drawn, from the J start rows until :func:`_settled` or
-    LLOYD_MAX_ITERS.  Returns sphere j's levels, the rounds' ``(history,
-    events, converged)``: the per-sample distortion history, the empty-cell
-    count and whether the loop converged, and, with ``check``, the
-    per-sample distortion of the final codewords (merged and clamped) under
-    the rounds' own rule, taken before the group sums are freed; None
-    without ``check``.  Every round, and the check, writes one ``assign``
-    and one ``mind`` of one entry per row.
+    LLOYD_MAX_ITERS, and the one codebook built from the final levels:
+    adjacent groups pooled until each sphere's levels strictly decrease
+    (:func:`_merge_nonincreasing`), then clamped at 0 for variant II.
+
+    Returns a :class:`LloydResult` whose code has no probabilities, and
+    sphere j's levels before merging and clamping.  With ``check`` the
+    result's ``distortion`` is the codebook's per-sample distortion under
+    the rounds' own rule, taken before the group sums are freed; without
+    it, NaN.  Every round, and the check, writes one ``assign`` and one
+    ``mind`` of one entry per row.
 
     Sphere j's distance is ``x2 - 2 sum_k G_k mu_k + sum_k n_k mu_k^2``,
     each sum over the levels added left to right with a separate multiply
-    and add, in elementwise ufuncs and Python floats: no BLAS kernel picks
-    the order, and a row's bits do not depend on its block.
+    and add, in elementwise ufuncs and Python floats, ``CHUNK_ROWS`` rows at
+    a time into scratch allocated once: no BLAS kernel picks the order, and
+    a row's bits do not depend on its block.
     """
     x2, sums, init_rows = _reduced_training(compositions, cfg, sigma)
     m, n = len(x2), compositions[0].n
@@ -392,8 +338,11 @@ def _general_rounds(compositions, cfg, sigma, check=False):
     rows = min(CHUNK_ROWS, m)
     dists = np.empty((cfg.J, rows))
     term = np.empty(rows)
+    assign = np.empty(m, dtype=np.intp)
+    mind = np.empty(m)
 
-    def distances(levels):
+    def nearest(levels):
+        # each row's nearest sphere and distance, into assign and mind;
         # -2 mu_k is exact, so the sum of G_k (-2 mu_k) is -2 sum_k G_k mu_k
         weights = [(-2.0 * mu).tolist() for mu in levels]
         shifts = []
@@ -402,8 +351,8 @@ def _general_rounds(compositions, cfg, sigma, check=False):
             for part, v in zip(c.parts, mu.tolist()):
                 shift += part * (v * v)
             shifts.append(shift)
-
-        def score(lo, hi):
+        for lo in range(0, m, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, m)
             d, t = dists[:, : hi - lo], term[: hi - lo]
             for dj, g, w, shift in zip(d, group_sums, weights, shifts):
                 np.multiply(g[0, lo:hi], w[0], out=dj)
@@ -412,46 +361,61 @@ def _general_rounds(compositions, cfg, sigma, check=False):
                     dj += t
                 dj += x2[lo:hi]
                 dj += shift
-            return d
-
-        return score
+            nearest_subcode(d, out=(assign[lo:hi], mind[lo:hi]))
 
     parts = [np.asarray(c.parts, dtype=float) for c in compositions]
     levels = [g[:, row] / p for g, row, p in zip(group_sums, init_rows, parts)]
-    assign = np.empty(m, dtype=np.intp)
-    mind = np.empty(m)
     history: list[float] = []
     events = 0
     for _ in range(LLOYD_MAX_ITERS):
-        _nearest_blocks(distances(levels), assign, mind)
+        nearest(levels)
         np.maximum(mind, 0.0, out=mind)
         history.append(float(mind.mean()) / n)
         levels, empty = _cell_levels(sums, compositions, assign, mind)
         events += empty
         if _settled(history):
             break
-    rounds = history, events, _settled(history)
-    if not check:
-        return levels, rounds, None
-    final = []
+    subcodes, merged = [], False
     for c, lv in zip(compositions, levels):
-        cw, _ = _codeword_from_levels(c.parts, lv, cfg.variant)
-        final.append(cw.initial_vector()[group_starts(c)])  # a merged level on each group it covers
-    _nearest_blocks(distances(final), assign, mind)
-    return levels, rounds, float(mind.mean()) / n
+        pooled_parts, final, pooled = _merge_nonincreasing(c.parts, lv)
+        if cfg.variant == VARIANT_II:
+            final = tuple(max(v, 0.0) for v in final)
+        subcodes.append(InitialCodeword(Composition(pooled_parts), final, cfg.variant))
+        merged = merged or pooled
+    distortion = math.nan
+    if check:  # a merged level on each group it covers
+        nearest([cw.initial_vector()[group_starts(c)] for c, cw in zip(compositions, subcodes)])
+        distortion = float(mind.mean()) / n
+    result = LloydResult(
+        code=ConcentricCode(tuple(subcodes)),
+        distortion=distortion,
+        distortion_history=history,
+        iterations=len(history),
+        converged=_settled(history),
+        empty_cell_events=events,
+        merged_levels=merged,
+    )
+    return result, levels
 
 
 def _checked_design(compositions, cfg, sigma):
-    """:func:`_general_rounds` and :func:`_lloyd_result`, with the
-    finishing pass's distortion (the encoder's rule) checked against the
-    rounds' rule at the final codewords.  Returns the result and the
-    levels before merging and clamping."""
-    levels, rounds, decomposed = _general_rounds(compositions, cfg, sigma, check=True)
-    result = _lloyd_result([c.parts for c in compositions], levels, cfg, sigma, rounds)
-    if abs(result.distortion - decomposed) > 1e-9 * max(abs(result.distortion), 1e-300):
+    """:func:`_general_rounds`, then the finishing pass: the training rows
+    are drawn again from the same substream and scored by the encoder's
+    rule (:func:`codec.score_draws`) for the codebook's training distortion
+    and sphere probabilities, and that distortion is checked against the
+    rounds' rule at the final codewords.  Returns the result and the levels
+    before merging and clamping."""
+    result, levels = _general_rounds(compositions, cfg, sigma, check=True)
+    m = cfg.sample_count
+    mind = np.empty(m)
+    (counts,) = score_draws(_training_stream(cfg), m, sigma, [result.code], [mind])
+    distortion = float(mind.mean()) / result.code.n
+    if abs(distortion - result.distortion) > 1e-9 * max(abs(distortion), 1e-300):
         raise AssertionError(
-            f"distortion decomposition mismatch: {result.distortion} vs {decomposed}"
+            f"distortion decomposition mismatch: {distortion} vs {result.distortion}"
         )
+    result.code = ConcentricCode(result.code.subcodes, probs=tuple(counts / m))
+    result.distortion = distortion
     return result, levels
 
 
@@ -497,11 +461,8 @@ def lloyd_general_code(
     distortion would not serve.
     """
     _check_compositions(compositions, cfg)
-    levels, (history, _, _), _ = _general_rounds(compositions, cfg, sigma)
-    subcodes = tuple(
-        _codeword_from_levels(c.parts, lv, cfg.variant)[0] for c, lv in zip(compositions, levels)
-    )
-    return ConcentricCode(subcodes), len(history)
+    result, _ = _general_rounds(compositions, cfg, sigma)
+    return result.code, result.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -150,13 +150,9 @@ def entropy_bits(probs) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def rate_variable(code: ConcentricCode, probs=None) -> float:
+def rate_variable(code: ConcentricCode, probs) -> float:
     """Bits per sample with an entropy-coded sphere index: the index entropy
-    plus the probability-weighted exact log2 subcodebook sizes."""
-    if probs is None:
-        probs = code.probs
-    if probs is None:
-        raise ValueError("no subcodebook probabilities available")
+    of ``probs`` plus the probability-weighted exact log2 subcodebook sizes."""
     p = np.asarray(probs, dtype=float)
     if not (np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("probabilities must be finite and sum to 1")

@@ -125,11 +125,23 @@ class TestDesign:
         argv = json.loads(open(out + ".manifest.json").read())["argv"]
         assert argv[argv.index("--g-lambda") + 1] == "scalar"
 
+    def test_more_spheres_than_samples_refused_before_any_draw(self, runner, tmp_path, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a training row was drawn")
+
+        monkeypatch.setattr("cpcodes.design.substream", no_draw)
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, design_args(str(out), **{"--j": "20000", "--samples": "10000"}))
+        assert res.exit_code == 3, res.output
+        assert "design infeasible: J=20000 is more than sample_count=10000" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     def test_memory_error_exits_6(self, runner, tmp_path, monkeypatch):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 1.43 GiB")
 
-        monkeypatch.setattr("cpcodes.design._training_blocks", no_memory)
+        monkeypatch.setattr("cpcodes.design._training_stream", no_memory)
         out = tmp_path / "x.json"
         res = runner.invoke(main, design_args(str(out)))
         assert res.exit_code == 6, res.output
@@ -149,7 +161,7 @@ class TestDesign:
             raise AssertionError("a training row was drawn")
 
         monkeypatch.setattr("cpcodes.design._available_bytes", lambda: 2**20)
-        monkeypatch.setattr("cpcodes.design._training_blocks", no_draw)
+        monkeypatch.setattr("cpcodes.design._training_stream", no_draw)
         out = tmp_path / "x.json"
         res = runner.invoke(main, design_args(str(out), **{"--mode": mode, **over}))
         assert res.exit_code == 6, res.output
@@ -692,6 +704,15 @@ class TestEval:
         res = runner.invoke(main, ["eval", "--baselines", "bound", "--samples", "10",
                                    "--output", str(out)])
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_usage_error(self, runner, tmp_path, samples):
+        out = tmp_path / "rd.csv"
+        res = runner.invoke(main, ["eval", "--baselines", "bound", "--samples", samples,
+                                   "--output", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "--samples" in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf", "1e51", "1e-51"])
     def test_bad_sigma_usage_error(self, runner, tmp_path, sigma):

@@ -157,13 +157,13 @@ class TestEmptyCellReseed:
     @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
     def test_shared_start_is_reseeded(self, monkeypatch, designer, variant):
         # every sphere starts at one training row, so all but one cell empty at once
-        draw = design._training_blocks
+        reduced = design._reduced_training
 
         def shared_start(*args):
-            rows = draw(*args)
-            return np.full_like(rows, rows[0])
+            x2, sums, rows = reduced(*args)
+            return x2, sums, np.full_like(rows, rows[0])
 
-        monkeypatch.setattr(design, "_training_blocks", shared_start)
+        monkeypatch.setattr(design, "_reduced_training", shared_start)
         c = Composition((2, 2, 2))
         cfg = small_cfg(3, variant, seed=9)
         t = gaussian_order_stats(6)
@@ -173,6 +173,51 @@ class TestEmptyCellReseed:
             res = lloyd_general([c, c, c], cfg, t)
         assert res.empty_cell_events >= 1
         assert len(set(res.code.subcodes)) == 3
+
+
+class _PairedRows:
+    """A training stream whose rows hold each value twice (coordinate 2i + 1
+    repeats 2i), so every sorted row's top two coordinates are equal."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        out[:, 1::2] = out[:, ::2]
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+class TestMergedLevels:
+    @pytest.mark.parametrize("designer", ["common", "general"])
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    def test_tied_levels_pool_their_groups(self, monkeypatch, designer, variant):
+        """The first two groups of (1, 1, 2, 2) read the top two coordinates
+        of each sorted row.  On rows that hold each value twice their final
+        levels tie, so the design pools them into one part of 2, and the
+        finishing pass's check passes at the merged codewords, whose
+        distortion and probabilities are those of the whole set."""
+        stream = design._training_stream
+        monkeypatch.setattr(design, "_training_stream", lambda cfg: _PairedRows(stream(cfg)))
+        c, cfg, t = Composition((1, 1, 2, 2)), small_cfg(3, variant, seed=13), gaussian_order_stats(6)
+        if designer == "common":
+            res, want_parts = design_common_composition(c, cfg, t), [(2, 2, 2)] * 3
+        else:
+            res = lloyd_general([c, Composition((2, 4)), c], cfg, t)
+            want_parts = [(2, 2, 2), (2, 4), (2, 2, 2)]
+        assert res.merged_levels
+        assert [cw.composition.parts for cw in res.code.subcodes] == want_parts
+        for cw in res.code.subcodes:
+            assert all(a > b for a, b in zip(cw.levels, cw.levels[1:]))
+        x = substream(13, "design").standard_normal((cfg.sample_count, 6))
+        x[:, 1::2] = x[:, ::2]
+        sT = np.ascontiguousarray(sort_by_variant(x, variant).T)
+        assign, mind = nearest_subcode(sorted_distances(sT, res.code))
+        assert res.distortion.hex() == (float(mind.mean()) / 6).hex()
+        want = np.bincount(assign, minlength=3) / cfg.sample_count
+        assert [p.hex() for p in res.code.probs] == [float(p).hex() for p in want]
 
 
 def _levels_in_row_order(points, assign, j, parts):
@@ -281,9 +326,13 @@ class TestBlockedRounds:
 
         monkeypatch.setattr(design, "_cell_levels", recording)
         if shared_start:
-            draw = design._training_blocks
-            monkeypatch.setattr(design, "_training_blocks",
-                                lambda *args: np.full(args[0].J, draw(*args)[0]))
+            reduced = design._reduced_training
+
+            def shared(*args):
+                x2, sums, rows = reduced(*args)
+                return x2, sums, np.full_like(rows, rows[0])
+
+            monkeypatch.setattr(design, "_reduced_training", shared)
         return run(), rounds
 
     @staticmethod
@@ -470,6 +519,12 @@ class TestDesignConfig:
         with pytest.raises(ValueError):
             DesignConfig(J=1, variant=3)
 
+    def test_rejects_more_spheres_than_rows(self):
+        """J start rows are drawn without replacement from the training rows."""
+        DesignConfig(J=10_000, sample_count=10_000)
+        with pytest.raises(ValueError, match="J=10001 is more than sample_count=10000"):
+            DesignConfig(J=10_001, sample_count=10_000)
+
 
 class TestBoundedMemory:
     """The training draw and the finishing pass work ``CHUNK_ROWS`` rows at a
@@ -496,16 +551,11 @@ class TestBoundedMemory:
         """The rows drawn again and scored block by block give the
         distortion and probabilities of the whole sorted set."""
         cfg = DesignConfig(J=3, variant=variant, sample_count=self.m, rng_seed=6)
-        parts = [(1, 2, 3)] * 3
-        levels = [(1.5, 0.5, 0.25), (0.9, 0.3, 0.0), (0.4, 0.2, 0.1)]
-        res = design._lloyd_result(parts, levels, cfg, 1.2, ([1.0], 0, True))
-        code = ConcentricCode(tuple(
-            InitialCodeword(Composition(p), lv, variant) for p, lv in zip(parts, levels)
-        ))
+        comps = [Composition((1, 2, 3)), Composition((2, 4)), Composition((1, 2, 3))]
+        res = lloyd_general(comps, cfg, gaussian_order_stats(6, 1.2))
         x = substream(6, "design").standard_normal((self.m, 6)) * 1.2
         sT = np.ascontiguousarray(sort_by_variant(x, variant).T)
-        assign, mind = nearest_subcode(sorted_distances(sT, code))
-        assert res.code.subcodes == code.subcodes
+        assign, mind = nearest_subcode(sorted_distances(sT, res.code))
         assert res.distortion.hex() == (float(mind.mean()) / 6).hex()
         want = np.bincount(assign, minlength=3) / self.m
         assert [p.hex() for p in res.code.probs] == [float(p).hex() for p in want]
@@ -524,13 +574,13 @@ class TestBoundedMemory:
         within the guard's estimate.  So is it when every sphere starts at
         one row and the empty cells are reseeded at the worst rows."""
         if shared_start:
-            draw = design._training_blocks
+            reduced = design._reduced_training
 
             def one_start_row(*args):
-                rows = draw(*args)
-                return np.full_like(rows, rows[0])
+                x2, sums, rows = reduced(*args)
+                return x2, sums, np.full_like(rows, rows[0])
 
-            monkeypatch.setattr(design, "_training_blocks", one_start_row)
+            monkeypatch.setattr(design, "_reduced_training", one_start_row)
         n, J = 16, 3
         if designer == "common":
             comps = [Composition((4, 4, 4, 4))]

@@ -54,21 +54,21 @@ def run_case(name):
     comps = [Composition(c) for c in comps]
     cfg = DesignConfig(J=J, variant=variant, sample_count=SAMPLES, rng_seed=seed)
     table = gaussian_order_stats(comps[0].n)
-    draw = design._training_blocks
+    reduced = design._reduced_training
     if shared_start:
         # every sphere starts at one training row, so all but one cell empty at once
         def shared(*args):
-            rows = draw(*args)
-            return np.full_like(rows, rows[0])
+            x2, sums, rows = reduced(*args)
+            return x2, sums, np.full_like(rows, rows[0])
 
-        design._training_blocks = shared
+        design._reduced_training = shared
     try:
         if designer == "common":
             res = design_common_composition(comps[0], cfg, table)
         else:
             res = lloyd_general(comps, cfg, table)
     finally:
-        design._training_blocks = draw
+        design._reduced_training = reduced
     return {
         "subcodes": [
             {"parts": list(cw.composition.parts), "levels": _hex(cw.levels)}
