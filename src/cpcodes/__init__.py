@@ -9,4 +9,4 @@ Each name is imported from its module, e.g. ``from cpcodes.codec import
 encode_cpc``; ``import cpcodes`` loads no submodule.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -284,7 +284,8 @@ def run():
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--g-lambda", default="scalar", show_default=True, help="Lattice second moment (wsc-var): scalar, lambda24, or a float.")
-@click.option("--no-conjecture-filter", is_flag=True, help="Search all compositions, not just the monotone-pattern subset.")
+@click.option("--no-conjecture-filter", is_flag=True, help="Lay the chosen parts out descending, not in the "
+              "variant's conjectured pattern; the same sizes are searched.")
 @_output_option("--out", default="codebook.json", show_default=True)
 @_recorded(((RuntimeError, ValueError), 3, "design infeasible: "))
 def cmd_design(n, j_spheres, variant, mode, rate, compositions, samples, seed, sigma,

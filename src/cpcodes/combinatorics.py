@@ -1,9 +1,14 @@
-"""Exact combinatorics of compositions, codebook sizes, and fixed-rate point counts.
+"""Exact combinatorics of compositions, partitions, codebook sizes, and
+fixed-rate point counts.
 
-All codeword counts are exact Python integers; rates are taken as ``log2`` of
-an exact integer only at the last step, so equal counts collapse exactly when
-censusing distinct rate points.  Sizes here carry no sign bits, whose count
-depends on the levels: :class:`codec.InitialCodeword` owns that rule.
+A codebook's size depends only on the multiset of its composition's parts, a
+partition of n, so size searches run over :func:`partitions`; the order a
+design gives the parts (the paper's search filters) is the concern of
+:func:`wsc.allocate_compositions`.  All codeword counts are exact Python
+integers; rates are taken as ``log2`` of an exact integer only at the last
+step, so equal counts collapse exactly when censusing distinct rate points.
+Sizes here carry no sign bits, whose count depends on the levels:
+:class:`codec.InitialCodeword` owns that rule.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from itertools import combinations
 from typing import Iterator
 
 import numpy as np
-
-COMPOSITION_FILTERS = ("none", "variant2_monotone", "variant1_unimodal")
 
 
 class ResourceLimitError(RuntimeError):
@@ -74,53 +77,23 @@ def _nondecreasing_parts(total: int, k: int, minimum: int) -> Iterator[tuple[int
             yield (first,) + rest
 
 
-def _nonincreasing_parts(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    for p in _nondecreasing_parts(total, k, 1):
-        yield tuple(reversed(p))
-
-
-def enumerate_compositions(n: int, filt: str = "none") -> Iterator[Composition]:
-    """Yield every ordered composition of ``n`` passing ``filt``, exactly once.
-
-    ``none`` yields all ``2**(n-1)`` compositions via binary cut points.
-    ``variant2_monotone`` keeps only nondecreasing part sequences.
-    ``variant1_unimodal`` keeps sequences nondecreasing on the first
-    ``K // 2`` positions and nonincreasing on the rest (the split index is
-    unconstrained).  The filtered forms are generated directly rather than by
-    rejection, so they stay cheap for block lengths where ``2**(n-1)`` is not.
-    """
+def enumerate_compositions(n: int) -> Iterator[Composition]:
+    """Yield all ``2**(n-1)`` ordered compositions of ``n`` exactly once, via
+    binary cut points: the brute-force pool, for small ``n``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if filt not in COMPOSITION_FILTERS:
-        raise ValueError(f"unknown filter {filt!r}; expected one of {COMPOSITION_FILTERS}")
-
-    if filt == "none":
-        for num_cuts in range(n):
-            for cuts in combinations(range(1, n), num_cuts):
-                bounds = (0, *cuts, n)
-                yield Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-    elif filt == "variant2_monotone":  # the partitions, parts ascending
-        for parts in partitions(n):
-            yield Composition(parts[::-1])
-    else:  # variant1_unimodal
-        for k in range(1, n + 1):
-            head_len = k // 2
-            tail_len = k - head_len
-            if head_len == 0:
-                for tail in _nonincreasing_parts(n, tail_len):
-                    yield Composition(tail)
-                continue
-            for head_sum in range(head_len, n - tail_len + 1):
-                for head in _nondecreasing_parts(head_sum, head_len, 1):
-                    for tail in _nonincreasing_parts(n - head_sum, tail_len):
-                        yield Composition(head + tail)
+    for num_cuts in range(n):
+        for cuts in combinations(range(1, n), num_cuts):
+            bounds = (0, *cuts, n)
+            yield Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Integer partitions of ``n`` as tuples with nonincreasing parts, by
     number of parts."""
     for k in range(1, n + 1):
-        yield from _nonincreasing_parts(n, k)
+        for parts in _nondecreasing_parts(n, k, 1):
+            yield parts[::-1]
 
 
 def partition_count(n: int) -> int:

@@ -63,8 +63,6 @@ class EmpiricalDistortion:
     distortion: float
     stderr: float
     probs: tuple[float, ...]
-    samples: int
-    seed: int
     low_count_spheres: tuple[int, ...] = ()
 
 
@@ -136,8 +134,6 @@ def empirical_distortions(
                 distortion=mean,
                 stderr=math.sqrt(var / samples),
                 probs=tuple(hits / samples),
-                samples=samples,
-                seed=seed,
                 low_count_spheres=tuple(int(j) for j, h in enumerate(hits) if h < 10),
             )
         )

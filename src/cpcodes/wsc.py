@@ -37,8 +37,6 @@ from . import cephes, evaluation
 from .combinatorics import (
     Composition,
     ResourceLimitError,
-    enumerate_compositions,
-    multinomial_size,
     partition_count,
     partitions,
 )
@@ -55,7 +53,7 @@ _NEWTON_STEPS = 50
 # a chi-tail series stops at the first term below this share of its sum
 _EPS = 2.0**-53
 _EULER = 0.577215664901532860606512090082402431  # Euler's constant gamma
-# an unfiltered composition search raises past this many partitions of n
+# a composition search raises past this many partitions of n (n >= 71)
 _PARTITION_LIMIT = 1 << 22
 
 
@@ -445,6 +443,15 @@ def highres_fixed_rate_model(
 # composition selection and end-to-end design
 
 
+# each filter's arrangement of a partition's descending parts p: the
+# lexicographically smallest arrangement of them that the filter keeps
+_ARRANGEMENTS = {
+    "none": lambda p: p,
+    "variant2_monotone": lambda p: p[::-1],
+    "variant1_unimodal": lambda p: p[::-1][: len(p) // 2] + p[: len(p) - len(p) // 2],
+}
+
+
 def allocate_compositions(
     n: int,
     targets: Sequence[float],
@@ -457,30 +464,35 @@ def allocate_compositions(
     order the candidates come in.  Sign-carrying sizes count the full 2**n
     sign factor, since designed level values are strictly positive.
 
-    With ``filt="none"`` the part order carries no heuristic and does not
-    change the size, so candidates are the partition-canonical (descending)
-    arrangements, and more than ``_PARTITION_LIMIT`` of them (n >= 71) raise.
+    A codebook's size depends only on its parts' multiset, a partition of
+    ``n``, so the candidates are the partitions, each in its filter's
+    ``_ARRANGEMENTS`` row (by default unimodal for variant I, monotone for
+    II): ``"none"`` descending, ``"variant2_monotone"`` ascending, and
+    ``"variant1_unimodal"`` the ``K // 2`` smallest parts ascending, then the
+    rest descending.  Each is the least composition its filter keeps, so the
+    pick is the one over every composition it keeps.  More than
+    ``_PARTITION_LIMIT`` partitions (n >= 71) raise before any is made.
     """
     if filt is None:
         filt = "variant1_unimodal" if variant == VARIANT_I else "variant2_monotone"
+    if filt not in _ARRANGEMENTS:
+        raise ValueError(f"unknown filter {filt!r}; expected one of {tuple(_ARRANGEMENTS)}")
+    if partition_count(n) > _PARTITION_LIMIT:
+        raise ResourceLimitError(f"partition enumeration for n={n} exceeds limit={_PARTITION_LIMIT}")
+    arrange = _ARRANGEMENTS[filt]
     sign_bits = n if variant == VARIANT_II else 0
-    if filt == "none":
-        if partition_count(n) > _PARTITION_LIMIT:
-            raise ResourceLimitError(f"partition enumeration for n={n} exceeds limit={_PARTITION_LIMIT}")
-        pool = (Composition(p) for p in partitions(n))
-    else:
-        pool = enumerate_compositions(n, filt)
-    candidates = []
-    for comp in pool:
-        log_size = math.log2(multinomial_size(comp)) + sign_bits
-        candidates.append((log_size, comp.num_levels, comp.parts, comp))
+    full = math.factorial(n)
+    candidates = [
+        (math.log2(full // math.prod(map(math.factorial, parts))) + sign_bits, len(parts), arrange(parts))
+        for parts in partitions(n)
+    ]
     out = []
     for target in targets:
         if not target > 0:
             raise ValueError(f"size target must be positive, got {target}")
         goal = math.log2(target)
         best = min(candidates, key=lambda item: (abs(item[0] - goal), item[1], item[2]))
-        out.append(best[3])
+        out.append(Composition(best[2]))
     return out
 
 

@@ -62,6 +62,19 @@ def sorted_order_distances(X: np.ndarray, W: np.ndarray, variant: int) -> np.nda
     return total
 
 
+def monotone(parts) -> bool:
+    """The variant 2 search filter: parts nondecreasing."""
+    return all(a <= b for a, b in zip(parts, parts[1:]))
+
+
+def unimodal(parts) -> bool:
+    """The variant 1 search filter: the first ``K // 2`` parts nondecreasing
+    and the rest nonincreasing, with no order between the two runs."""
+    half = len(parts) // 2
+    head, tail = parts[:half], parts[half:]
+    return monotone(head) and all(a >= b for a, b in zip(tail, tail[1:]))
+
+
 def chi_cells_mp(gains, degrees):
     """The chi law's mean and, for each cell cut at the midpoints between
     ``gains``, its mass under each of ``degrees`` degrees of freedom, as

@@ -149,6 +149,18 @@ class TestDesign:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    def test_partition_guard_exits_6(self, runner, tmp_path):
+        """A wsc design at n = 71 (more than 2**22 partitions) is refused
+        under the default filter too, before any partition is made."""
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, design_args(str(out), **{
+            "--n": "71", "--mode": "wsc-fixed", "--composition": None, "--rate": "1",
+            "--samples": "10000"}))
+        assert res.exit_code == 6, res.output
+        assert "resource guard: partition enumeration for n=71" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode, over", [
         ("common", {}),
         ("general", {"--composition": "1,2,3"}),

@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
+from helpers import monotone, unimodal
 from hypothesis import given, strategies as st
 
 from cpcodes.combinatorics import (
@@ -18,6 +19,7 @@ from cpcodes.combinatorics import (
     rate_point_census,
 )
 from cpcodes.codec import VARIANT_II, InitialCodeword
+from cpcodes.wsc import _ARRANGEMENTS
 
 # complete table of distinct fixed-rate point counts, n=2..9 x J=1..4
 RATE_POINT_TABLE = {
@@ -88,36 +90,24 @@ class TestEnumerateCompositions:
         assert len(set(c.parts for c in comps)) == len(comps)
         assert all(c.n == n for c in comps)
 
+    # The search filters survive as the allocation's arrangement table: each
+    # partition's arrangement is the least composition its filter keeps.
     def test_monotone_n4(self):
-        got = {c.parts for c in enumerate_compositions(4, "variant2_monotone")}
+        got = {_ARRANGEMENTS["variant2_monotone"](p) for p in partitions(4)}
         assert got == {(4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)}
 
     @pytest.mark.parametrize("filt", ["variant2_monotone", "variant1_unimodal"])
     def test_n1(self, filt):
-        assert [c.parts for c in enumerate_compositions(1, filt)] == [(1,)]
+        assert [_ARRANGEMENTS[filt](p) for p in partitions(1)] == [(1,)]
 
     @pytest.mark.parametrize("filt", ["variant2_monotone", "variant1_unimodal"])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_filters_match_brute_force(self, n, filt):
-        def monotone(parts):
-            return all(a <= b for a, b in zip(parts, parts[1:]))
-
-        def unimodal(parts):
-            half = len(parts) // 2
-            head, tail = parts[:half], parts[half:]
-            return all(a <= b for a, b in zip(head, head[1:])) and all(
-                a >= b for a, b in zip(tail, tail[1:])
-            )
-
         keep = monotone if filt == "variant2_monotone" else unimodal
-        expected = {c.parts for c in enumerate_compositions(n) if keep(c.parts)}
-        got = [c.parts for c in enumerate_compositions(n, filt)]
-        assert len(got) == len(set(got))
-        assert set(got) == expected
-
-    def test_unknown_filter(self):
-        with pytest.raises(ValueError):
-            list(enumerate_compositions(4, "bogus"))
+        least = {}
+        for parts in sorted(c.parts for c in enumerate_compositions(n) if keep(c.parts)):
+            least.setdefault(tuple(sorted(parts, reverse=True)), parts)
+        assert least == {p: _ARRANGEMENTS[filt](p) for p in partitions(n)}
 
 
 class TestIndexGroups:

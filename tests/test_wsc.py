@@ -5,11 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import chi_cells_mp
+from helpers import chi_cells_mp, monotone, unimodal
 
 from cpcodes import wsc
 from cpcodes.codec import VARIANT_I, VARIANT_II
-from cpcodes.combinatorics import Composition, ResourceLimitError
+from cpcodes.combinatorics import (
+    Composition,
+    ResourceLimitError,
+    distinct_multinomials,
+    enumerate_compositions,
+    multinomial_size,
+)
 from cpcodes.design import DesignConfig, training_memory_bytes
 from cpcodes.streams import CHUNK_ROWS
 from cpcodes.wsc import (
@@ -322,23 +328,50 @@ class TestAllocateCompositions:
         got = allocate_compositions(7, [210.0 * 2**7], VARIANT_II)
         assert tuple(sorted(got[0].parts, reverse=True)) == (3, 2, 2)
 
-    def test_filtered_orderings_respect_pattern(self):
-        got = allocate_compositions(7, [210.0], VARIANT_I)[0].parts
-        half = len(got) // 2
-        assert all(a <= b for a, b in zip(got[:half], got[half:][1:]))
+    @pytest.mark.parametrize("filt", [None, "none", "variant2_monotone", "variant1_unimodal"])
+    @pytest.mark.parametrize("variant", [VARIANT_I, VARIANT_II])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_filtered_pool(self, n, variant, filt):
+        """Each pick is the brute-force one over every composition the filter
+        keeps ("none" keeps the descending ones), at every size and every
+        geometric midpoint between consecutive sizes."""
+        keep = {
+            None: unimodal if variant == VARIANT_I else monotone,
+            "none": lambda parts: monotone(parts[::-1]),
+            "variant2_monotone": monotone,
+            "variant1_unimodal": unimodal,
+        }[filt]
+        sign_bits = n if variant == VARIANT_II else 0
+        pool = [
+            (math.log2(multinomial_size(c)) + sign_bits, c.num_levels, c.parts)
+            for c in enumerate_compositions(n)
+            if keep(c.parts)
+        ]
+        sizes = [size * 2.0**sign_bits for size in distinct_multinomials(n)]
+        targets = sizes + [math.sqrt(a * b) for a, b in zip(sizes, sizes[1:])]
+        got = allocate_compositions(n, targets, variant, filt)
+        for target, comp in zip(targets, got):
+            goal = math.log2(target)
+            best = min(pool, key=lambda item: (abs(item[0] - goal), item[1], item[2]))
+            assert comp.parts == best[2], target
+
+    def test_unknown_filter(self):
+        with pytest.raises(ValueError, match="'none', 'variant2_monotone', 'variant1_unimodal'"):
+            allocate_compositions(4, [2.0], VARIANT_I, "bogus")
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             allocate_compositions(5, [0.0], VARIANT_I)
 
-    def test_resource_guard(self, monkeypatch):
+    @pytest.mark.parametrize("variant, filt", [(VARIANT_I, None), (VARIANT_II, None), (VARIANT_I, "none")])
+    def test_resource_guard(self, monkeypatch, variant, filt):
         # n = 71 has 4,697,205 partitions, more than 2**22: refused before any is made
         def refuse(n):
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr("cpcodes.wsc.partitions", refuse)
         with pytest.raises(ResourceLimitError):
-            allocate_compositions(71, [10.0], VARIANT_I, "none")
+            allocate_compositions(71, [10.0], variant, filt)
 
 
 class TestGainDistortion:
