@@ -97,7 +97,7 @@ class InitialCodeword:
     @cached_property
     def perms(self) -> int:
         """Number of distinct arrangements of the initial codeword."""
-        return multinomial_size(self.composition)
+        return multinomial_size(self.composition.parts)
 
     @cached_property
     def size(self) -> int:

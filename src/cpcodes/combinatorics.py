@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,12 +51,10 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def multinomial_size(c: Composition) -> int:
-    """Number of distinct arrangements of a word with multiplicities ``c.parts``."""
-    total = math.factorial(c.n)
-    for p in c.parts:
-        total //= math.factorial(p)
-    return total
+def multinomial_size(parts: Sequence[int]) -> int:
+    """Number of distinct arrangements of a word with multiplicities
+    ``parts``, in any order."""
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
 
 
 def group_starts(c: Composition) -> list[int]:
@@ -114,7 +112,7 @@ def distinct_multinomials(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    seen = {multinomial_size(Composition(p)) for p in partitions(n)}
+    seen = {multinomial_size(p) for p in partitions(n)}
     return tuple(sorted(seen))
 
 

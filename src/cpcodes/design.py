@@ -74,21 +74,6 @@ class DesignConfig:
             raise ValueError(f"J={self.J} is more than sample_count={self.sample_count} training rows")
 
 
-@dataclass(frozen=True)
-class ReducedVQ:
-    """Representation points of the reduced K-dimensional quantizer."""
-
-    points: np.ndarray  # (J, K), scaled coordinates sqrt(n_i) * mu_i^j
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be a (J, K) array")
-        if len({tuple(row) for row in pts}) != pts.shape[0]:
-            raise ValueError("representation points must be distinct")
-        object.__setattr__(self, "points", pts)
-
-
 @dataclass
 class LloydResult:
     code: ConcentricCode
@@ -98,7 +83,6 @@ class LloydResult:
     converged: bool
     empty_cell_events: int = 0
     merged_levels: bool = False
-    reduced: ReducedVQ | None = None
 
 
 def optimal_levels_single(
@@ -319,12 +303,11 @@ def _general_rounds(compositions, cfg, sigma, check=False):
     adjacent groups pooled until each sphere's levels strictly decrease
     (:func:`_merge_nonincreasing`), then clamped at 0 for variant II.
 
-    Returns a :class:`LloydResult` whose code has no probabilities, and
-    sphere j's levels before merging and clamping.  With ``check`` the
-    result's ``distortion`` is the codebook's per-sample distortion under
-    the rounds' own rule, taken before the group sums are freed; without
-    it, NaN.  Every round, and the check, writes one ``assign`` and one
-    ``mind`` of one entry per row.
+    Returns a :class:`LloydResult` whose code has no probabilities.  With
+    ``check`` the result's ``distortion`` is the codebook's per-sample
+    distortion under the rounds' own rule, taken before the group sums are
+    freed; without it, NaN.  Every round, and the check, writes one
+    ``assign`` and one ``mind`` of one entry per row.
 
     Sphere j's distance is ``x2 - 2 sum_k G_k mu_k + sum_k n_k mu_k^2``,
     each sum over the levels added left to right with a separate multiply
@@ -386,7 +369,7 @@ def _general_rounds(compositions, cfg, sigma, check=False):
     if check:  # a merged level on each group it covers
         nearest([cw.initial_vector()[group_starts(c)] for c, cw in zip(compositions, subcodes)])
         distortion = float(mind.mean()) / n
-    result = LloydResult(
+    return LloydResult(
         code=ConcentricCode(tuple(subcodes)),
         distortion=distortion,
         distortion_history=history,
@@ -395,7 +378,6 @@ def _general_rounds(compositions, cfg, sigma, check=False):
         empty_cell_events=events,
         merged_levels=merged,
     )
-    return result, levels
 
 
 def _checked_design(compositions, cfg, sigma):
@@ -403,9 +385,8 @@ def _checked_design(compositions, cfg, sigma):
     are drawn again from the same substream and scored by the encoder's
     rule (:func:`codec.score_draws`) for the codebook's training distortion
     and sphere probabilities, and that distortion is checked against the
-    rounds' rule at the final codewords.  Returns the result and the levels
-    before merging and clamping."""
-    result, levels = _general_rounds(compositions, cfg, sigma, check=True)
+    rounds' rule at the final codewords."""
+    result = _general_rounds(compositions, cfg, sigma, check=True)
     m = cfg.sample_count
     mind = np.empty(m)
     (counts,) = score_draws(_training_stream(cfg), m, sigma, [result.code], [mind])
@@ -416,7 +397,7 @@ def _checked_design(compositions, cfg, sigma):
         )
     result.code = ConcentricCode(result.code.subcodes, probs=tuple(counts / m))
     result.distortion = distortion
-    return result, levels
+    return result
 
 
 def design_common_composition(
@@ -427,14 +408,10 @@ def design_common_composition(
     Every sphere reads the same group sums of the sorted training vectors
     (magnitudes for variant II), so the rounds are :func:`lloyd_general`'s
     on ``[c] * J``, bit for bit: a J-point Lloyd iteration in K dimensions.
-    ``reduced`` holds the final points in the scaled coordinates
-    ``sqrt(n_i) * mu_i``.
     """
     if table.n != c.n:
         raise ValueError(f"table is for n={table.n}, composition needs n={c.n}")
-    result, levels = _checked_design([c] * cfg.J, cfg, table.sigma)
-    result.reduced = ReducedVQ(np.stack(levels) * np.sqrt(np.asarray(c.parts, dtype=float)))
-    return result
+    return _checked_design([c] * cfg.J, cfg, table.sigma)
 
 
 def lloyd_general(
@@ -449,7 +426,7 @@ def lloyd_general(
     n = _check_compositions(compositions, cfg)
     if table.n != n:
         raise ValueError(f"table is for n={table.n}, compositions need n={n}")
-    return _checked_design(compositions, cfg, table.sigma)[0]
+    return _checked_design(compositions, cfg, table.sigma)
 
 
 def lloyd_general_code(
@@ -461,7 +438,7 @@ def lloyd_general_code(
     distortion would not serve.
     """
     _check_compositions(compositions, cfg)
-    result, _ = _general_rounds(compositions, cfg, sigma)
+    result = _general_rounds(compositions, cfg, sigma)
     return result.code, result.iterations
 
 

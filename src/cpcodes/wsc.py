@@ -37,6 +37,7 @@ from . import cephes, evaluation
 from .combinatorics import (
     Composition,
     ResourceLimitError,
+    multinomial_size,
     partition_count,
     partitions,
 )
@@ -383,60 +384,11 @@ def sizes_fixed_rate(R: float, gc: GainCodebook, n: int) -> np.ndarray:
         return _finite_targets(R, total * weights / weights.sum())
 
 
-def shape_distortion_highres(
-    gc: GainCodebook, sizes: Sequence[float], consts: WscConstants
-) -> float:
-    """High-resolution shape distortion for given per-gain subcodebook sizes."""
-    sizes = np.asarray(sizes, dtype=float)
-    if np.any(sizes <= 0):
-        raise ValueError("sizes must be positive")
-    gains = np.asarray(gc.gains)
-    probs = np.asarray(gc.probs)
-    return float(consts.c * np.sum(probs * gains**2 * sizes ** (-2.0 / (consts.n - 1.0))))
-
-
 def snr_improvement_db(n: int) -> float:
     """SNR gained by letting the shape codebook size depend on the gain (dB)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     return -10.0 * (1.0 - 1.0 / n) * math.log10(2.0 * math.exp(_digamma_half(n)) / n)
-
-
-def gain_distortion(gc: GainCodebook, n: int, sigma: float = 1.0) -> float:
-    """Per-sample MSE of the gain stage alone, in closed form.
-
-    Uses the chi moment identities: over a cell, the first moment is the chi
-    mean times the (n+1)-dof CDF increment and the second moment is n times
-    the (n+2)-dof increment.
-    """
-    gains = np.asarray(gc.gains) / sigma
-    bounds = np.concatenate(([0.0], (gains[:-1] + gains[1:]) / 2.0, [np.inf]))
-    f0, f1, f2 = (_chi_masses(bounds, k) for k in (n, n + 1, n + 2))
-    mean = _chi_mean(n)
-    per_cell = n * f2 - 2.0 * gains * mean * f1 + gains * gains * f0
-    return float(per_cell.sum()) * sigma * sigma / n
-
-
-def highres_fixed_rate_model(
-    n: int, J: int, rates, g_lambda: float, sigma: float = 1.0
-) -> list[tuple[float, float]]:
-    """Model (rate, distortion) curve for fixed-rate coding with J gain cells.
-
-    Shape distortion follows the proportional-size decay constant; gain
-    distortion is the rate-independent floor of the J-level gain quantizer.
-    Larger J trades a bigger shape constant for a lower floor, so curves for
-    different J cross as the rate grows.
-    """
-    consts = wsc_constants(n, g_lambda, sigma)
-    gc = gain_codebook(J, n, sigma)
-    p = np.asarray(gc.probs)
-    g = np.asarray(gc.gains)
-    shape_const = consts.c * float(np.sum((p * g * g) ** ((n - 1.0) / (n + 1.0)))) ** (
-        (n + 1.0) / (n - 1.0)
-    )
-    floor = gain_distortion(gc, n, sigma)
-    return [(float(r), shape_const * 2.0 ** (-2.0 * n / (n - 1.0) * float(r)) + floor)
-            for r in rates]
 
 
 # ---------------------------------------------------------------------------
@@ -471,29 +423,32 @@ def allocate_compositions(
     ``"variant1_unimodal"`` the ``K // 2`` smallest parts ascending, then the
     rest descending.  Each is the least composition its filter keeps, so the
     pick is the one over every composition it keeps.  More than
-    ``_PARTITION_LIMIT`` partitions (n >= 71) raise before any is made.
+    ``_PARTITION_LIMIT`` partitions (n >= 71) raise before any is made.  The
+    partitions are walked once, keeping only each target's best so far.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if filt is None:
         filt = "variant1_unimodal" if variant == VARIANT_I else "variant2_monotone"
     if filt not in _ARRANGEMENTS:
         raise ValueError(f"unknown filter {filt!r}; expected one of {tuple(_ARRANGEMENTS)}")
     if partition_count(n) > _PARTITION_LIMIT:
         raise ResourceLimitError(f"partition enumeration for n={n} exceeds limit={_PARTITION_LIMIT}")
-    arrange = _ARRANGEMENTS[filt]
-    sign_bits = n if variant == VARIANT_II else 0
-    full = math.factorial(n)
-    candidates = [
-        (math.log2(full // math.prod(map(math.factorial, parts))) + sign_bits, len(parts), arrange(parts))
-        for parts in partitions(n)
-    ]
-    out = []
     for target in targets:
         if not target > 0:
             raise ValueError(f"size target must be positive, got {target}")
-        goal = math.log2(target)
-        best = min(candidates, key=lambda item: (abs(item[0] - goal), item[1], item[2]))
-        out.append(Composition(best[2]))
-    return out
+    goals = [math.log2(target) for target in targets]
+    arrange = _ARRANGEMENTS[filt]
+    sign_bits = n if variant == VARIANT_II else 0
+    best = [None] * len(goals)
+    for parts in partitions(n):
+        size = math.log2(multinomial_size(parts)) + sign_bits
+        arranged = arrange(parts)
+        for i, goal in enumerate(goals):
+            key = (abs(size - goal), len(parts), arranged)
+            if best[i] is None or key < best[i]:
+                best[i] = key
+    return [Composition(key[2]) for key in best]
 
 
 @dataclass

@@ -450,7 +450,7 @@ class TestBatchCore:
                 assert rank_codeword(w, cw) == r
                 assert unrank_codeword(r, cw).tobytes() == w.tobytes()
             # the ascending row is the last arrangement, with every sign bit clear
-            assert ranks.tolist()[-1] == (multinomial_size(cw.composition) - 1) << cw.sign_bits
+            assert ranks.tolist()[-1] == (multinomial_size(cw.composition.parts) - 1) << cw.sign_bits
 
     def test_rejects_non_finite_rows(self):
         code = ConcentricCode((InitialCodeword(Composition((2, 1)), (1.0, -1.0)),))

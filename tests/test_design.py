@@ -108,12 +108,6 @@ class TestCommonCompositionDesign:
         assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
         assert res.converged
 
-    def test_reduced_points_shape(self):
-        t = gaussian_order_stats(7)
-        res = design_common_composition(Composition((3, 2, 2)), small_cfg(2, seed=3), t)
-        assert res.reduced is not None
-        assert res.reduced.points.shape == (2, 3)
-
     def test_probs_sum_to_one(self):
         t = gaussian_order_stats(5)
         res = design_common_composition(Composition((2, 3)), small_cfg(3, seed=4), t)

@@ -81,7 +81,6 @@ def run_case(name):
         "converged": res.converged,
         "empty_cell_events": res.empty_cell_events,
         "merged_levels": res.merged_levels,
-        "reduced": None if res.reduced is None else [_hex(p) for p in res.reduced.points],
     }
 
 

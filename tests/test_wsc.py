@@ -27,10 +27,7 @@ from cpcodes.wsc import (
     design_fixed_rate,
     design_variable_rate,
     gain_codebook,
-    gain_distortion,
-    highres_fixed_rate_model,
     optimal_rate_split,
-    shape_distortion_highres,
     sizes_fixed_rate,
     sizes_variable_rate,
     snr_improvement_db,
@@ -259,37 +256,6 @@ class TestSizes:
                 sizes_variable_rate(split, gain_codebook(2, 16), 16)
 
 
-class TestShapeDistortion:
-    def test_single_codeword(self):
-        gc = gain_codebook(1, 9)
-        c = wsc_constants(9, 1.0 / 12.0)
-        assert shape_distortion_highres(gc, [1.0], c) == pytest.approx(
-            c.c * gc.gains[0] ** 2, rel=1e-12
-        )
-
-    def test_doubling_scaling_law(self):
-        gc = gain_codebook(3, 9)
-        c = wsc_constants(9, 1.0 / 12.0)
-        sizes = np.array([100.0, 200.0, 400.0])
-        ratio = shape_distortion_highres(gc, 2 * sizes, c) / shape_distortion_highres(gc, sizes, c)
-        assert ratio == pytest.approx(2.0 ** (-2.0 / 8.0), rel=1e-12)
-
-    def test_fixed_rate_decay_identity(self):
-        # with the proportional sizes, distortion times the decay factor is the
-        # power-sum constant
-        n, R = 25, 2.0
-        gc = gain_codebook(3, n)
-        c = wsc_constants(n, LATTICE_SECOND_MOMENTS["lambda24"])
-        sizes = sizes_fixed_rate(R, gc, n)
-        ds = shape_distortion_highres(gc, sizes, c)
-        p = np.asarray(gc.probs)
-        g = np.asarray(gc.gains)
-        target = c.c * float(np.sum((p * g * g) ** ((n - 1.0) / (n + 1.0)))) ** (
-            (n + 1.0) / (n - 1.0)
-        )
-        assert ds * 2.0 ** (2.0 * n / (n - 1.0) * R) == pytest.approx(target, rel=1e-9)
-
-
 class TestSnrImprovement:
     def test_locked_value_n5(self):
         # independent digamma: psi(5/2) = -gamma - 2 ln 2 + 2 + 2/3
@@ -343,7 +309,7 @@ class TestAllocateCompositions:
         }[filt]
         sign_bits = n if variant == VARIANT_II else 0
         pool = [
-            (math.log2(multinomial_size(c)) + sign_bits, c.num_levels, c.parts)
+            (math.log2(multinomial_size(c.parts)) + sign_bits, c.num_levels, c.parts)
             for c in enumerate_compositions(n)
             if keep(c.parts)
         ]
@@ -363,6 +329,24 @@ class TestAllocateCompositions:
         with pytest.raises(ValueError):
             allocate_compositions(5, [0.0], VARIANT_I)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            allocate_compositions(n, [2.0], VARIANT_I)
+
+    def test_memory_independent_of_partition_count(self):
+        """Only each target's best so far is held while the 37,338 partitions
+        of 40 are walked, not a candidate per partition."""
+        allocate_compositions(8, [2.0], VARIANT_I)  # imports
+        tracemalloc.start()
+        try:
+            got = allocate_compositions(40, [1e3, 1e20, 1e40], VARIANT_I)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 3
+        assert peak < 2 * 2**20, peak
+
     @pytest.mark.parametrize("variant, filt", [(VARIANT_I, None), (VARIANT_II, None), (VARIANT_I, "none")])
     def test_resource_guard(self, monkeypatch, variant, filt):
         # n = 71 has 4,697,205 partitions, more than 2**22: refused before any is made
@@ -372,47 +356,6 @@ class TestAllocateCompositions:
         monkeypatch.setattr("cpcodes.wsc.partitions", refuse)
         with pytest.raises(ResourceLimitError):
             allocate_compositions(71, [10.0], variant, filt)
-
-
-class TestGainDistortion:
-    def test_matches_monte_carlo(self):
-        n = 25
-        gc = gain_codebook(3, n)
-        rng = np.random.default_rng(12)
-        g = np.linalg.norm(rng.standard_normal((300_000, n)), axis=1)
-        gains = np.asarray(gc.gains)
-        q = gains[np.abs(g[:, None] - gains[None, :]).argmin(axis=1)]
-        mc = float(((g - q) ** 2).mean()) / n
-        assert gain_distortion(gc, n) == pytest.approx(mc, rel=0.02)
-
-    def test_more_cells_lower_floor(self):
-        floors = [gain_distortion(gain_codebook(J, 25), 25) for J in (1, 2, 4, 8)]
-        assert all(a > b for a, b in zip(floors, floors[1:]))
-
-
-class TestHighresModelCurves:
-    def test_crossing_structure(self):
-        # small J wins at low rates, large J at high rates
-        rates = np.linspace(0.5, 6.0, 23)
-        curves = {
-            J: dict(highres_fixed_rate_model(25, J, rates, LATTICE_SECOND_MOMENTS["lambda24"]))
-            for J in (1, 2, 4, 8)
-        }
-        assert curves[1][0.5] < curves[8][0.5]
-        assert curves[8][6.0] < curves[4][6.0] < curves[2][6.0] < curves[1][6.0]
-        for j_low, j_high in ((1, 2), (2, 4), (4, 8)):
-            flips = [
-                r for r in rates
-                if (curves[j_high][float(r)] < curves[j_low][float(r)])
-            ]
-            assert flips, (j_low, j_high)  # the larger J eventually dominates
-            assert flips[-1] == rates[-1]
-
-    def test_curves_decrease_in_rate(self):
-        curve = highres_fixed_rate_model(25, 4, np.linspace(0.5, 5, 10),
-                                         LATTICE_SECOND_MOMENTS["lambda24"])
-        ds = [d for _, d in curve]
-        assert all(a > b for a, b in zip(ds, ds[1:]))
 
 
 class TestEndToEndDesigns:
